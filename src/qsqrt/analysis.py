@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, GateKind
 from .errors import InvalidWidthError, MustLowerError
-from .lowering import iter_primitive_gates, lower_to_clifford_t
+from .lowering import iter_primitive_ops, lower_to_clifford_t
 
 _T_KINDS = (GateKind.T, GateKind.TDG)
 
@@ -30,7 +30,7 @@ class ResourceReport:
 
 def count_ops(c: Circuit) -> dict[GateKind, int]:
     """Per-kind gate counts with composites flattened away."""
-    return dict(Counter(g.kind for g in iter_primitive_gates(c)))
+    return dict(Counter(kind for kind, _ in iter_primitive_ops(c)))
 
 
 def t_count(c: Circuit) -> int:

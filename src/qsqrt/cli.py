@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import argparse
 import math
+import operator
 import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Sequence
+
+import numpy as np
 
 from . import __version__
 from .analysis import (
@@ -31,8 +34,7 @@ from .arithmetic import (
 from .circuit import Circuit
 from .errors import CapacityError, CircuitError
 from .export import report_rows_to_csv, report_rows_to_json, to_qasm
-from .lowering import flatten
-from .sim import perm_run
+from .sim import perm_run_many
 from .sqrt import build_isqrt_circuit, build_isqrt_pipeline, isqrt, min_width
 
 EXIT_OK = 0
@@ -45,12 +47,24 @@ SAMPLED_CASES = 100
 _SAMPLE_SEED = 0
 
 
+if TYPE_CHECKING:
+    # Annotations only: typing caches subscripted aliases, and a cached one
+    # naming a class of this module would pin every re-imported copy of it.
+    Fields = tuple[tuple[str, int, int], ...]
+    Oracle = Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
 @dataclass(frozen=True)
 class CircuitFamily:
-    """One selectable circuit generator with its layout facts.
+    """One selectable circuit generator with its layout facts and oracle.
 
     verify_build, when set, is the circuit actually swept by `verify`
     (the square root is verified through its readout pipeline).
+    registers(n) gives the (name, lowest qubit, width) fields of the swept
+    input and of the output; `verify` runs one case per value of the input
+    fields and decodes both in a failure report. oracle(n, ks) maps an
+    array of case numbers to the input basis states and the output states
+    the circuit must produce.
     """
 
     build: Callable[[int], Circuit]
@@ -58,43 +72,96 @@ class CircuitFamily:
     even_only: bool
     width_of: Callable[[int], int]
     expected_t_count: Callable[[int], int]
+    oracle: Oracle
+    registers: Callable[[int], tuple[Fields, Fields]]
     verify_build: Callable[[int], Circuit] | None = None
 
     def verify_circuit(self, n: int) -> Circuit:
         return (self.verify_build or self.build)(n)
 
+    def case_count(self, n: int) -> int:
+        return 1 << sum(width for _, _, width in self.registers(n)[0])
+
+
+def _two_operand(op: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Oracle:
+    """Oracle of A <- op(A, B) mod 2^n on qubits A = 0..n-1, B = n..2n-1."""
+
+    def oracle(n: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mask = (1 << n) - 1
+        a, b = ks & mask, ks >> n
+        return ks, op(a, b) & mask | b << n
+
+    return oracle
+
+
+def _controlled(
+    op: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+) -> Oracle:
+    """Oracle of A <- op(z, A, B) mod 2^n on z = 0, A = 1..n, B = n+1..2n."""
+
+    def oracle(n: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mask = (1 << n) - 1
+        z, a, b = ks & 1, ks >> 1 & mask, ks >> (n + 1)
+        return ks, z | (op(z, a, b) & mask) << 1 | b << (n + 1)
+
+    return oracle
+
+
+_isqrt_each = np.frompyfunc(math.isqrt, 1, 1)
+
+
+def _isqrt_oracle(n: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pipeline input (R = a, F = 1, z = 0) and output (R = rem, F = root)."""
+    root = _isqrt_each(a)
+    return a | 1 << n, (a - root * root) | root << n
+
+
+def _two_operand_fields(n: int) -> tuple[Fields, Fields]:
+    return (("a", 0, n), ("b", n, n)), (("result", 0, n), ("b", n, n))
+
+
+def _controlled_fields(n: int) -> tuple[Fields, Fields]:
+    z, b = ("z", 0, 1), ("b", n + 1, n)
+    return (z, ("a", 1, n), b), (z, ("result", 1, n), b)
+
+
+def _isqrt_fields(n: int) -> tuple[Fields, Fields]:
+    # a's top (sign) bit stays clear, so n - 1 bits sweep the whole domain
+    return (("a", 0, n - 1),), (("root", n, n), ("remainder", 0, n), ("z", 2 * n, 1))
+
 
 FAMILIES: dict[str, CircuitFamily] = {
     "adder": CircuitFamily(
-        build_adder, 1, False, lambda n: 2 * n, expected_t_count_adder
+        build_adder, 1, False, lambda n: 2 * n, expected_t_count_adder,
+        _two_operand(operator.add), _two_operand_fields,
     ),
     "subtractor": CircuitFamily(
-        build_subtractor, 1, False, lambda n: 2 * n, expected_t_count_adder
+        build_subtractor, 1, False, lambda n: 2 * n, expected_t_count_adder,
+        _two_operand(operator.sub), _two_operand_fields,
     ),
     "ctrl-add-sub": CircuitFamily(
-        build_ctrl_add_sub, 1, False, lambda n: 2 * n + 1, expected_t_count_adder
+        build_ctrl_add_sub, 1, False, lambda n: 2 * n + 1, expected_t_count_adder,
+        _controlled(lambda z, a, b: np.where(z, a - b, a + b)), _controlled_fields,
     ),
     "ctrl-add": CircuitFamily(
-        build_ctrl_adder, 2, False, lambda n: 2 * n + 1, expected_t_count_ctrl_adder
+        build_ctrl_adder, 2, False, lambda n: 2 * n + 1, expected_t_count_ctrl_adder,
+        _controlled(lambda z, a, b: np.where(z, a + b, a)), _controlled_fields,
     ),
     "isqrt": CircuitFamily(
-        build_isqrt_circuit,
-        4,
-        True,
-        lambda n: 2 * n + 1,
-        expected_t_count_isqrt,
-        verify_build=build_isqrt_pipeline,
+        build_isqrt_circuit, 4, True, lambda n: 2 * n + 1, expected_t_count_isqrt,
+        _isqrt_oracle, _isqrt_fields, verify_build=build_isqrt_pipeline,
     ),
 }
 
 
 def _parse_n_range(spec: str, family: CircuitFamily) -> list[int]:
     """Expand "4" or "6..16" into the list of widths to process."""
-    if ".." in spec:
-        lo_text, hi_text = spec.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(spec)
+    lo_text, sep, hi_text = spec.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if sep else lo
+    except ValueError:
+        raise CircuitError(f"invalid width '{spec}': expected N or N..M") from None
     step = 2 if family.even_only else 1
     values = list(range(lo, hi + 1, step))
     for n in values:
@@ -202,69 +269,52 @@ def cmd_resources(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- verify
 
 
-def _case_count(name: str, n: int) -> int:
-    if name in ("adder", "subtractor"):
-        return 1 << (2 * n)
-    if name in ("ctrl-add-sub", "ctrl-add"):
-        return 1 << (2 * n + 1)
-    return (1 << (n - 1)) - 1  # isqrt inputs a = 1 .. 2^(n-1) - 1
-
-
-def _oracle_case(name: str, n: int, k: int) -> tuple[int, int]:
-    """Input basis state and oracle-computed output state for case k."""
-    mask = (1 << n) - 1
-    if name in ("adder", "subtractor"):
-        a, b = k & mask, k >> n
-        out = (a - b) & mask if name == "subtractor" else (a + b) & mask
-        return a | b << n, out | b << n
-    if name in ("ctrl-add-sub", "ctrl-add"):
-        z, a, b = k & 1, (k >> 1) & mask, k >> (n + 1)
-        if name == "ctrl-add-sub":
-            out = (a - b) & mask if z else (a + b) & mask
-        else:
-            out = (a + b) & mask if z else a
-        return k, z | out << 1 | b << (n + 1)
-    a = k + 1
-    root = math.isqrt(a)
-    return a | 1 << n, (a - root * root) | root << n
+def _decode(state: int, fields: Fields) -> str:
+    return " ".join(
+        f"{name}={state >> lo & ((1 << width) - 1)}" for name, lo, width in fields
+    )
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     family = FAMILIES[args.circuit]
-    _check_family_n(family, args.n)
+    n = args.n
+    _check_family_n(family, n)
     mode = "sampled" if args.sampled else "exhaustive"
-    total = _case_count(args.circuit, args.n)
+    total = family.case_count(n)
     if mode == "exhaustive":
         if total > MAX_EXHAUSTIVE_CASES:
             raise CapacityError(
                 f"{total} cases exceed the exhaustive limit "
                 f"({MAX_EXHAUSTIVE_CASES}); use --sampled"
             )
-        indices: Iterable[int] = range(total)
+        indices: Sequence[int] = range(total)
     else:
         rng = random.Random(_SAMPLE_SEED)
         indices = [rng.randrange(total) for _ in range(SAMPLED_CASES)]
-    flat = flatten(family.verify_circuit(args.n))
+    circuit = family.verify_circuit(n)
     started = time.perf_counter()
-    checked = passed = 0
-    first_failure: tuple[int, int, int] | None = None
-    for k in indices:
-        state_in, state_expected = _oracle_case(args.circuit, args.n, k)
-        got = perm_run(flat, state_in)
-        checked += 1
-        if got == state_expected:
-            passed += 1
-        elif first_failure is None:
-            first_failure = (state_in, state_expected, got)
+    # int64 lanes while every state fits, Python ints (dtype=object) beyond
+    dtype = np.int64 if circuit.width < 63 else object
+    cases = np.fromiter(indices, dtype=dtype, count=len(indices))
+    states, expected = family.oracle(n, cases)
+    outputs = np.array(perm_run_many(circuit, states.tolist()), dtype=expected.dtype)
+    failures = np.flatnonzero(outputs != expected)
     elapsed = time.perf_counter() - started
-    print(f"verify {args.circuit} n={args.n} mode={mode}")
-    print(f"checked {checked} cases, {passed} passed")
+    checked = len(outputs)
+    print(f"verify {args.circuit} n={n} mode={mode}")
+    print(f"checked {checked} cases, {checked - len(failures)} passed")
     if not args.no_timing:
         print(f"elapsed {elapsed:.3f}s")
-    if first_failure is not None:
-        state_in, expected, got = first_failure
+    if len(failures):
+        i = failures[0]
+        state, want, got = int(states[i]), int(expected[i]), int(outputs[i])
+        in_fields, out_fields = family.registers(n)
         print(
-            f"FAIL: input={state_in} expected={expected} got={got}",
+            f"FAIL: {len(failures)} of {checked} cases failed; first failure:\n"
+            f"  input     {_decode(state, in_fields)}\n"
+            f"  expected  {_decode(want, out_fields)}\n"
+            f"  actual    {_decode(got, out_fields)}\n"
+            f"  basis states: input={state} expected={want} actual={got}",
             file=sys.stderr,
         )
         return EXIT_VERIFY_FAILED
@@ -306,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="register width (even, >= 4)")
     p.add_argument("--resources", action="store_true",
                    help="also print the circuit's resource metrics")
-    p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=cmd_isqrt)
 
     p = sub.add_parser("resources", help="resource table over a width range")

@@ -13,7 +13,7 @@ import re
 
 from .circuit import Circuit, Gate, GateKind
 from .errors import CircuitError, QasmParseError
-from .lowering import iter_primitive_gates
+from .lowering import iter_primitive_ops
 
 _QREG_RE = re.compile(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*;")
 # parameter lists are matched so rz(0.1) reports "unsupported gate", not a
@@ -34,15 +34,15 @@ _GATE_KINDS = {
 def to_qasm(c: Circuit) -> str:
     """Emit the flattened circuit as deterministic OpenQASM 2.0 text."""
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.width}];"]
-    for g in iter_primitive_gates(c):
-        if g.kind is GateKind.ZCX:
-            cq, tq = g.qubits
+    for kind, qubits in iter_primitive_ops(c):
+        if kind is GateKind.ZCX:
+            cq, tq = qubits
             lines.append(f"x q[{cq}];")
             lines.append(f"cx q[{cq}],q[{tq}];")
             lines.append(f"x q[{cq}];")
         else:
-            operands = ",".join(f"q[{q}]" for q in g.qubits)
-            lines.append(f"{g.kind.value} {operands};")
+            operands = ",".join(f"q[{q}]" for q in qubits)
+            lines.append(f"{kind.value} {operands};")
     return "\n".join(lines) + "\n"
 
 

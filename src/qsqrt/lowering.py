@@ -14,19 +14,39 @@ from .circuit import CLIFFORD_T_KINDS, Circuit, Gate, GateKind
 from .errors import UnsupportedGateError
 
 
+def iter_primitive_ops(c: Circuit) -> Iterator[tuple[GateKind, tuple[int, ...]]]:
+    """Yield (kind, qubits) for each primitive gate of `c` in order.
+
+    Composite bodies are walked with an explicit stack of composed operand
+    maps, so the qubits are already in `c`'s numbering and no Gate is built
+    for any nesting level. This is the one composite walk shared by
+    flattening, lowering, counting, export and simulation.
+    """
+    stack: list[tuple[Iterator[Gate], tuple[int, ...] | None]] = [
+        (iter(c.gates), None)
+    ]
+    while stack:
+        gates, qmap = stack[-1]
+        for g in gates:
+            qubits = (
+                g.qubits if qmap is None else tuple(map(qmap.__getitem__, g.qubits))
+            )
+            if g.kind is GateKind.COMPOSITE:
+                assert g.body is not None
+                stack.append((iter(g.body.gates), qubits))
+                break
+            yield g.kind, qubits
+        else:
+            stack.pop()
+
+
 def iter_primitive_gates(c: Circuit) -> Iterator[Gate]:
     """Yield the primitive gates of `c` in order, instantiating composites.
 
-    Composite bodies are walked recursively with their operand mapping
-    applied, so the stream is exactly what flatten() would store.
+    The stream is exactly what flatten() would store.
     """
-    for g in c.gates:
-        if g.kind is GateKind.COMPOSITE:
-            assert g.body is not None
-            for sub in iter_primitive_gates(g.body):
-                yield Gate(sub.kind, tuple(g.qubits[i] for i in sub.qubits))
-        else:
-            yield g
+    for kind, qubits in iter_primitive_ops(c):
+        yield Gate(kind, qubits)
 
 
 def flatten(c: Circuit) -> Circuit:

@@ -1,7 +1,8 @@
 """Two simulation backends over the circuit IR.
 
-perm_run tracks a single basis state through the classical-reversible gates
-(X, CX, ZCX, CCX, SWAP) in O(gates); it is the workhorse for functional
+perm_run_many pushes a whole batch of basis states through the
+classical-reversible gates (X, CX, ZCX, CCX, SWAP) in one pass over the
+gates; perm_run is its one-state case and the workhorse for functional
 sweeps. sv_run applies a fully lowered circuit to a dense statevector and
 is reserved for verifying decompositions, where phases matter.
 
@@ -12,18 +13,20 @@ from __future__ import annotations
 
 import os
 import random
+from typing import Sequence
 
 import numpy as np
 
 from .circuit import CLIFFORD_T_KINDS, PERMUTATION_KINDS, Circuit, GateKind
 from .errors import (
     CapacityError,
+    CircuitError,
     InputRangeError,
     InvalidWidthError,
     MustLowerError,
     NonPermutationGateError,
 )
-from .lowering import iter_primitive_gates, lower_to_clifford_t
+from .lowering import iter_primitive_ops, lower_to_clifford_t
 
 #: Widest circuit sv_run accepts unless overridden (2**16 amplitudes).
 DEFAULT_SV_CAP = 16
@@ -34,41 +37,78 @@ _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
 def sv_cap() -> int:
     """Statevector qubit cap, overridable through QSQRT_SV_CAP."""
-    return int(os.environ.get("QSQRT_SV_CAP", DEFAULT_SV_CAP))
+    raw = os.environ.get("QSQRT_SV_CAP")
+    if raw is None:
+        return DEFAULT_SV_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise CircuitError(f"QSQRT_SV_CAP must be an integer, got {raw!r}") from None
+
+
+def perm_run_many(c: Circuit, states: Sequence[int]) -> list[int]:
+    """Propagate a batch of basis states through the permutation gates.
+
+    Bit-sliced (Biham, FSE 1997): qubit q is held as one int whose bit k is
+    qubit q's value in case k, so each X, CX, ZCX, CCX or SWAP is one
+    big-int XOR, AND or swap for the whole batch. Composites are walked in
+    place. Returns the output state of each case, in order. Raises
+    InputRangeError if any state is outside the circuit's width and
+    NonPermutationGateError on H, T or TDG.
+    """
+    width = c.width
+    limit = 1 << width
+    if len(states) and (min(states) < 0 or max(states) >= limit):
+        bad = next(s for s in states if not 0 <= s < limit)
+        raise InputRangeError(f"basis state {bad} out of range for width {width}")
+    ones = (1 << len(states)) - 1
+    cols = _transpose(states, width)
+    for kind, q in iter_primitive_ops(c):
+        if kind is GateKind.CX:
+            cols[q[1]] ^= cols[q[0]]
+        elif kind is GateKind.CCX:
+            cols[q[2]] ^= cols[q[0]] & cols[q[1]]
+        elif kind is GateKind.ZCX:
+            cols[q[1]] ^= cols[q[0]] ^ ones
+        elif kind is GateKind.X:
+            cols[q[0]] ^= ones
+        elif kind is GateKind.SWAP:
+            a, b = q
+            cols[a], cols[b] = cols[b], cols[a]
+        else:
+            raise NonPermutationGateError(
+                f"{kind.value} is not a basis-state permutation"
+            )
+    return _transpose(cols, len(states))
 
 
 def perm_run(c: Circuit, state: int) -> int:
-    """Propagate the basis state through the circuit's permutation gates.
+    """Propagate one basis state: the one-case batch of perm_run_many."""
+    return perm_run_many(c, (state,))[0]
 
-    Composites are flattened on the fly. Raises NonPermutationGateError on
-    H, T or TDG.
+
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """Transpose a bit matrix: bit k of out[q] is bit q of rows[k].
+
+    `rows` holds ints below 2**width and the result has `width` ints of
+    len(rows) bits each; it turns basis states into bit-sliced qubit
+    columns and back. Up to 64 bits a row or column is one uint64.
     """
-    if not 0 <= state < 1 << c.width:
-        raise InputRangeError(
-            f"basis state {state} out of range for width {c.width}"
-        )
-    for g in iter_primitive_gates(c):
-        k = g.kind
-        q = g.qubits
-        if k is GateKind.X:
-            state ^= 1 << q[0]
-        elif k is GateKind.CX:
-            if state >> q[0] & 1:
-                state ^= 1 << q[1]
-        elif k is GateKind.ZCX:
-            if not state >> q[0] & 1:
-                state ^= 1 << q[1]
-        elif k is GateKind.CCX:
-            if state >> q[0] & 1 and state >> q[1] & 1:
-                state ^= 1 << q[2]
-        elif k is GateKind.SWAP:
-            if (state >> q[0] & 1) != (state >> q[1] & 1):
-                state ^= (1 << q[0]) | (1 << q[1])
-        else:
-            raise NonPermutationGateError(
-                f"{k.value} is not a basis-state permutation"
-            )
-    return state
+    count = len(rows)
+    if width <= 64:
+        words = np.fromiter(rows, "<u8", count=count)
+        data = words.view(np.uint8).reshape(count, 8)
+    else:
+        nbytes = (width + 7) // 8
+        raw = b"".join(row.to_bytes(nbytes, "little") for row in rows)
+        data = np.frombuffer(raw, np.uint8).reshape(count, nbytes)
+    bits = np.unpackbits(data, axis=1, count=width, bitorder="little")
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    if count <= 64:
+        words = np.zeros((width, 8), np.uint8)
+        words[:, : packed.shape[1]] = packed
+        return words.view("<u8").ravel().tolist()
+    return [int.from_bytes(col.tobytes(), "little") for col in packed]
 
 
 def basis_statevector(width: int, index: int) -> np.ndarray:
@@ -164,14 +204,13 @@ def permutation_matrix(c: Circuit) -> np.ndarray:
         raise CapacityError("permutation matrix capped at 10 qubits")
     dim = 1 << c.width
     mat = np.zeros((dim, dim))
-    for j in range(dim):
-        mat[perm_run(c, j), j] = 1.0
+    mat[perm_run_many(c, range(dim)), np.arange(dim)] = 1.0
     return mat
 
 
 def is_permutation_circuit(c: Circuit) -> bool:
     """True when every primitive gate maps basis states to basis states."""
-    return all(g.kind in PERMUTATION_KINDS for g in iter_primitive_gates(c))
+    return all(kind in PERMUTATION_KINDS for kind, _ in iter_primitive_ops(c))
 
 
 def assert_equiv(
@@ -186,12 +225,12 @@ def assert_equiv(
 
     Returns None when all tested inputs agree, otherwise the first basis
     index where they differ. A pair of permutation-only circuits is
-    compared with perm_run (exhaustive up to width 20). Otherwise each
-    side runs on its natural backend: a permutation-only circuit through
-    perm_run (its output embedded as a one-hot statevector), anything else
-    lowered and through sv_run, with amplitudes compared to 1e-9
-    (exhaustive up to width 12). Lowering one side therefore never hides a
-    faulty decomposition of the other.
+    compared with one perm_run_many batch each (exhaustive up to width 20).
+    Otherwise each side runs on its natural backend: a permutation-only
+    circuit through one perm_run_many batch (each output embedded as a
+    one-hot statevector), anything else lowered and through sv_run, with
+    amplitudes compared to 1e-9 (exhaustive up to width 12). Lowering one
+    side therefore never hides a faulty decomposition of the other.
     """
     if a.width != b.width:
         raise InvalidWidthError(f"width mismatch: {a.width} != {b.width}")
@@ -210,22 +249,26 @@ def assert_equiv(
     else:
         rng = random.Random(seed)
         inputs = [rng.randrange(1 << width) for _ in range(samples)]
-    if a_perm and b_perm:
-        for s in inputs:
-            if perm_run(a, s) != perm_run(b, s):
+    out_a = perm_run_many(a, inputs) if a_perm else None
+    out_b = perm_run_many(b, inputs) if b_perm else None
+    if out_a is not None and out_b is not None:
+        for s, got_a, got_b in zip(inputs, out_a, out_b):
+            if got_a != got_b:
                 return s
         return None
     la = None if a_perm else lower_to_clifford_t(a)
     lb = None if b_perm else lower_to_clifford_t(b)
 
-    def output_vector(circ: Circuit, lowered: Circuit | None, s: int) -> np.ndarray:
-        if lowered is None:
-            return basis_statevector(width, perm_run(circ, s))
-        return sv_run(lowered, basis_statevector(width, s), cap=cap)
+    def output_vector(
+        outs: list[int] | None, lowered: Circuit | None, i: int
+    ) -> np.ndarray:
+        if outs is not None:
+            return basis_statevector(width, outs[i])
+        return sv_run(lowered, basis_statevector(width, inputs[i]), cap=cap)
 
-    for s in inputs:
-        va = output_vector(a, la, s)
-        vb = output_vector(b, lb, s)
+    for i, s in enumerate(inputs):
+        va = output_vector(out_a, la, i)
+        vb = output_vector(out_b, lb, i)
         if np.max(np.abs(va - vb)) > 1e-9:
             return s
     return None

@@ -180,7 +180,8 @@ def isqrt(a: int, n: int | None = None) -> SqrtResult:
     Parameters
     ----------
     a : int
-        Input value, 0 <= a <= 2**(n-1) - 1. Results are exact for a >= 1.
+        Input value, 0 <= a <= 2**(n-1) - 1. Results are exact on the
+        whole range, a = 0 included.
     n : int, optional
         Even register width >= 4; chosen by min_width(a) when omitted.
 

@@ -135,7 +135,7 @@ def test_verify_isqrt_n6(capsys):
         main(["verify", "--circuit", "isqrt", "--n", "6", "--exhaustive", "--no-timing"])
         == 0
     )
-    assert "checked 31 cases, 31 passed" in capsys.readouterr().out
+    assert "checked 32 cases, 32 passed" in capsys.readouterr().out
 
 
 def test_verify_ctrl_add_n3(capsys):
@@ -167,6 +167,14 @@ def test_verify_sampled_mode(capsys):
     assert "checked 100 cases, 100 passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "circuit, n", [("isqrt", 32), ("ctrl-add-sub", 31), ("subtractor", 40)]
+)
+def test_verify_sampled_wide_states(capsys, circuit, n):
+    assert main(["verify", "--circuit", circuit, "--n", str(n), "--sampled"]) == 0
+    assert "checked 100 cases, 100 passed" in capsys.readouterr().out
+
+
 def test_verify_exhaustive_capacity_guard(capsys):
     assert main(["verify", "--circuit", "adder", "--n", "11", "--no-timing"]) == 2
     assert "--sampled" in capsys.readouterr().err
@@ -190,6 +198,68 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.err
     assert "passed" in captured.out
+
+
+@pytest.mark.parametrize(
+    "circuit, n, cases",
+    [("isqrt", n, 1 << (n - 1)) for n in range(4, 17, 2)]
+    + [("adder", n, 1 << (2 * n)) for n in range(1, 9)],
+)
+def test_verify_exhaustive_sweeps(capsys, circuit, n, cases):
+    assert main(["verify", "--circuit", circuit, "--n", str(n), "--no-timing"]) == 0
+    assert f"checked {cases} cases, {cases} passed" in capsys.readouterr().out
+
+
+def _break_family(monkeypatch, name, field):
+    """Make `verify` sweep the family's circuit without its second gate."""
+    family = cli.FAMILIES[name]
+    build = getattr(family, field)
+
+    def broken(n):
+        circuit = build(n)
+        del circuit.gates[1]
+        return circuit
+
+    monkeypatch.setitem(
+        cli.FAMILIES, name, dataclasses.replace(family, **{field: broken})
+    )
+
+
+def test_verify_failure_reports_decoded_isqrt_registers(monkeypatch, capsys):
+    # without the readout's X on F[0], F's initial 1 is swapped up to F[4]
+    _break_family(monkeypatch, "isqrt", "verify_build")
+    assert main(["verify", "--circuit", "isqrt", "--n", "6", "--no-timing"]) == 1
+    captured = capsys.readouterr()
+    assert "checked 32 cases, 0 passed" in captured.out
+    lines = captured.err.splitlines()
+    assert lines[0] == "FAIL: 32 of 32 cases failed; first failure:"
+    assert lines[1].split() == ["input", "a=0"]
+    assert lines[2].split() == ["expected", "root=0", "remainder=0", "z=0"]
+    assert lines[3].split() == ["actual", "root=16", "remainder=0", "z=0"]
+    assert lines[4].split() == [
+        "basis", "states:", "input=64", "expected=0", "actual=1024"
+    ]
+
+
+def test_verify_failure_reports_decoded_adder_registers(monkeypatch, capsys):
+    _break_family(monkeypatch, "adder", "build")
+    assert main(["verify", "--circuit", "adder", "--n", "3", "--no-timing"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    failed = int(err[0].split()[1])
+    assert 0 < failed < 64 and err[0].endswith("of 64 cases failed; first failure:")
+    _, a, b = err[1].split()
+    _, want, want_b = err[2].split()
+    _, got, got_b = err[3].split()
+    a, b = int(a.removeprefix("a=")), int(b.removeprefix("b="))
+    assert want == f"result={(a + b) % 8}" and want_b == f"b={b}"
+    assert got.startswith("result=") and got_b.startswith("b=")
+    assert (got, got_b) != (want, want_b)
+
+
+@pytest.mark.parametrize("spec", ["abc", "6..", "..8", "6..x"])
+def test_resources_rejects_malformed_width(capsys, spec):
+    assert main(["resources", "--circuit", "isqrt", "--n", spec]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid width")
 
 
 def test_export_writes_matching_qasm(tmp_path, capsys):

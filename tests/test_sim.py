@@ -2,9 +2,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsqrt import (
     Circuit,
+    PERMUTATION_KINDS,
+    Gate,
+    GateKind,
     assert_equiv,
     basis_statevector,
     build_adder,
@@ -15,10 +20,13 @@ from qsqrt import (
     lower_to_clifford_t,
     peres_circuit,
     perm_run,
+    perm_run_many,
     sv_run,
 )
+from qsqrt.circuit import PRIMITIVE_ARITY
 from qsqrt.errors import (
     CapacityError,
+    CircuitError,
     InputRangeError,
     InvalidWidthError,
     MustLowerError,
@@ -54,6 +62,97 @@ def test_perm_run_flattens_composites_on_the_fly():
     qc.append_composite("PERES", peres_circuit(), [3, 1, 0])
     # (a,b,c) = (q3,q1,q0): in a=1,b=1,c=0 -> a=1, b'=0, c'=1
     assert perm_run(qc, 0b1010) == 0b1001
+
+
+def reference_run(c, state):
+    """One basis state through `c`, one gate at a time.
+
+    A composite reads its operands into a body state, runs the body on it
+    recursively and writes the result back, so no operand maps are composed.
+    """
+    for g in c.gates:
+        q = g.qubits
+        bit = [state >> i & 1 for i in q]
+        if g.kind is GateKind.COMPOSITE:
+            out = reference_run(g.body, sum(b << i for i, b in enumerate(bit)))
+            for i, target in enumerate(q):
+                state = state & ~(1 << target) | (out >> i & 1) << target
+        elif g.kind is GateKind.X:
+            state ^= 1 << q[0]
+        elif g.kind is GateKind.CX and bit[0]:
+            state ^= 1 << q[1]
+        elif g.kind is GateKind.ZCX and not bit[0]:
+            state ^= 1 << q[1]
+        elif g.kind is GateKind.CCX and bit[0] and bit[1]:
+            state ^= 1 << q[2]
+        elif g.kind is GateKind.SWAP and bit[0] != bit[1]:
+            state ^= 1 << q[0] | 1 << q[1]
+    return state
+
+
+@st.composite
+def permutation_circuits(draw, width, depth=2):
+    """Random X/CX/ZCX/CCX/SWAP circuits with nested composites."""
+
+    def operands(k):
+        qubits = st.integers(0, width - 1)
+        return draw(st.lists(qubits, min_size=k, max_size=k, unique=True))
+
+    c = Circuit(width)
+    for _ in range(draw(st.integers(0, 10))):
+        if depth and draw(st.booleans()):
+            qubits = operands(draw(st.integers(1, min(width, 9))))
+            body = draw(permutation_circuits(len(qubits), depth - 1))
+            c.append_composite("BLOCK", body, qubits)
+            continue
+        kind = draw(st.sampled_from(sorted(PERMUTATION_KINDS, key=lambda k: k.value)))
+        if PRIMITIVE_ARITY[kind] <= width:
+            c.append(Gate(kind, tuple(operands(PRIMITIVE_ARITY[kind]))))
+    return c
+
+
+@st.composite
+def circuits_and_batches(draw):
+    # widths on either side of byte and 64-bit word boundaries
+    width = draw(st.sampled_from([1, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70]))
+    size = draw(st.sampled_from([1, 7, 64, 65]))
+    lanes = st.integers(0, (1 << width) - 1)
+    states = draw(st.lists(lanes, min_size=size, max_size=size))
+    return draw(permutation_circuits(width)), states
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits_and_batches())
+def test_perm_run_many_matches_reference_lane_by_lane(case):
+    c, states = case
+    assert perm_run_many(c, states) == [reference_run(c, s) for s in states]
+
+
+def test_perm_run_many_empty_batch():
+    assert perm_run_many(build_adder(2), []) == []
+
+
+@pytest.mark.parametrize(
+    "circuit", [Circuit(2).x(0).h(1), Circuit(2).cx(0, 1).t(0), Circuit(2).tdg(1)]
+)
+def test_perm_run_many_rejects_non_permutation_gates_like_perm_run(circuit):
+    with pytest.raises(NonPermutationGateError):
+        perm_run(circuit, 1)
+    with pytest.raises(NonPermutationGateError):
+        perm_run_many(circuit, [0, 1, 2, 3])
+    wrapped = Circuit(3)
+    wrapped.append_composite("BLOCK", circuit, [2, 0])
+    with pytest.raises(NonPermutationGateError):
+        perm_run_many(wrapped, [5, 6])
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 1 << 70])
+def test_perm_run_many_rejects_out_of_range_states_like_perm_run(bad):
+    circuit = Circuit(2).x(0)
+    with pytest.raises(InputRangeError):
+        perm_run(circuit, bad)
+    with pytest.raises(InputRangeError, match=f"basis state {bad} "):
+        perm_run_many(circuit, [0, 3, bad, 1])
 
 
 def test_sv_hadamard_superposition():
@@ -96,6 +195,12 @@ def test_sv_cap_env_override(monkeypatch):
         sv_run(qc, basis_statevector(4, 0))
     monkeypatch.setenv("QSQRT_SV_CAP", "4")
     sv_run(qc, basis_statevector(4, 0))
+
+
+def test_sv_cap_env_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("QSQRT_SV_CAP", "x")
+    with pytest.raises(CircuitError, match="QSQRT_SV_CAP"):
+        sv_run(Circuit(1).x(0), basis_statevector(1, 0))
 
 
 def test_sv_does_not_mutate_input_vector():

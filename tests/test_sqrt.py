@@ -204,9 +204,11 @@ def test_min_width(a, n):
     assert min_width(a) == n
 
 
-def test_zero_input_runs_without_error():
-    # outside the documented domain [1, 2^(n-1) - 1]; only determinism is held
-    assert isqrt(0, 6) == isqrt(0, 6)
+def test_zero_input_is_exact_with_clean_ancilla():
+    for n in range(4, 41, 2):
+        assert isqrt(0, n) == (0, 0)
+        # remainder R, root F and ancilla z all read 0: the whole state is 0
+        assert perm_run(build_isqrt_pipeline(n), 1 << n) == 0
 
 
 @pytest.mark.parametrize("n", [0, 2, 3, 5, 7])
