@@ -9,9 +9,6 @@ from .analysis import (
     expected_t_count_ctrl_adder,
     expected_t_count_isqrt,
     schedule_layers,
-    t_count,
-    t_depth,
-    total_depth,
 )
 from .arithmetic import (
     build_adder,
@@ -34,10 +31,7 @@ from .lowering import (
     DEFAULT_RULES,
     DecompositionRule,
     flatten,
-    lower_swap,
     lower_to_clifford_t,
-    lower_toffoli,
-    lower_zcx,
 )
 from .sim import (
     DEFAULT_SV_CAP,
@@ -95,10 +89,7 @@ __all__ = [
     "from_qasm",
     "is_permutation_circuit",
     "isqrt",
-    "lower_swap",
     "lower_to_clifford_t",
-    "lower_toffoli",
-    "lower_zcx",
     "min_width",
     "peres_circuit",
     "perm_run",
@@ -106,10 +97,7 @@ __all__ = [
     "permutation_matrix",
     "schedule_layers",
     "sv_run",
-    "t_count",
-    "t_depth",
     "to_qasm",
-    "total_depth",
     "unitary",
     "validate",
 ]

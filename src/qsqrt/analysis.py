@@ -1,9 +1,10 @@
-"""Resource metrics: T-count, T-depth, total depth and gate histograms.
+"""Resource metrics: gate histograms, ASAP scheduling and analyze().
 
-T metrics are defined over the Clifford+T gate set, so t_count and
-analyze() lower their input internally. T-depth is measured on an ASAP
-layering of the whole lowered circuit; that is an upper bound on the
-minimum achievable T-depth, not the optimum.
+analyze() is the one way to get T-count, T-depth and total depth. It lowers
+its input to Clifford+T, where the T metrics are defined, and reads all
+three off one ASAP layering of the lowered circuit. The T-depth is the
+number of layers holding a T or TDG gate: an upper bound on the minimum
+achievable T-depth, not the optimum.
 """
 from __future__ import annotations
 
@@ -33,12 +34,6 @@ def count_ops(c: Circuit) -> dict[GateKind, int]:
     return dict(Counter(kind for kind, _ in iter_primitive_ops(c)))
 
 
-def t_count(c: Circuit) -> int:
-    """Number of T plus TDG gates in the fully lowered circuit."""
-    hist = count_ops(lower_to_clifford_t(c))
-    return hist.get(GateKind.T, 0) + hist.get(GateKind.TDG, 0)
-
-
 def schedule_layers(c: Circuit) -> list[int]:
     """ASAP layer index (1-based) for every gate of a composite-free circuit.
 
@@ -56,19 +51,6 @@ def schedule_layers(c: Circuit) -> list[int]:
         for q in g.qubits:
             ready[q] = layer
     return layers
-
-
-def t_depth(c: Circuit) -> int:
-    """Number of distinct ASAP layers containing a T or TDG gate."""
-    layers = schedule_layers(c)
-    return len(
-        {layer for g, layer in zip(c.gates, layers) if g.kind in _T_KINDS}
-    )
-
-
-def total_depth(c: Circuit) -> int:
-    """Total number of ASAP layers."""
-    return max(schedule_layers(c), default=0)
 
 
 def analyze(c: Circuit) -> ResourceReport:

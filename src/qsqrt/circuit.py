@@ -7,6 +7,7 @@ from typing import Sequence
 
 from .errors import (
     ArityError,
+    CircuitError,
     InvalidWidthError,
     OperandCollisionError,
     QubitIndexError,
@@ -69,6 +70,37 @@ class Gate:
         return f"{label}{self.qubits}"
 
 
+def _gate_errors(gate: Gate, width: int) -> list[CircuitError]:
+    """Every invariant `gate` breaks as an operation of a `width`-qubit circuit.
+
+    The one home of the gate checks: Circuit.append raises the first error,
+    validate reports them all. A gate without a body or of an unknown kind
+    gets that error alone, since its operand count is then undefined.
+    """
+    qubits, kind = gate.qubits, gate.kind
+    expected = PRIMITIVE_ARITY.get(kind)
+    if expected is None:
+        if kind is not GateKind.COMPOSITE:
+            return [ArityError(f"unknown gate kind {kind!r}")]
+        if gate.body is None:
+            return [ArityError("composite gate without a body")]
+        expected = gate.body.width
+    errors: list[CircuitError] = []
+    count = len(qubits)
+    if count != expected:
+        errors.append(ArityError(f"{gate!r} expects {expected} operands, got {count}"))
+    for q in qubits:
+        if not 0 <= q < width:
+            bad = [q for q in qubits if not 0 <= q < width]
+            errors.append(
+                QubitIndexError(f"operands {bad} out of range for width {width}")
+            )
+            break
+    if len(set(qubits)) != count:
+        errors.append(OperandCollisionError(f"duplicate operands in {gate!r}"))
+    return errors
+
+
 class Circuit:
     """Fixed-width ordered gate sequence, the IR for the whole toolkit.
 
@@ -85,23 +117,9 @@ class Circuit:
 
     def append(self, gate: Gate) -> "Circuit":
         """Append one gate after checking arity, index range and distinctness."""
-        if gate.kind is GateKind.COMPOSITE:
-            if gate.body is None:
-                raise ArityError("composite gate needs a body circuit")
-            expected = gate.body.width
-        else:
-            expected = PRIMITIVE_ARITY[gate.kind]
-        if len(gate.qubits) != expected:
-            raise ArityError(
-                f"{gate!r} expects {expected} operands, got {len(gate.qubits)}"
-            )
-        for q in gate.qubits:
-            if not 0 <= q < self.width:
-                raise QubitIndexError(
-                    f"qubit {q} out of range for width {self.width}"
-                )
-        if len(set(gate.qubits)) != len(gate.qubits):
-            raise OperandCollisionError(f"duplicate operands in {gate!r}")
+        errors = _gate_errors(gate, self.width)
+        if errors:
+            raise errors[0]
         self.gates.append(gate)
         return self
 
@@ -205,33 +223,7 @@ def _validate_into(
         out.append(Violation(path, -1, f"width must be >= 1, got {c.width}"))
         return
     for i, g in enumerate(c.gates):
-        if g.kind is GateKind.COMPOSITE:
-            if g.body is None:
-                out.append(Violation(path, i, "composite gate without a body"))
-                continue
-            expected = g.body.width
-        elif g.kind in PRIMITIVE_ARITY:
-            expected = PRIMITIVE_ARITY[g.kind]
-        else:
-            out.append(Violation(path, i, f"unknown gate kind {g.kind!r}"))
-            continue
-        if len(g.qubits) != expected:
-            out.append(
-                Violation(
-                    path,
-                    i,
-                    f"{g!r} expects {expected} operands, got {len(g.qubits)}",
-                )
-            )
-        bad = [q for q in g.qubits if not 0 <= q < c.width]
-        if bad:
-            out.append(
-                Violation(
-                    path, i, f"operands {bad} out of range for width {c.width}"
-                )
-            )
-        if len(set(g.qubits)) != len(g.qubits):
-            out.append(Violation(path, i, f"duplicate operands in {g!r}"))
+        out.extend(Violation(path, i, str(err)) for err in _gate_errors(g, c.width))
         if g.kind is GateKind.COMPOSITE and g.body is not None:
             sub_path = f"{path} > {g.name or 'composite'}"
             if id(g.body) in stack:

@@ -44,6 +44,9 @@ EXIT_USAGE = 2
 #: Exhaustive verification is limited to this many enumerated cases.
 MAX_EXHAUSTIVE_CASES = 1 << 20
 SAMPLED_CASES = 100
+#: A sweep runs through the kernel this many cases at a time, so its memory
+#: stays bounded whatever the case count.
+VERIFY_BATCH = 1 << 16
 _SAMPLE_SEED = 0
 
 
@@ -254,8 +257,6 @@ def cmd_resources(args: argparse.Namespace) -> int:
     elif args.format == "json":
         text = report_rows_to_json(rows)
     else:
-        for row in rows:
-            del row["histogram"], row["width_expected"]
         text = report_rows_to_csv(rows)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -295,22 +296,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     # int64 lanes while every state fits, Python ints (dtype=object) beyond
     dtype = np.int64 if circuit.width < 63 else object
-    cases = np.fromiter(indices, dtype=dtype, count=len(indices))
-    states, expected = family.oracle(n, cases)
-    outputs = np.array(perm_run_many(circuit, states.tolist()), dtype=expected.dtype)
-    failures = np.flatnonzero(outputs != expected)
+    failed = 0
+    first_failure: tuple[int, int, int] | None = None
+    for lo in range(0, len(indices), VERIFY_BATCH):
+        batch = indices[lo:lo + VERIFY_BATCH]
+        cases = np.fromiter(batch, dtype=dtype, count=len(batch))
+        states, expected = family.oracle(n, cases)
+        outputs = np.array(
+            perm_run_many(circuit, states.tolist()), dtype=expected.dtype
+        )
+        failures = np.flatnonzero(outputs != expected)
+        if len(failures) and first_failure is None:
+            i = failures[0]
+            first_failure = int(states[i]), int(expected[i]), int(outputs[i])
+        failed += len(failures)
     elapsed = time.perf_counter() - started
-    checked = len(outputs)
+    checked = len(indices)
     print(f"verify {args.circuit} n={n} mode={mode}")
-    print(f"checked {checked} cases, {checked - len(failures)} passed")
+    print(f"checked {checked} cases, {checked - failed} passed")
     if not args.no_timing:
         print(f"elapsed {elapsed:.3f}s")
-    if len(failures):
-        i = failures[0]
-        state, want, got = int(states[i]), int(expected[i]), int(outputs[i])
+    if first_failure is not None:
+        state, want, got = first_failure
         in_fields, out_fields = family.registers(n)
         print(
-            f"FAIL: {len(failures)} of {checked} cases failed; first failure:\n"
+            f"FAIL: {failed} of {checked} cases failed; first failure:\n"
             f"  input     {_decode(state, in_fields)}\n"
             f"  expected  {_decode(want, out_fields)}\n"
             f"  actual    {_decode(got, out_fields)}\n"
@@ -388,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CircuitError as exc:
+    except (CircuitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

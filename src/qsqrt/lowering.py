@@ -40,20 +40,11 @@ def iter_primitive_ops(c: Circuit) -> Iterator[tuple[GateKind, tuple[int, ...]]]
             stack.pop()
 
 
-def iter_primitive_gates(c: Circuit) -> Iterator[Gate]:
-    """Yield the primitive gates of `c` in order, instantiating composites.
-
-    The stream is exactly what flatten() would store.
-    """
-    for kind, qubits in iter_primitive_ops(c):
-        yield Gate(kind, qubits)
-
-
 def flatten(c: Circuit) -> Circuit:
     """Expand all composite gates in place order; primitives pass through."""
     out = Circuit(c.width, c.name)
-    for g in iter_primitive_gates(c):
-        out.append(g)
+    for kind, qubits in iter_primitive_ops(c):
+        out.append(Gate(kind, qubits))
     return out
 
 
@@ -126,28 +117,6 @@ DEFAULT_RULES: dict[GateKind, DecompositionRule] = {
 }
 
 
-def _instantiate(rule: DecompositionRule, gate: Gate) -> Circuit:
-    out = Circuit(max(gate.qubits) + 1, rule.template.name)
-    for g in rule.expand(gate):
-        out.append(g)
-    return out
-
-
-def lower_swap(g: Gate) -> Circuit:
-    """Replacement for SWAP(a, b): CX(a,b), CX(b,a), CX(a,b)."""
-    return _instantiate(DEFAULT_RULES[GateKind.SWAP], g)
-
-
-def lower_zcx(g: Gate) -> Circuit:
-    """Replacement for ZCX(c, t): X(c), CX(c,t), X(c)."""
-    return _instantiate(DEFAULT_RULES[GateKind.ZCX], g)
-
-
-def lower_toffoli(g: Gate) -> Circuit:
-    """The 15-gate Clifford+T replacement for CCX, with T-count 7."""
-    return _instantiate(DEFAULT_RULES[GateKind.CCX], g)
-
-
 def lower_to_clifford_t(
     c: Circuit, rules: Mapping[GateKind, DecompositionRule] | None = None
 ) -> Circuit:
@@ -160,8 +129,8 @@ def lower_to_clifford_t(
     if rules is None:
         rules = DEFAULT_RULES
     out = Circuit(c.width, c.name)
-    for g in iter_primitive_gates(c):
-        _emit_lowered(out, g, rules)
+    for kind, qubits in iter_primitive_ops(c):
+        _emit_lowered(out, Gate(kind, qubits), rules)
     return out
 
 

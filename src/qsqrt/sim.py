@@ -2,8 +2,8 @@
 
 perm_run_many pushes a whole batch of basis states through the
 classical-reversible gates (X, CX, ZCX, CCX, SWAP) in one pass over the
-gates; perm_run is its one-state case and the workhorse for functional
-sweeps. sv_run applies a fully lowered circuit to a dense statevector and
+gates and is the workhorse for functional sweeps; perm_run is its
+one-state case. sv_run applies a fully lowered circuit to a dense statevector and
 is reserved for verifying decompositions, where phases matter.
 
 Basis convention everywhere: bit i of an integer state or of a statevector

@@ -10,8 +10,7 @@ import numpy as np
 
 from qsqrt import (
     Circuit,
-    Gate,
-    GateKind,
+    analyze,
     basis_statevector,
     build_adder,
     build_ctrl_add_sub,
@@ -23,13 +22,10 @@ from qsqrt import (
     flatten,
     isqrt,
     lower_to_clifford_t,
-    lower_toffoli,
     perm_run,
     permutation_matrix,
     schedule_layers,
     sv_run,
-    t_count,
-    t_depth,
     unitary,
 )
 
@@ -52,16 +48,16 @@ def test_criterion_1_resource_table_reproduction():
     for n, (qubits, expected) in RESOURCE_TABLE.items():
         circuit = build_isqrt_circuit(n)
         assert circuit.width == qubits
-        assert t_count(circuit) == expected
+        assert analyze(circuit).t_count == expected
         assert expected_t_count_isqrt(n) == expected
     print("criterion 1 resource table n=6..16 (qubits and T-count): PASS")
 
 
 def test_criterion_2_component_t_count_formulas():
     for n in range(2, 11):
-        assert t_count(build_adder(n)) == 14 * n - 14
-        assert t_count(build_subtractor(n)) == 14 * n - 14
-        assert t_count(build_ctrl_adder(n)) == 21 * n - 14
+        assert analyze(build_adder(n)).t_count == 14 * n - 14
+        assert analyze(build_subtractor(n)).t_count == 14 * n - 14
+        assert analyze(build_ctrl_adder(n)).t_count == 21 * n - 14
     print("criterion 2 component formulas 14n-14 and 21n-14 for n=2..10: PASS")
 
 
@@ -112,10 +108,10 @@ def test_criterion_4_arithmetic_exhaustive_oracles():
 
 
 def test_criterion_5_decomposition_equivalence():
-    lowered_ccx = lower_toffoli(Gate(GateKind.CCX, (0, 1, 2)))
+    lowered_ccx = lower_to_clifford_t(Circuit(3).ccx(0, 1, 2))
     reference = permutation_matrix(Circuit(3).ccx(0, 1, 2))
     assert np.max(np.abs(unitary(lowered_ccx) - reference)) < 1e-12
-    assert t_count(lowered_ccx) == 7
+    assert analyze(lowered_ccx).t_count == 7
     swap = Circuit(2).swap(0, 1)
     zcx = Circuit(2).zcx(0, 1)
     for logical in (swap, zcx):
@@ -186,7 +182,7 @@ def test_criterion_8_t_depth_regression_baseline():
     measured = {}
     for n, baseline in T_DEPTH_BASELINE.items():
         lowered = lower_to_clifford_t(build_isqrt_circuit(n))
-        measured[n] = t_depth(lowered)
+        measured[n] = analyze(lowered).t_depth
         assert measured[n] == baseline
     report = ", ".join(f"n={n}: {d}" for n, d in measured.items())
     print(f"criterion 8 scheduled T-depth baseline ({report}): PASS")

@@ -5,7 +5,6 @@ import pytest
 
 from qsqrt import (
     Circuit,
-    Gate,
     GateKind,
     analyze,
     basis_statevector,
@@ -19,14 +18,10 @@ from qsqrt import (
     expected_t_count_isqrt,
     flatten,
     lower_to_clifford_t,
-    lower_toffoli,
     peres_circuit,
     perm_run,
     schedule_layers,
     sv_run,
-    t_count,
-    t_depth,
-    total_depth,
 )
 from qsqrt.errors import InvalidWidthError, MustLowerError
 
@@ -69,8 +64,8 @@ def test_count_ops_isqrt6_t_total():
 
 
 def test_t_count_examples():
-    assert t_count(build_adder(4)) == 42
-    assert t_count(Circuit(2).cx(0, 1)) == 0
+    assert analyze(build_adder(4)).t_count == 42
+    assert analyze(Circuit(2).cx(0, 1)).t_count == 0
 
 
 @pytest.mark.parametrize(
@@ -79,7 +74,7 @@ def test_t_count_examples():
 )
 def test_isqrt_t_count_matches_formula(n, expected):
     assert expected_t_count_isqrt(n) == expected
-    assert t_count(build_isqrt_circuit(n)) == expected
+    assert analyze(build_isqrt_circuit(n)).t_count == expected
 
 
 def test_expected_t_count_validation():
@@ -143,20 +138,20 @@ def test_layered_replay_matches_sequential_sv():
 
 
 def test_t_depth_zero_without_t_gates():
-    assert t_depth(Circuit(2).cx(0, 1)) == 0
+    assert analyze(Circuit(2).cx(0, 1)).t_depth == 0
 
 
 def test_t_depth_counts_parallel_ts_once():
     qc = Circuit(2).t(0)
     qc.t(1)
-    assert t_depth(qc) == 1
+    assert analyze(qc).t_depth == 1
 
 
 def test_t_depth_lowered_ccx_regression():
     # scheduler baseline, measured once and pinned
-    low = lower_toffoli(Gate(GateKind.CCX, (0, 1, 2)))
-    assert t_depth(low) == 6
-    assert total_depth(low) == 12
+    low = lower_to_clifford_t(Circuit(3).ccx(0, 1, 2))
+    assert analyze(low).t_depth == 6
+    assert analyze(low).total_depth == 12
 
 
 def test_t_depth_never_decreases_while_appending():
@@ -165,7 +160,7 @@ def test_t_depth_never_decreases_while_appending():
     previous = 0
     for gate in low.gates:
         partial.append(gate)
-        current = t_depth(partial)
+        current = analyze(partial).t_depth
         assert current >= previous
         previous = current
 
@@ -187,4 +182,6 @@ def test_t_count_additive_under_concatenation():
     combined = Circuit(7)
     combined.append_composite("ADD", first, list(range(6)))
     combined.append_composite("CTRL ADD", second, list(range(7)))
-    assert t_count(combined) == t_count(first) + t_count(second)
+    assert analyze(combined).t_count == (
+        analyze(first).t_count + analyze(second).t_count
+    )

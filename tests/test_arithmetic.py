@@ -5,6 +5,7 @@ import pytest
 from qsqrt import (
     Circuit,
     GateKind,
+    analyze,
     build_adder,
     build_ctrl_add_sub,
     build_ctrl_adder,
@@ -13,7 +14,6 @@ from qsqrt import (
     flatten,
     peres_circuit,
     perm_run,
-    t_count,
     validate,
 )
 from qsqrt.errors import InvalidWidthError
@@ -152,18 +152,18 @@ def test_ctrl_adder_golden_sequence_n2():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_adder_and_subtractor_t_count_formula(n):
-    assert t_count(build_adder(n)) == 14 * n - 14
-    assert t_count(build_subtractor(n)) == 14 * n - 14
+    assert analyze(build_adder(n)).t_count == 14 * n - 14
+    assert analyze(build_subtractor(n)).t_count == 14 * n - 14
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_ctrl_adder_t_count_formula(n):
-    assert t_count(build_ctrl_adder(n)) == 21 * n - 14
+    assert analyze(build_ctrl_adder(n)).t_count == 21 * n - 14
 
 
 def test_adder_boundary_case_has_zero_t_count():
     # n = 1 degenerates to a single CX
-    assert t_count(build_adder(1)) == 0
+    assert analyze(build_adder(1)).t_count == 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsqrt import Circuit, Gate, GateKind, build_adder, peres_circuit, validate
 from qsqrt.errors import (
@@ -124,3 +126,31 @@ def test_inverse_reverses_order_and_swaps_t_kinds():
         (GateKind.CX, (0, 1)),
         (GateKind.TDG, (0,)),
     ]
+
+
+@st.composite
+def single_gates(draw):
+    """(circuit width, one gate) with arbitrary kind, arity and operands."""
+    width = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from([*GateKind, "bogus"]))
+    body = None
+    if kind is GateKind.COMPOSITE:
+        body = draw(st.one_of(st.none(), st.integers(1, 4).map(Circuit)))
+    qubits = draw(st.lists(st.integers(-2, width + 2), max_size=4))
+    return width, Gate(kind, tuple(qubits), name="BLOCK", body=body)
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_gates())
+def test_validate_agrees_with_append(case):
+    width, gate = case
+    hand_built = Circuit(width)
+    hand_built.gates.append(gate)  # bypasses append checks
+    violations = validate(hand_built)
+    try:
+        Circuit(width).append(gate)
+    except (ArityError, QubitIndexError, OperandCollisionError) as err:
+        assert violations and violations[0].gate_index == 0
+        assert str(err) == violations[0].message
+    else:
+        assert violations == []

@@ -256,6 +256,20 @@ def test_verify_failure_reports_decoded_adder_registers(monkeypatch, capsys):
     assert (got, got_b) != (want, want_b)
 
 
+def test_verify_batches_report_like_one_batch(monkeypatch, capsys):
+    # cases 32..63 of the broken adder fail, so the first failure sits
+    # inside the seventh batch of five and later batches fail too
+    _break_family(monkeypatch, "adder", "build")
+    argv = ["verify", "--circuit", "adder", "--n", "3", "--no-timing"]
+    assert main(argv) == 1
+    single = capsys.readouterr()
+    monkeypatch.setattr(cli, "VERIFY_BATCH", 5)
+    assert main(argv) == 1
+    batched = capsys.readouterr()
+    assert batched.err.startswith("FAIL: 32 of 64 cases failed;")
+    assert (batched.out, batched.err) == (single.out, single.err)
+
+
 @pytest.mark.parametrize("spec", ["abc", "6..", "..8", "6..x"])
 def test_resources_rejects_malformed_width(capsys, spec):
     assert main(["resources", "--circuit", "isqrt", "--n", spec]) == 2
@@ -294,6 +308,20 @@ def test_export_adder_n2_round_trips(capsys):
 def test_export_rejects_odd_isqrt_width(capsys):
     assert main(["export", "--circuit", "isqrt", "--n", "7"]) == 2
     assert "even" in capsys.readouterr().err
+
+
+def test_export_to_missing_directory_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.qasm"
+    assert main(["export", "--circuit", "adder", "--n", "2", "-o", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert not target.exists()
+
+
+def test_resources_to_a_directory_is_an_input_error(tmp_path, capsys):
+    argv = ["resources", "--circuit", "adder", "--n", "2", "-o", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_error_exit_code():

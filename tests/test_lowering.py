@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsqrt import (
     CLIFFORD_T_KINDS,
@@ -10,23 +12,21 @@ from qsqrt import (
     DecompositionRule,
     Gate,
     GateKind,
+    analyze,
     assert_equiv,
     basis_statevector,
     build_adder,
     build_isqrt_circuit,
     flatten,
-    lower_swap,
     lower_to_clifford_t,
-    lower_toffoli,
-    lower_zcx,
     peres_circuit,
     perm_run,
     permutation_matrix,
     sv_run,
-    t_count,
     unitary,
 )
 from qsqrt.errors import UnsupportedGateError
+from strategies import permutation_circuits
 
 
 def test_flatten_peres_gives_two_primitives():
@@ -63,7 +63,7 @@ def test_flatten_isqrt_preserves_permutation():
 
 
 def test_lower_swap_is_three_cx():
-    low = lower_swap(Gate(GateKind.SWAP, (0, 1)))
+    low = lower_to_clifford_t(Circuit(2).swap(0, 1))
     assert [(g.kind, g.qubits) for g in low.gates] == [
         (GateKind.CX, (0, 1)),
         (GateKind.CX, (1, 0)),
@@ -72,7 +72,7 @@ def test_lower_swap_is_three_cx():
 
 
 def test_lower_swap_matches_swap_exhaustively():
-    low = lower_swap(Gate(GateKind.SWAP, (0, 1)))
+    low = lower_to_clifford_t(Circuit(2).swap(0, 1))
     swap = Circuit(2).swap(0, 1)
     for state in range(4):
         assert perm_run(low, state) == perm_run(swap, state)
@@ -81,7 +81,7 @@ def test_lower_swap_matches_swap_exhaustively():
 
 
 def test_lower_zcx_fires_on_zero_control():
-    low = lower_zcx(Gate(GateKind.ZCX, (0, 1)))
+    low = lower_to_clifford_t(Circuit(2).zcx(0, 1))
     assert [g.kind for g in low.gates] == [GateKind.X, GateKind.CX, GateKind.X]
     assert perm_run(low, 0b00) == 0b10  # control clear: target flips
     assert perm_run(low, 0b01) == 0b01  # control set: blocked
@@ -91,26 +91,34 @@ def test_lower_zcx_fires_on_zero_control():
 
 
 def test_lower_toffoli_gate_counts():
-    low = lower_toffoli(Gate(GateKind.CCX, (0, 1, 2)))
+    low = lower_to_clifford_t(Circuit(3).ccx(0, 1, 2))
     kinds = [g.kind for g in low.gates]
     assert len(kinds) == 15
     assert kinds.count(GateKind.H) == 2
     assert kinds.count(GateKind.CX) == 6
     assert kinds.count(GateKind.T) == 4
     assert kinds.count(GateKind.TDG) == 3
-    assert t_count(low) == 7
+    assert analyze(low).t_count == 7
 
 
 def test_lower_toffoli_flips_target_when_both_controls_set():
-    low = lower_toffoli(Gate(GateKind.CCX, (0, 1, 2)))
+    low = lower_to_clifford_t(Circuit(3).ccx(0, 1, 2))
     vec = sv_run(low, basis_statevector(3, 0b011))
     assert abs(vec[0b111]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lower_toffoli_unitary_equals_ccx():
-    low = lower_toffoli(Gate(GateKind.CCX, (0, 1, 2)))
+    low = lower_to_clifford_t(Circuit(3).ccx(0, 1, 2))
     ccx = Circuit(3).ccx(0, 1, 2)
     assert np.max(np.abs(unitary(low) - permutation_matrix(ccx))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(permutation_circuits))
+def test_lowering_preserves_permutation_semantics(c):
+    # every lowered gate sequence, wherever composites place it, must act
+    # on basis states as the logical circuit does (phases checked to 1e-9)
+    assert assert_equiv(c, lower_to_clifford_t(c)) is None
 
 
 def test_every_default_rule_matches_its_gate():
@@ -177,4 +185,4 @@ def test_rule_rejects_wrong_gate_kind():
 
 def test_t_count_invariant_under_flatten():
     qc = build_isqrt_circuit(6)
-    assert t_count(flatten(qc)) == t_count(qc)
+    assert analyze(flatten(qc)).t_count == analyze(qc).t_count

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from qsqrt import (
     Circuit,
-    PERMUTATION_KINDS,
-    Gate,
     GateKind,
     assert_equiv,
     basis_statevector,
@@ -23,7 +21,6 @@ from qsqrt import (
     perm_run_many,
     sv_run,
 )
-from qsqrt.circuit import PRIMITIVE_ARITY
 from qsqrt.errors import (
     CapacityError,
     CircuitError,
@@ -32,6 +29,7 @@ from qsqrt.errors import (
     MustLowerError,
     NonPermutationGateError,
 )
+from strategies import permutation_circuits
 
 
 def test_perm_run_gate_truth_tables():
@@ -88,27 +86,6 @@ def reference_run(c, state):
         elif g.kind is GateKind.SWAP and bit[0] != bit[1]:
             state ^= 1 << q[0] | 1 << q[1]
     return state
-
-
-@st.composite
-def permutation_circuits(draw, width, depth=2):
-    """Random X/CX/ZCX/CCX/SWAP circuits with nested composites."""
-
-    def operands(k):
-        qubits = st.integers(0, width - 1)
-        return draw(st.lists(qubits, min_size=k, max_size=k, unique=True))
-
-    c = Circuit(width)
-    for _ in range(draw(st.integers(0, 10))):
-        if depth and draw(st.booleans()):
-            qubits = operands(draw(st.integers(1, min(width, 9))))
-            body = draw(permutation_circuits(len(qubits), depth - 1))
-            c.append_composite("BLOCK", body, qubits)
-            continue
-        kind = draw(st.sampled_from(sorted(PERMUTATION_KINDS, key=lambda k: k.value)))
-        if PRIMITIVE_ARITY[kind] <= width:
-            c.append(Gate(kind, tuple(operands(PRIMITIVE_ARITY[kind]))))
-    return c
 
 
 @st.composite
