@@ -27,6 +27,11 @@ class GateKind(Enum):
     TDG = "tdg"
     COMPOSITE = "composite"
 
+    # Members are singletons, so identity hashing is exact, and it runs in C
+    # where Enum's own __hash__ (hash of the name) is a Python-level call on
+    # every dict and set lookup.
+    __hash__ = object.__hash__
+
 
 PRIMITIVE_ARITY = {
     GateKind.X: 1,

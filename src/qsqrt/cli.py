@@ -34,7 +34,7 @@ from .arithmetic import (
 from .circuit import Circuit
 from .errors import CapacityError, CircuitError
 from .export import report_rows_to_csv, report_rows_to_json, to_qasm
-from .sim import perm_run_many
+from .sim import _cached_program, _run_program
 from .sqrt import build_isqrt_circuit, build_isqrt_pipeline, isqrt, min_width
 
 EXIT_OK = 0
@@ -78,9 +78,6 @@ class CircuitFamily:
     oracle: Oracle
     registers: Callable[[int], tuple[Fields, Fields]]
     verify_build: Callable[[int], Circuit] | None = None
-
-    def verify_circuit(self, n: int) -> Circuit:
-        return (self.verify_build or self.build)(n)
 
     def case_count(self, n: int) -> int:
         return 1 << sum(width for _, _, width in self.registers(n)[0])
@@ -292,10 +289,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         rng = random.Random(_SAMPLE_SEED)
         indices = [rng.randrange(total) for _ in range(SAMPLED_CASES)]
-    circuit = family.verify_circuit(n)
+    program = _cached_program(family.verify_build or family.build, n)
+    width, _ = program
     started = time.perf_counter()
     # int64 lanes while every state fits, Python ints (dtype=object) beyond
-    dtype = np.int64 if circuit.width < 63 else object
+    dtype = np.int64 if width < 63 else object
     failed = 0
     first_failure: tuple[int, int, int] | None = None
     for lo in range(0, len(indices), VERIFY_BATCH):
@@ -303,7 +301,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cases = np.fromiter(batch, dtype=dtype, count=len(batch))
         states, expected = family.oracle(n, cases)
         outputs = np.array(
-            perm_run_many(circuit, states.tolist()), dtype=expected.dtype
+            _run_program(program, states.tolist()), dtype=expected.dtype
         )
         failures = np.flatnonzero(outputs != expected)
         if len(failures) and first_failure is None:

@@ -1,10 +1,15 @@
 """Two simulation backends over the circuit IR.
 
-perm_run_many pushes a whole batch of basis states through the
-classical-reversible gates (X, CX, ZCX, CCX, SWAP) in one pass over the
-gates and is the workhorse for functional sweeps; perm_run is its
-one-state case. sv_run applies a fully lowered circuit to a dense statevector and
-is reserved for verifying decompositions, where phases matter.
+One permutation kernel, _run, pushes a whole batch of basis states
+through the classical-reversible gates (X, CX, ZCX, CCX, SWAP) in one pass
+over the gates. It reads (opcode, q0, q1, q2) tuples from one of two
+sources: perm_run_many streams them from a circuit's composite walk and
+stores nothing, and a compiled program holds them in a flat array, built
+once per (builder, width) by a bounded cache, for the calls that run the
+same circuit again and again (isqrt and `qsqrt verify`). perm_run is the
+one-state case of perm_run_many. sv_run applies a fully lowered circuit to
+a dense statevector and is reserved for verifying decompositions, where
+phases matter.
 
 Basis convention everywhere: bit i of an integer state or of a statevector
 index is qubit i, and qubit 0 is the LSB of its register.
@@ -13,7 +18,10 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Sequence
+from array import array
+from functools import lru_cache
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,39 +60,95 @@ def perm_run_many(c: Circuit, states: Sequence[int]) -> list[int]:
     Bit-sliced (Biham, FSE 1997): qubit q is held as one int whose bit k is
     qubit q's value in case k, so each X, CX, ZCX, CCX or SWAP is one
     big-int XOR, AND or swap for the whole batch. Composites are walked in
-    place. Returns the output state of each case, in order. Raises
-    InputRangeError if any state is outside the circuit's width and
-    NonPermutationGateError on H, T or TDG.
+    place and no program is stored. Returns the output state of each case,
+    in order. Raises InputRangeError if any state is outside the circuit's
+    width and NonPermutationGateError on H, T or TDG.
     """
-    width = c.width
+    return _run(_ops(c), c.width, states)
+
+
+def perm_run(c: Circuit, state: int) -> int:
+    """Propagate one basis state: the one-case batch of perm_run_many."""
+    return perm_run_many(c, (state,))[0]
+
+
+# Opcodes of the permutation kernel, in the order _run tests them.
+_CX, _CCX, _ZCX, _X, _SWAP = range(5)
+_OPCODES = {
+    GateKind.CX: _CX,
+    GateKind.CCX: _CCX,
+    GateKind.ZCX: _ZCX,
+    GateKind.X: _X,
+    GateKind.SWAP: _SWAP,
+}
+_PAD = {1: (0, 0), 2: (0,), 3: ()}
+
+#: Programs _cached_program keeps: more than the 31 widths (4..64) that
+#: isqrt calls on inputs of up to 63 bits cycle through, so such a mix of
+#: calls never evicts one.
+_PROGRAM_CACHE_SIZE = 64
+
+
+def _ops(c: Circuit) -> Iterator[tuple[int, ...]]:
+    """(opcode, q0, q1, q2) of each primitive gate of `c`, zero-padded."""
+    for kind, q in iter_primitive_ops(c):
+        op = _OPCODES.get(kind)
+        if op is None:
+            raise NonPermutationGateError(
+                f"{kind.value} is not a basis-state permutation"
+            )
+        yield (op, *q, *_PAD[len(q)])
+
+
+def _compile(c: Circuit) -> tuple[int, array]:
+    """The program of a permutation circuit: (width, flat array of _ops).
+
+    Qubit indices below 2**16 fit the two-byte typecode, about 8 bytes a
+    gate; wider circuits take eight-byte entries.
+    """
+    typecode = "H" if c.width <= 1 << 16 else "Q"
+    return c.width, array(typecode, chain.from_iterable(_ops(c)))
+
+
+@lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
+def _cached_program(builder: Callable[[int], Circuit], n: int) -> tuple[int, array]:
+    """The program of builder(n), compiled on first use.
+
+    Only this private form is kept: builder(n) itself stays a fresh,
+    mutable Circuit on every public call.
+    """
+    return _compile(builder(n))
+
+
+def _run_program(program: tuple[int, array], states: Sequence[int]) -> list[int]:
+    """perm_run_many over a program from _compile instead of a circuit."""
+    width, code = program
+    it = iter(code)
+    return _run(zip(it, it, it, it), width, states)
+
+
+def _run(
+    ops: Iterable[tuple[int, ...]], width: int, states: Sequence[int]
+) -> list[int]:
+    """The permutation kernel: run `ops` on bit-sliced `states`."""
     limit = 1 << width
     if len(states) and (min(states) < 0 or max(states) >= limit):
         bad = next(s for s in states if not 0 <= s < limit)
         raise InputRangeError(f"basis state {bad} out of range for width {width}")
     ones = (1 << len(states)) - 1
     cols = _transpose(states, width)
-    for kind, q in iter_primitive_ops(c):
-        if kind is GateKind.CX:
-            cols[q[1]] ^= cols[q[0]]
-        elif kind is GateKind.CCX:
-            cols[q[2]] ^= cols[q[0]] & cols[q[1]]
-        elif kind is GateKind.ZCX:
-            cols[q[1]] ^= cols[q[0]] ^ ones
-        elif kind is GateKind.X:
-            cols[q[0]] ^= ones
-        elif kind is GateKind.SWAP:
-            a, b = q
-            cols[a], cols[b] = cols[b], cols[a]
+    for op, a, b, t in ops:
+        if op == _CX:
+            cols[b] ^= cols[a]
+        elif op == _CCX:
+            cols[t] ^= cols[a] & cols[b]
+        elif op == _ZCX:
+            cols[b] ^= cols[a] ^ ones
+        elif op == _X:
+            cols[a] ^= ones
         else:
-            raise NonPermutationGateError(
-                f"{kind.value} is not a basis-state permutation"
-            )
+            cols[a], cols[b] = cols[b], cols[a]
     return _transpose(cols, len(states))
-
-
-def perm_run(c: Circuit, state: int) -> int:
-    """Propagate one basis state: the one-case batch of perm_run_many."""
-    return perm_run_many(c, (state,))[0]
 
 
 def _transpose(rows: Sequence[int], width: int) -> list[int]:

@@ -8,12 +8,13 @@ remainder a - root**2, with z restored to 0.
 """
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .arithmetic import build_ctrl_add_sub, build_ctrl_adder
 from .circuit import Circuit
 from .errors import InputRangeError, InvalidWidthError
-from .sim import perm_run
+from .sim import _cached_program, _run_program
 
 
 class SqrtResult(NamedTuple):
@@ -23,11 +24,30 @@ class SqrtResult(NamedTuple):
     remainder: int
 
 
-def _check_width(n: int) -> None:
+def _check_width(n: int) -> int:
+    """`n` as an int, if it is an even integer >= 4."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise InvalidWidthError(
+            f"square root circuits need an integer width, got {n!r}"
+        ) from None
     if n < 4 or n % 2:
         raise InvalidWidthError(
             f"square root circuits need even n >= 4, got {n}"
         )
+    return n
+
+
+def _check_input(a: int) -> int:
+    """`a` as an int, if it is a non-negative integer."""
+    try:
+        a = operator.index(a)
+    except TypeError:
+        raise InputRangeError(f"input must be an integer, got {a!r}") from None
+    if a < 0:
+        raise InputRangeError(f"input must be non-negative, got {a}")
+    return a
 
 
 def _layout(n: int) -> tuple[list[int], list[int], int]:
@@ -40,7 +60,7 @@ def build_part1(n: int) -> Circuit:
     Handles the two most significant input bits and establishes the first
     partial remainder with a 4-bit conditional add/sub.
     """
-    _check_width(n)
+    n = _check_width(n)
     qc = Circuit(2 * n + 1, "PART 1")
     R, F, z = _layout(n)
     # Step 1
@@ -69,7 +89,7 @@ def build_part2(n: int) -> Circuit:
     partial root inside F and applies a conditional add/sub over a widening
     slice of R and F (register width 2i + 2). Empty for n = 4.
     """
-    _check_width(n)
+    n = _check_width(n)
     qc = Circuit(2 * n + 1, "PART 2")
     R, F, z = _layout(n)
     for i in range(2, n // 2):
@@ -103,7 +123,7 @@ def build_part3(n: int) -> Circuit:
     Adds F back onto R when the last operation left a negative partial
     remainder, finishes the root shift inside F and uncomputes z.
     """
-    _check_width(n)
+    n = _check_width(n)
     qc = Circuit(2 * n + 1, "PART 3")
     R, F, z = _layout(n)
     # Step 1
@@ -134,7 +154,7 @@ def build_isqrt_circuit(n: int) -> Circuit:
     After this circuit the root sits in F[n/2+1]..F[2]; use
     build_isqrt_pipeline for the shifted, directly readable layout.
     """
-    _check_width(n)
+    n = _check_width(n)
     qc = Circuit(2 * n + 1, "ISQRT")
     everything = list(range(2 * n + 1))
     qc.append_composite("PART 1", build_part1(n), everything)
@@ -149,7 +169,7 @@ def build_isqrt_pipeline(n: int) -> Circuit:
     Appends X(F[0]) and the ascending SWAP cascade F[i] <-> F[i-2] for
     i = 2 .. n/2+1, after which F reads as the root and R as the remainder.
     """
-    _check_width(n)
+    n = _check_width(n)
     qc = Circuit(2 * n + 1, "ISQRT PIPELINE")
     _, F, _ = _layout(n)
     qc.append_composite("ISQRT", build_isqrt_circuit(n), list(range(2 * n + 1)))
@@ -165,8 +185,7 @@ def min_width(a: int) -> int:
     The input must fit as a positive value of an n-bit two's-complement
     register, which costs one sign bit on top of a's bit length.
     """
-    if a < 0:
-        raise InputRangeError(f"input must be non-negative, got {a}")
+    a = _check_input(a)
     n = max(4, a.bit_length() + 1)
     return n + (n % 2)
 
@@ -175,13 +194,16 @@ def isqrt(a: int, n: int | None = None) -> SqrtResult:
     """Integer square root by simulating the full reversible pipeline.
 
     Runs the (2n+1)-qubit circuit on the basis state (R = a, F = 1, z = 0)
-    and decodes F as the root and R as the remainder.
+    and decodes F as the root and R as the remainder. The pipeline of each
+    width is built and compiled to a flat opcode program on its first call
+    and kept in a bounded cache; later calls run that program through the
+    same permutation kernel as perm_run_many, so they build no circuit.
 
     Parameters
     ----------
     a : int
         Input value, 0 <= a <= 2**(n-1) - 1. Results are exact on the
-        whole range, a = 0 included.
+        whole range, a = 0 included. Any integer type (numpy ints too).
     n : int, optional
         Even register width >= 4; chosen by min_width(a) when omitted.
 
@@ -190,16 +212,14 @@ def isqrt(a: int, n: int | None = None) -> SqrtResult:
     SqrtResult
         (floor(sqrt(a)), a - floor(sqrt(a))**2).
     """
-    if a < 0:
-        raise InputRangeError(f"input must be non-negative, got {a}")
-    if n is None:
-        n = min_width(a)
-    _check_width(n)
+    a = _check_input(a)
+    n = min_width(a) if n is None else _check_width(n)
     if a > (1 << (n - 1)) - 1:
         raise InputRangeError(
             f"input {a} does not fit signed width {n} "
             f"(max {(1 << (n - 1)) - 1})"
         )
-    out = perm_run(build_isqrt_pipeline(n), a | (1 << n))
+    program = _cached_program(build_isqrt_pipeline, n)
+    out = _run_program(program, (a | 1 << n,))[0]
     mask = (1 << n) - 1
     return SqrtResult(root=(out >> n) & mask, remainder=out & mask)

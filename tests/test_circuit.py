@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +26,15 @@ def test_new_circuit_isqrt_width():
 def test_zero_width_rejected():
     with pytest.raises(InvalidWidthError):
         Circuit(0, "x")
+
+
+@pytest.mark.parametrize("kind", list(GateKind))
+def test_gate_kinds_round_trip_and_key_by_identity(kind):
+    assert pickle.loads(pickle.dumps(kind)) is kind
+    assert copy.deepcopy(kind) is kind
+    table = {k: k.value for k in GateKind}
+    assert table[pickle.loads(pickle.dumps(kind))] == kind.value
+    assert kind in set(GateKind) and kind in frozenset({kind})
 
 
 def test_append_cx():

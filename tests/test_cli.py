@@ -3,9 +3,10 @@ import dataclasses
 import pytest
 
 import qsqrt.cli as cli
-from qsqrt import Circuit, count_ops, flatten, from_qasm
+from qsqrt import Circuit, count_ops, flatten, from_qasm, isqrt
 from qsqrt.arithmetic import build_adder
 from qsqrt.cli import main
+from qsqrt.sim import _cached_program
 
 
 def test_isqrt_command_exact_output(capsys):
@@ -208,6 +209,14 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 def test_verify_exhaustive_sweeps(capsys, circuit, n, cases):
     assert main(["verify", "--circuit", circuit, "--n", str(n), "--no-timing"]) == 0
     assert f"checked {cases} cases, {cases} passed" in capsys.readouterr().out
+
+
+def test_verify_and_isqrt_share_one_compiled_pipeline(capsys):
+    assert main(["verify", "--circuit", "isqrt", "--n", "18", "--sampled"]) == 0
+    before = _cached_program.cache_info()
+    assert isqrt(130_000, 18) == (360, 400)
+    after = _cached_program.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def _break_family(monkeypatch, name, field):

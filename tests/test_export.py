@@ -2,9 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsqrt import (
     Circuit,
+    GateKind,
     build_adder,
     build_ctrl_adder,
     build_isqrt_pipeline,
@@ -17,6 +20,7 @@ from qsqrt import (
 )
 from qsqrt.errors import QasmParseError
 from qsqrt.export import report_rows_to_csv, report_rows_to_json
+from strategies import permutation_circuits
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -65,6 +69,25 @@ def test_round_trip_preserves_simulation():
     for _ in range(50):
         state = rng.randrange(1 << 13)
         assert perm_run(parsed, state) == perm_run(flat, state)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(permutation_circuits))
+def test_round_trip_gives_the_flat_gates_with_zcx_expanded(c):
+    expected = []
+    for g in flatten(c).gates:
+        if g.kind is GateKind.ZCX:
+            control, target = g.qubits
+            expected += [
+                (GateKind.X, (control,)),
+                (GateKind.CX, (control, target)),
+                (GateKind.X, (control,)),
+            ]
+        else:
+            expected.append((g.kind, g.qubits))
+    parsed = from_qasm(to_qasm(c))
+    assert parsed.width == c.width
+    assert [(g.kind, g.qubits) for g in parsed.gates] == expected
 
 
 def test_unsupported_gate_error_carries_line_number():

@@ -29,6 +29,7 @@ from qsqrt.errors import (
     MustLowerError,
     NonPermutationGateError,
 )
+from qsqrt.sim import _compile, _run_program
 from strategies import permutation_circuits
 
 
@@ -103,6 +104,31 @@ def circuits_and_batches(draw):
 def test_perm_run_many_matches_reference_lane_by_lane(case):
     c, states = case
     assert perm_run_many(c, states) == [reference_run(c, s) for s in states]
+
+
+@settings(max_examples=60, deadline=None)
+@given(circuits_and_batches())
+def test_compiled_program_matches_streamed_run_lane_by_lane(case):
+    c, states = case
+    got = _run_program(_compile(c), states)
+    assert got == perm_run_many(c, states)
+    assert got == [reference_run(c, s) for s in states]
+
+
+def test_compiled_program_takes_wide_entries_beyond_two_byte_qubits():
+    c = Circuit(70_000).x(69_999)
+    c.cx(69_999, 65_536).swap(65_536, 3).ccx(3, 69_999, 0).zcx(1, 65_535)
+    program = _compile(c)
+    assert program[1].itemsize >= 4
+    states = [0, 1 << 69_999, 1 << 65_535 | 1 << 2]
+    assert _run_program(program, states) == [reference_run(c, s) for s in states]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(permutation_circuits))
+def test_inverse_after_circuit_is_identity_on_every_basis_state(c):
+    states = list(range(1 << c.width))
+    assert perm_run_many(c.inverse(), perm_run_many(c, states)) == states
 
 
 def test_perm_run_many_empty_batch():

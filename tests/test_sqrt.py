@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from qsqrt import (
@@ -156,9 +160,9 @@ def test_root_sits_in_upper_f_bits_before_shift():
     assert root == 3
 
 
-@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("n", range(4, 13, 2))
 def test_isqrt_matches_integer_oracle_exhaustively(n):
-    for a in range(1, 1 << (n - 1)):
+    for a in range(1 << (n - 1)):
         root = math.isqrt(a)
         assert isqrt(a, n) == (root, a - root * root)
 
@@ -232,3 +236,72 @@ def test_out_of_range_inputs_rejected():
         isqrt(-1)
     with pytest.raises(InputRangeError):
         min_width(-5)
+
+
+@pytest.mark.parametrize("n", [4.0, 6.5, "8", None, [8]])
+def test_non_integer_widths_rejected(n):
+    if n is not None:
+        with pytest.raises(InvalidWidthError):
+            isqrt(9, n)
+        with pytest.raises(InvalidWidthError):
+            build_isqrt_pipeline(n)
+    for build in (build_part1, build_part2, build_part3, build_isqrt_circuit):
+        with pytest.raises(InvalidWidthError):
+            build(n)
+
+
+@pytest.mark.parametrize("a", [9.0, 2.5, "9", None])
+def test_non_integer_inputs_rejected(a):
+    with pytest.raises(InputRangeError):
+        isqrt(a)
+    with pytest.raises(InputRangeError):
+        isqrt(a, 6)
+    with pytest.raises(InputRangeError):
+        min_width(a)
+
+
+@pytest.mark.parametrize("cast", [np.int8, np.int64, np.uint16])
+def test_numpy_integers_are_accepted(cast):
+    assert isqrt(cast(30), cast(8)) == (5, 5)
+    assert isqrt(cast(30)) == (5, 5)
+    assert min_width(cast(30)) == 6
+    assert build_isqrt_pipeline(cast(6)) == build_isqrt_pipeline(6)
+
+
+def test_mutating_a_built_pipeline_leaves_later_results_unchanged():
+    before = [isqrt(a, 8) for a in range(128)]
+    built = build_isqrt_pipeline(8)
+    built.x(0)
+    built.gates.clear()
+    assert [isqrt(a, 8) for a in range(128)] == before
+    assert len(build_isqrt_pipeline(8)) > 0
+
+
+def test_warm_calls_build_no_circuit(monkeypatch):
+    isqrt(5, 10)
+    appended = []
+    append = Circuit.append
+
+    def counting(self, gate):
+        appended.append(gate)
+        return append(self, gate)
+
+    monkeypatch.setattr(Circuit, "append", counting)
+    assert [isqrt(a, 10) for a in (0, 99, 511)] == [(0, 0), (9, 18), (22, 27)]
+    assert appended == []
+    build_isqrt_pipeline(10)
+    assert appended
+
+
+def test_fresh_import_compiles_nothing():
+    code = (
+        "import qsqrt, qsqrt.cli, qsqrt.sim; "
+        "print(qsqrt.sim._cached_program.cache_info().currsize)"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "0"
