@@ -42,6 +42,7 @@ from .sim import (
     perm_run_many,
     permutation_matrix,
     sv_run,
+    sv_run_many,
     unitary,
 )
 from .sqrt import (
@@ -97,6 +98,7 @@ __all__ = [
     "permutation_matrix",
     "schedule_layers",
     "sv_run",
+    "sv_run_many",
     "to_qasm",
     "unitary",
     "validate",

@@ -6,8 +6,16 @@ arithmetic wraps modulo 2**n because the adders carry no overflow qubit.
 """
 from __future__ import annotations
 
-from .circuit import Circuit
+from .circuit import Circuit, _integer_width
 from .errors import InvalidWidthError
+
+
+def _check_n(n: int, least: int, what: str) -> int:
+    """`n` as an int, if it is an integer >= `least`."""
+    n = _integer_width(n, what)
+    if n < least:
+        raise InvalidWidthError(f"{what} needs n >= {least}, got {n}")
+    return n
 
 
 def peres_circuit() -> Circuit:
@@ -38,8 +46,7 @@ def build_adder(n: int) -> Circuit:
     Circuit
         The 2n-qubit "ADD" circuit.
     """
-    if n < 1:
-        raise InvalidWidthError(f"adder needs n >= 1, got {n}")
+    n = _check_n(n, 1, "adder")
     qc = Circuit(2 * n, "ADD")
     A = list(range(n))
     B = list(range(n, 2 * n))
@@ -74,8 +81,7 @@ def build_subtractor(n: int) -> Circuit:
     Uses a - b = not(not(a) + b): invert A, add B, invert A again. Adds no
     T gates beyond the adder's 14n - 14.
     """
-    if n < 1:
-        raise InvalidWidthError(f"subtractor needs n >= 1, got {n}")
+    n = _check_n(n, 1, "subtractor")
     qc = Circuit(2 * n, "SUB")
     for i in range(n):
         qc.x(i)
@@ -94,8 +100,7 @@ def build_ctrl_add_sub(n: int) -> Circuit:
     always runs; z merely conjugates A with CX gates, flipping the sign of
     the first argument.
     """
-    if n < 1:
-        raise InvalidWidthError(f"controlled add/sub needs n >= 1, got {n}")
+    n = _check_n(n, 1, "controlled add/sub")
     qc = Circuit(2 * n + 1, "CTRL ADD/SUB")
     z = 0
     A = list(range(1, n + 1))
@@ -125,8 +130,7 @@ def build_ctrl_adder(n: int) -> Circuit:
     Circuit
         The (2n+1)-qubit "CTRL ADD" circuit.
     """
-    if n < 2:
-        raise InvalidWidthError(f"controlled adder needs n >= 2, got {n}")
+    n = _check_n(n, 2, "controlled adder")
     qc = Circuit(2 * n + 1, "CTRL ADD")
     z = 0
     A = list(range(1, n + 1))

@@ -1,6 +1,7 @@
 """Gate set and circuit IR with validation and composite gates."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -106,6 +107,17 @@ def _gate_errors(gate: Gate, width: int) -> list[CircuitError]:
     return errors
 
 
+def _integer_width(value: object, what: str) -> int:
+    """`value` as an int through operator.index, so numpy integers pass and
+    floats, strings and the like raise InvalidWidthError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidWidthError(
+            f"{what} needs an integer width, got {value!r}"
+        ) from None
+
+
 class Circuit:
     """Fixed-width ordered gate sequence, the IR for the whole toolkit.
 
@@ -114,6 +126,7 @@ class Circuit:
     """
 
     def __init__(self, width: int, name: str = ""):
+        width = _integer_width(width, "a circuit")
         if width < 1:
             raise InvalidWidthError(f"circuit width must be >= 1, got {width}")
         self.width = width

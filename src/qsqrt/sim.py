@@ -7,9 +7,14 @@ sources: perm_run_many streams them from a circuit's composite walk and
 stores nothing, and a compiled program holds them in a flat array, built
 once per (builder, width) by a bounded cache, for the calls that run the
 same circuit again and again (isqrt and `qsqrt verify`). perm_run is the
-one-state case of perm_run_many. sv_run applies a fully lowered circuit to
-a dense statevector and is reserved for verifying decompositions, where
-phases matter.
+one-state case of perm_run_many.
+
+One statevector kernel, sv_run_many, applies a fully lowered circuit
+(X, CX, H, T, TDG) to a batch of dense statevectors held as the columns of
+one array, in one in-place pass over the gates; it is reserved for
+verifying decompositions, where phases matter. sv_run is its one-column
+case; unitary hands it every column at once, assert_equiv in batches of
+at most _SV_BATCH_AMPLITUDES amplitudes.
 
 Basis convention everywhere: bit i of an integer state or of a statevector
 index is qubit i, and qubit 0 is the LSB of its register.
@@ -25,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .circuit import CLIFFORD_T_KINDS, PERMUTATION_KINDS, Circuit, GateKind
+from .circuit import PERMUTATION_KINDS, Circuit, GateKind
 from .errors import (
     CapacityError,
     CircuitError,
@@ -40,6 +45,7 @@ from .lowering import iter_primitive_ops, lower_to_clifford_t
 DEFAULT_SV_CAP = 16
 
 _T_PHASE = np.exp(1j * np.pi / 4)
+_T_PHASE_DG = _T_PHASE.conjugate()
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
 
@@ -82,6 +88,11 @@ _OPCODES = {
     GateKind.SWAP: _SWAP,
 }
 _PAD = {1: (0, 0), 2: (0,), 3: ()}
+
+#: Amplitudes in one batch of columns assert_equiv hands to sv_run_many
+#: (16 MB of complex128 a side): an exhaustive check at width 12 runs in
+#: 16 batches of 256 columns, one at width 8 or less in one batch.
+_SV_BATCH_AMPLITUDES = 1 << 20
 
 #: Programs _cached_program keeps: more than the 31 widths (4..64) that
 #: isqrt calls on inputs of up to 63 bits cycle through, so such a mix of
@@ -186,80 +197,128 @@ def basis_statevector(width: int, index: int) -> np.ndarray:
     return vec
 
 
-def _index(n: int, assignment: dict[int, int]) -> tuple:
-    """Slice tuple selecting fixed qubit values in a [2]*n shaped array."""
+def _half(n: int, qubit: int, value: int) -> tuple:
+    """Index of the `value` half of `qubit` in a [2]*n + [batch] array."""
+    return (slice(None),) * (n - 1 - qubit) + (value,)
+
+
+def _cx_half(n: int, control: int, target: int, value: int) -> tuple:
+    """Index of control = 1, target = `value` in a [2]*n + [batch] array."""
     sel: list = [slice(None)] * n
-    for q, v in assignment.items():
-        sel[n - 1 - q] = v
+    sel[n - 1 - control] = 1
+    sel[n - 1 - target] = value
     return tuple(sel)
 
 
-def sv_run(c: Circuit, state: np.ndarray, cap: int | None = None) -> np.ndarray:
-    """Apply a lowered circuit to a statevector, returning a fresh vector.
+def sv_run_many(
+    c: Circuit, states: np.ndarray, cap: int | None = None
+) -> np.ndarray:
+    """Apply a lowered circuit to a batch of statevectors in one pass.
 
-    The circuit must contain only {X, CX, H, T, TDG}; anything else raises
-    MustLowerError. Widths above the cap (default sv_cap()) raise
-    CapacityError. Norm is checked to 1e-10 on the way in and out.
+    `states` is a (2**width, B) array whose columns are the B input
+    vectors; returns a fresh array of the B output columns, leaving
+    `states` untouched. The circuit must contain only {X, CX, H, T, TDG};
+    anything else raises MustLowerError. Widths above the cap (default
+    sv_cap()) raise CapacityError, any other shape InvalidWidthError. The
+    norm of each column is checked to 1e-10 on the way in and out.
     """
+    return _sv_run_in_place(c, np.array(states, dtype=complex, order="C"), cap)
+
+
+def _sv_run_in_place(
+    c: Circuit, out: np.ndarray, cap: int | None = None
+) -> np.ndarray:
+    """sv_run_many on `out`, a C-ordered complex array that it overwrites
+    and returns; for callers that own their input columns."""
     if cap is None:
         cap = sv_cap()
-    if c.width > cap:
-        raise CapacityError(
-            f"width {c.width} exceeds statevector cap {cap}"
-        )
-    vec = np.asarray(state, dtype=complex)
-    if vec.shape != (1 << c.width,):
-        raise InvalidWidthError(
-            f"statevector length {vec.shape} does not match width {c.width}"
-        )
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
-        raise ValueError("statevector must be normalised")
     n = c.width
-    psi = vec.copy().reshape([2] * n)
+    if n > cap:
+        raise CapacityError(f"width {n} exceeds statevector cap {cap}")
+    if out.ndim != 2 or out.shape[0] != 1 << n:
+        raise InvalidWidthError(
+            f"statevector batch shape {out.shape} does not match width {n}"
+        )
+    if np.any(np.abs(_column_norms(out) - 1.0) > 1e-10):
+        raise ValueError("statevector must be normalised")
+    # Axis n - 1 - q is qubit q; the trailing batch axis is never indexed,
+    # so each gate updates every column through views, in place.
+    psi = out.reshape([2] * n + [out.shape[1]])
     for g in c.gates:
-        if g.kind not in CLIFFORD_T_KINDS:
+        kind, q = g.kind, g.qubits
+        if kind is GateKind.X:
+            _swap(psi[_half(n, q[0], 0)], psi[_half(n, q[0], 1)])
+        elif kind is GateKind.CX:
+            _swap(psi[_cx_half(n, *q, 0)], psi[_cx_half(n, *q, 1)])
+        elif kind is GateKind.H:
+            _hadamard(psi[_half(n, q[0], 0)], psi[_half(n, q[0], 1)])
+            psi *= _SQRT1_2
+        elif kind is GateKind.T:
+            psi[_half(n, q[0], 1)] *= _T_PHASE
+        elif kind is GateKind.TDG:
+            psi[_half(n, q[0], 1)] *= _T_PHASE_DG
+        else:
             raise MustLowerError(
-                f"{g.kind.value} must be lowered before statevector simulation"
+                f"{kind.value} must be lowered before statevector simulation"
             )
-        psi = _apply(psi, g.kind, g.qubits, n)
-    out = psi.reshape(-1)
-    assert abs(np.linalg.norm(out) - 1.0) <= 1e-10, "statevector norm drifted"
+    assert np.all(np.abs(_column_norms(out) - 1.0) <= 1e-10), "statevector norm drifted"
     return out
 
 
-def _apply(
-    psi: np.ndarray, kind: GateKind, qubits: tuple[int, ...], n: int
-) -> np.ndarray:
-    if kind is GateKind.X:
-        return np.roll(psi, 1, axis=n - 1 - qubits[0])
-    if kind is GateKind.H:
-        ax = n - 1 - qubits[0]
-        lo = np.take(psi, 0, axis=ax)
-        hi = np.take(psi, 1, axis=ax)
-        return np.stack((lo + hi, lo - hi), axis=ax) * _SQRT1_2
-    if kind is GateKind.T or kind is GateKind.TDG:
-        phase = _T_PHASE if kind is GateKind.T else _T_PHASE.conjugate()
-        sel = _index(n, {qubits[0]: 1})
-        psi[sel] = psi[sel] * phase
-        return psi
-    # CX: exchange the target slices under control = 1
-    src = _index(n, {qubits[0]: 1, qubits[1]: 0})
-    dst = _index(n, {qubits[0]: 1, qubits[1]: 1})
-    tmp = psi[src].copy()
-    psi[src] = psi[dst]
-    psi[dst] = tmp
-    return psi
+# The two halves of a qubit interleave in memory, so numpy copies one of
+# them into a temporary before any operation that reads one half and writes
+# the other. These helpers keep such operations to one per gate.
+
+
+def _swap(a: np.ndarray, b: np.ndarray) -> None:
+    """Exchange the contents of two views of the same shape, in place."""
+    tmp = a.copy()
+    a[...] = b
+    b[...] = tmp
+
+
+def _hadamard(lo: np.ndarray, hi: np.ndarray) -> None:
+    """(lo, hi) <- (lo + hi, lo - hi) in place, unscaled.
+
+    lo + hi is formed as 2 lo - (lo - hi), so only the fresh difference is
+    written across halves and no hidden copy is made.
+    """
+    diff = lo - hi
+    lo *= 2.0
+    lo -= diff
+    hi[...] = diff
+
+
+def _column_norms(cols: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column of a C-ordered complex array.
+
+    Sums squares over its float view (real and imaginary parts in
+    alternate columns), so no temporary of the array's size is made.
+    """
+    parts = cols.view(np.float64)
+    sq = np.einsum("ij,ij->j", parts, parts)
+    return np.sqrt(sq[0::2] + sq[1::2])
+
+
+def sv_run(c: Circuit, state: np.ndarray, cap: int | None = None) -> np.ndarray:
+    """Apply a lowered circuit to one statevector, returning a fresh vector.
+
+    The one-column case of sv_run_many, with the same checks.
+    """
+    return sv_run_many(c, np.asarray(state, dtype=complex)[..., None], cap)[:, 0]
 
 
 def unitary(c: Circuit, max_width: int = 10) -> np.ndarray:
-    """Dense unitary of a lowered circuit, built column by column."""
+    """Dense unitary of a lowered circuit.
+
+    Runs the columns of the identity through the sv_run_many kernel as one
+    batch, in place.
+    """
     if c.width > max_width:
         raise CapacityError(
             f"unitary construction capped at {max_width} qubits"
         )
-    dim = 1 << c.width
-    cols = [sv_run(c, basis_statevector(c.width, j)) for j in range(dim)]
-    return np.stack(cols, axis=1)
+    return _sv_run_in_place(c, np.eye(1 << c.width, dtype=complex))
 
 
 def permutation_matrix(c: Circuit) -> np.ndarray:
@@ -291,10 +350,12 @@ def assert_equiv(
     index where they differ. A pair of permutation-only circuits is
     compared with one perm_run_many batch each (exhaustive up to width 20).
     Otherwise each side runs on its natural backend: a permutation-only
-    circuit through one perm_run_many batch (each output embedded as a
-    one-hot statevector), anything else lowered and through sv_run, with
+    circuit through one perm_run_many batch (each output read as a one-hot
+    statevector), anything else lowered and through sv_run_many, with
     amplitudes compared to 1e-9 (exhaustive up to width 12). Lowering one
-    side therefore never hides a faulty decomposition of the other.
+    side therefore never hides a faulty decomposition of the other. The
+    input columns go through in batches of at most _SV_BATCH_AMPLITUDES
+    amplitudes, in order, so the batch size never changes the answer.
     """
     if a.width != b.width:
         raise InvalidWidthError(f"width mismatch: {a.width} != {b.width}")
@@ -320,19 +381,27 @@ def assert_equiv(
             if got_a != got_b:
                 return s
         return None
-    la = None if a_perm else lower_to_clifford_t(a)
-    lb = None if b_perm else lower_to_clifford_t(b)
-
-    def output_vector(
-        outs: list[int] | None, lowered: Circuit | None, i: int
-    ) -> np.ndarray:
-        if outs is not None:
-            return basis_statevector(width, outs[i])
-        return sv_run(lowered, basis_statevector(width, inputs[i]), cap=cap)
-
-    for i, s in enumerate(inputs):
-        va = output_vector(out_a, la, i)
-        vb = output_vector(out_b, lb, i)
-        if np.max(np.abs(va - vb)) > 1e-9:
-            return s
+    if a_perm:  # the permutation side, if there is one, is b from here on
+        a, b, out_b = b, a, out_a
+    la = lower_to_clifford_t(a)
+    lb = None if out_b is not None else lower_to_clifford_t(b)
+    step = max(1, _SV_BATCH_AMPLITUDES >> width)
+    for lo in range(0, len(inputs), step):
+        basis = _one_hot(width, inputs[lo : lo + step])
+        if lb is None:
+            diff = _sv_run_in_place(la, basis, cap)
+            diff[out_b[lo : lo + step], np.arange(diff.shape[1])] -= 1.0
+        else:
+            diff = sv_run_many(la, basis, cap)
+            diff -= _sv_run_in_place(lb, basis, cap)
+        bad = np.max(np.abs(diff), axis=0) > 1e-9
+        if bad.any():
+            return inputs[lo + int(np.argmax(bad))]
     return None
+
+
+def _one_hot(width: int, indices: Sequence[int]) -> np.ndarray:
+    """(2**width, len(indices)) array whose column k is basis `indices[k]`."""
+    cols = np.zeros((1 << width, len(indices)), dtype=complex)
+    cols[indices, np.arange(len(indices))] = 1.0
+    return cols

@@ -12,7 +12,7 @@ import operator
 from typing import NamedTuple
 
 from .arithmetic import build_ctrl_add_sub, build_ctrl_adder
-from .circuit import Circuit
+from .circuit import Circuit, _integer_width
 from .errors import InputRangeError, InvalidWidthError
 from .sim import _cached_program, _run_program
 
@@ -26,12 +26,7 @@ class SqrtResult(NamedTuple):
 
 def _check_width(n: int) -> int:
     """`n` as an int, if it is an even integer >= 4."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise InvalidWidthError(
-            f"square root circuits need an integer width, got {n!r}"
-        ) from None
+    n = _integer_width(n, "a square root circuit")
     if n < 4 or n % 2:
         raise InvalidWidthError(
             f"square root circuits need even n >= 4, got {n}"

@@ -1,26 +1,42 @@
 """Hypothesis strategies shared by the test modules."""
 from hypothesis import strategies as st
 
-from qsqrt import PERMUTATION_KINDS, Circuit, Gate
+from qsqrt import CLIFFORD_T_KINDS, PERMUTATION_KINDS, Circuit, Gate
 from qsqrt.circuit import PRIMITIVE_ARITY
+
+
+def _operands(draw, width, k):
+    """k distinct qubits of a width-qubit circuit."""
+    qubits = st.integers(0, width - 1)
+    return draw(st.lists(qubits, min_size=k, max_size=k, unique=True))
+
+
+def _by_value(kinds):
+    return st.sampled_from(sorted(kinds, key=lambda k: k.value))
 
 
 @st.composite
 def permutation_circuits(draw, width, depth=2):
     """Random X/CX/ZCX/CCX/SWAP circuits with nested composites."""
-
-    def operands(k):
-        qubits = st.integers(0, width - 1)
-        return draw(st.lists(qubits, min_size=k, max_size=k, unique=True))
-
     c = Circuit(width)
     for _ in range(draw(st.integers(0, 10))):
         if depth and draw(st.booleans()):
-            qubits = operands(draw(st.integers(1, min(width, 9))))
+            qubits = _operands(draw, width, draw(st.integers(1, min(width, 9))))
             body = draw(permutation_circuits(len(qubits), depth - 1))
             c.append_composite("BLOCK", body, qubits)
             continue
-        kind = draw(st.sampled_from(sorted(PERMUTATION_KINDS, key=lambda k: k.value)))
+        kind = draw(_by_value(PERMUTATION_KINDS))
         if PRIMITIVE_ARITY[kind] <= width:
-            c.append(Gate(kind, tuple(operands(PRIMITIVE_ARITY[kind]))))
+            c.append(Gate(kind, tuple(_operands(draw, width, PRIMITIVE_ARITY[kind]))))
+    return c
+
+
+@st.composite
+def clifford_t_circuits(draw, width):
+    """Random flat X/CX/H/T/TDG circuits, the gate set lowering emits."""
+    c = Circuit(width)
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(_by_value(CLIFFORD_T_KINDS))
+        if PRIMITIVE_ARITY[kind] <= width:
+            c.append(Gate(kind, tuple(_operands(draw, width, PRIMITIVE_ARITY[kind]))))
     return c

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from qsqrt import (
@@ -205,6 +206,27 @@ def test_generators_produce_valid_circuits():
         build_ctrl_adder(5),
     ):
         assert validate(qc) == []
+
+
+_BUILDERS = [build_adder, build_subtractor, build_ctrl_add_sub, build_ctrl_adder]
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [(build_adder, 2.0), (build_subtractor, 2.0), (build_ctrl_add_sub, 2.0),
+     (build_ctrl_adder, 3.0), (build_adder, 2.5), (build_subtractor, "2"),
+     (build_ctrl_add_sub, None), (build_ctrl_adder, np.float64(3.0))],
+)
+def test_non_integer_widths_rejected(build, n):
+    with pytest.raises(InvalidWidthError, match="integer width"):
+        build(n)
+
+
+@pytest.mark.parametrize("build", _BUILDERS)
+def test_numpy_integer_widths_build_the_int_circuit(build):
+    circuit = build(np.int64(3))
+    assert circuit == build(3)
+    assert type(circuit.width) is int
 
 
 def test_invalid_widths_rejected():

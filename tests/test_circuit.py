@@ -1,11 +1,20 @@
 import copy
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsqrt import Circuit, Gate, GateKind, build_adder, peres_circuit, validate
+from qsqrt import (
+    Circuit,
+    Gate,
+    GateKind,
+    build_adder,
+    peres_circuit,
+    perm_run,
+    validate,
+)
 from qsqrt.errors import (
     ArityError,
     InvalidWidthError,
@@ -26,6 +35,18 @@ def test_new_circuit_isqrt_width():
 def test_zero_width_rejected():
     with pytest.raises(InvalidWidthError):
         Circuit(0, "x")
+
+
+@pytest.mark.parametrize("width", [2.5, 2.0, "3", None, np.float64(2.0)])
+def test_non_integer_widths_rejected(width):
+    with pytest.raises(InvalidWidthError, match="integer width"):
+        Circuit(width)
+
+
+def test_numpy_integer_width_is_an_int():
+    qc = Circuit(np.int64(3)).x(2)
+    assert type(qc.width) is int
+    assert perm_run(qc, 0) == 0b100
 
 
 @pytest.mark.parametrize("kind", list(GateKind))

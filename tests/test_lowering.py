@@ -16,7 +16,11 @@ from qsqrt import (
     assert_equiv,
     basis_statevector,
     build_adder,
+    build_ctrl_add_sub,
+    build_ctrl_adder,
     build_isqrt_circuit,
+    build_isqrt_pipeline,
+    build_subtractor,
     flatten,
     lower_to_clifford_t,
     peres_circuit,
@@ -118,6 +122,21 @@ def test_lower_toffoli_unitary_equals_ccx():
 def test_lowering_preserves_permutation_semantics(c):
     # every lowered gate sequence, wherever composites place it, must act
     # on basis states as the logical circuit does (phases checked to 1e-9)
+    assert assert_equiv(c, lower_to_clifford_t(c)) is None
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [(build_adder, n) for n in range(1, 6)]
+    + [(build_subtractor, n) for n in range(1, 6)]
+    + [(build_ctrl_add_sub, n) for n in range(1, 5)]
+    + [(build_ctrl_adder, n) for n in range(2, 5)]
+    + [(build_isqrt_pipeline, 4)],
+    ids=lambda v: getattr(v, "__name__", str(v)),
+)
+def test_lowered_family_matches_its_circuit_on_every_basis_state(build, n):
+    # up to width 10: every input column, phases included, to 1e-9
+    c = build(n)
     assert assert_equiv(c, lower_to_clifford_t(c)) is None
 
 

@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsqrt import (
+    DEFAULT_RULES,
+    PERMUTATION_KINDS,
     Circuit,
+    DecompositionRule,
+    Gate,
     GateKind,
     assert_equiv,
     basis_statevector,
@@ -20,6 +24,7 @@ from qsqrt import (
     perm_run,
     perm_run_many,
     sv_run,
+    sv_run_many,
 )
 from qsqrt.errors import (
     CapacityError,
@@ -29,8 +34,9 @@ from qsqrt.errors import (
     MustLowerError,
     NonPermutationGateError,
 )
+from qsqrt import sim
 from qsqrt.sim import _compile, _run_program
-from strategies import permutation_circuits
+from strategies import clifford_t_circuits, permutation_circuits
 
 
 def test_perm_run_gate_truth_tables():
@@ -299,3 +305,200 @@ def test_assert_equiv_sampled_is_deterministic():
     logical = build_isqrt_circuit(6)
     flat = flatten(logical)
     assert assert_equiv(logical, flat, mode="sampled", seed=9) is None
+
+
+_P0, _P1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+_ONE_QUBIT = {
+    GateKind.X: np.array([[0.0, 1.0], [1.0, 0.0]]),
+    GateKind.H: np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0),
+    GateKind.T: np.diag([1.0, np.exp(1j * np.pi / 4)]),
+    GateKind.TDG: np.diag([1.0, np.exp(-1j * np.pi / 4)]),
+}
+
+
+def dense_gate(width, gate):
+    """The 2**width square matrix of one X/CX/H/T/TDG gate.
+
+    Built with np.kron, qubit width-1 as the leftmost factor, so bit i of a
+    row or column index is qubit i; CX is |0><0| (x) I + |1><1| (x) X.
+    """
+
+    def embed(factors):
+        m = np.eye(1)
+        for q in reversed(range(width)):
+            m = np.kron(m, factors.get(q, np.eye(2)))
+        return m
+
+    if gate.kind is GateKind.CX:
+        control, target = gate.qubits
+        return embed({control: _P0}) + embed({control: _P1, target: _ONE_QUBIT[GateKind.X]})
+    return embed({gate.qubits[0]: _ONE_QUBIT[gate.kind]})
+
+
+def dense_reference(c, states):
+    """`states` (columns) through `c` by dense matrix products."""
+    for g in c.gates:
+        states = dense_gate(c.width, g) @ states
+    return states
+
+
+@st.composite
+def lowered_circuits_and_columns(draw):
+    width = draw(st.integers(1, 6))
+    batch = draw(st.sampled_from([1, 3, 8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = rng.normal(size=(1 << width, batch)) + 1j * rng.normal(size=(1 << width, batch))
+    cols /= np.linalg.norm(cols, axis=0)
+    return draw(clifford_t_circuits(width)), cols
+
+
+@settings(max_examples=80, deadline=None)
+@given(lowered_circuits_and_columns())
+def test_sv_run_many_matches_dense_reference_and_sv_run(case):
+    c, states = case
+    before = states.copy()
+    got = sv_run_many(c, states)
+    assert got.shape == states.shape
+    assert np.max(np.abs(got - dense_reference(c, states))) < 1e-12
+    for k in range(states.shape[1]):
+        assert np.max(np.abs(got[:, k] - sv_run(c, states[:, k]))) < 1e-12
+    assert np.array_equal(states, before)
+
+
+@pytest.mark.parametrize(
+    "shape", [(4,), (5, 2), (8, 1), (4, 2, 1)], ids=["1-D", "rows", "wider", "3-D"]
+)
+def test_sv_run_many_rejects_wrong_shapes(shape):
+    states = np.zeros(shape, dtype=complex)
+    states.reshape(-1)[0] = 1.0
+    with pytest.raises(InvalidWidthError):
+        sv_run_many(Circuit(2).x(0), states)
+
+
+def test_sv_run_rejects_a_column_matrix():
+    with pytest.raises(InvalidWidthError):
+        sv_run(Circuit(2).x(0), basis_statevector(2, 0)[:, None])
+
+
+def test_sv_run_many_rejects_unlowered_gates():
+    with pytest.raises(MustLowerError):
+        sv_run_many(Circuit(3).ccx(0, 1, 2), np.eye(8))
+    qc = Circuit(3).h(0)
+    qc.append_composite("PERES", peres_circuit(), [0, 1, 2])
+    with pytest.raises(MustLowerError):
+        sv_run_many(qc, np.eye(8))
+
+
+def test_sv_run_many_caps_width(monkeypatch):
+    with pytest.raises(CapacityError):
+        sv_run_many(Circuit(4).x(0), np.eye(16), cap=3)
+    monkeypatch.setenv("QSQRT_SV_CAP", "3")
+    with pytest.raises(CapacityError):
+        sv_run_many(Circuit(4).x(0), np.eye(16))
+    assert sv_run_many(Circuit(4).x(0), np.eye(16), cap=4)[1, 0] == 1.0
+
+
+def test_sv_run_many_checks_every_column_norm():
+    states = np.eye(4, dtype=complex)
+    states[:, 2] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="normalised"):
+        sv_run_many(Circuit(2).h(0), states)
+
+
+def test_sv_run_many_empty_batch():
+    assert sv_run_many(Circuit(2).h(0), np.zeros((4, 0))).shape == (4, 0)
+
+
+def with_t_flipped(c, count=1):
+    """`c` lowered, with its first `count` T gates turned into TDG."""
+    broken = Circuit(c.width)
+    for g in lower_to_clifford_t(c).gates:
+        if g.kind is GateKind.T and count:
+            g, count = Gate(GateKind.TDG, g.qubits), count - 1
+        broken.append(g)
+    assert count == 0
+    return broken
+
+
+def first_difference_input_by_input(a, b, inputs):
+    """assert_equiv's answer, one input at a time through perm_run/sv_run."""
+
+    def output(c, s):
+        if all(g.kind in PERMUTATION_KINDS for g in flatten(c).gates):
+            return basis_statevector(c.width, perm_run(c, s))
+        return sv_run(lower_to_clifford_t(c), basis_statevector(c.width, s))
+
+    for s in inputs:
+        if np.max(np.abs(output(a, s) - output(b, s))) > 1e-9:
+            return s
+    return None
+
+
+def sampled_inputs(width, samples, seed):
+    rng = random.Random(seed)
+    return [rng.randrange(1 << width) for _ in range(samples)]
+
+
+_LOGICAL_CCX = Circuit(3).ccx(0, 1, 2)
+_EQUIV_PAIRS = {
+    "ccx-vs-broken": (_LOGICAL_CCX, with_t_flipped(_LOGICAL_CCX)),
+    "broken-vs-ccx": (with_t_flipped(_LOGICAL_CCX), _LOGICAL_CCX),
+    "lowered-vs-broken": (lower_to_clifford_t(_LOGICAL_CCX), with_t_flipped(_LOGICAL_CCX)),
+    "adder-vs-broken": (build_adder(3), with_t_flipped(build_adder(3), 2)),
+    "h-vs-ht": (Circuit(2).h(1), Circuit(2).h(1).t(1)),
+    "ccx-vs-lowered": (_LOGICAL_CCX, lower_to_clifford_t(_LOGICAL_CCX)),
+}
+
+
+@pytest.mark.parametrize("pair", _EQUIV_PAIRS)
+def test_assert_equiv_returns_the_first_difference_of_an_input_loop(pair):
+    a, b = _EQUIV_PAIRS[pair]
+    inputs = range(1 << a.width)
+    expected = first_difference_input_by_input(a, b, inputs)
+    assert assert_equiv(a, b) == expected
+    assert (expected is None) == (pair == "ccx-vs-lowered")
+    for seed in range(6):
+        # 20 samples of at most 64 basis states: most seeds repeat some
+        inputs = sampled_inputs(a.width, 20, seed)
+        expected = first_difference_input_by_input(a, b, inputs)
+        assert assert_equiv(a, b, mode="sampled", samples=20, seed=seed) == expected
+
+
+def test_assert_equiv_runs_the_permutation_side_unlowered(monkeypatch):
+    # under a faulty CCX rule, lowering the logical side as well would hide it
+    broken = with_t_flipped(_LOGICAL_CCX)
+    monkeypatch.setitem(DEFAULT_RULES, GateKind.CCX, DecompositionRule(GateKind.CCX, broken))
+    assert lower_to_clifford_t(_LOGICAL_CCX).gates == broken.gates
+    assert assert_equiv(_LOGICAL_CCX, broken) is not None
+    assert assert_equiv(broken, _LOGICAL_CCX) is not None
+
+
+@pytest.mark.parametrize("amplitudes", [1, 16, 40, 64])
+def test_small_column_batches_answer_like_one_batch(monkeypatch, amplitudes):
+    adder = build_adder(3)
+    subtractor = lower_to_clifford_t(adder).inverse()
+    cases = [(*pair, mode, seed) for pair in _EQUIV_PAIRS.values()
+             for mode, seed in (("exhaustive", 0), ("sampled", 1), ("sampled", 4))]
+    cases += [(adder, subtractor, "exhaustive", 0), (adder, lower_to_clifford_t(adder), "sampled", 2)]
+
+    def answers():
+        return [assert_equiv(a, b, mode=mode, samples=30, seed=seed)
+                for a, b, mode, seed in cases]
+
+    single = answers()
+    monkeypatch.setattr(sim, "_SV_BATCH_AMPLITUDES", amplitudes)
+    assert answers() == single
+    assert single[-2] is not None and single[-1] is None
+
+
+def test_assert_equiv_statevector_capacity_errors(monkeypatch):
+    logical = Circuit(4).ccx(0, 1, 3)
+    with pytest.raises(CapacityError, match="statevector cap 3"):
+        assert_equiv(logical, lower_to_clifford_t(logical), cap=3)
+    with pytest.raises(CapacityError, match="statevector cap 3"):
+        assert_equiv(Circuit(4).h(0), Circuit(4).h(0), mode="sampled", cap=3)
+    monkeypatch.setenv("QSQRT_SV_CAP", "3")
+    with pytest.raises(CapacityError, match="statevector cap 3"):
+        assert_equiv(logical, lower_to_clifford_t(logical))
+    monkeypatch.setenv("QSQRT_SV_CAP", "4")
+    assert assert_equiv(logical, lower_to_clifford_t(logical)) is None
