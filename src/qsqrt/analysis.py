@@ -1,10 +1,11 @@
 """Resource metrics: gate histograms, ASAP scheduling and analyze().
 
-analyze() is the one way to get T-count, T-depth and total depth. It lowers
-its input to Clifford+T, where the T metrics are defined, and reads all
-three off one ASAP layering of the lowered circuit. The T-depth is the
-number of layers holding a T or TDG gate: an upper bound on the minimum
-achievable T-depth, not the optimum.
+analyze() is the one way to get T-count, T-depth and total depth. The T
+metrics are defined on the Clifford+T lowering, and analyze reads all three
+off one ASAP layering of it. It streams each source gate through lowering's
+one expansion table (the kind's fully lowered template) and never builds
+the lowered circuit. The T-depth is the number of layers holding a T or TDG
+gate: an upper bound on the minimum achievable T-depth, not the optimum.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, GateKind
 from .errors import InvalidWidthError, MustLowerError
-from .lowering import iter_primitive_ops, lower_to_clifford_t
+from .lowering import Template, _lowered_ops, iter_primitive_ops
 
 _T_KINDS = (GateKind.T, GateKind.TDG)
 
@@ -54,18 +55,43 @@ def schedule_layers(c: Circuit) -> list[int]:
 
 
 def analyze(c: Circuit) -> ResourceReport:
-    """Lower the circuit and measure all supported cost metrics."""
-    lowered = lower_to_clifford_t(c)
-    layers = schedule_layers(lowered)
-    hist = count_ops(lowered)
-    t_layers = {
-        layer for g, layer in zip(lowered.gates, layers) if g.kind in _T_KINDS
-    }
+    """Measure all supported cost metrics of the circuit's lowered form.
+
+    One pass over the source gates: each gate's fully lowered template
+    advances the per-qubit ASAP ready levels and the set of T layers, and
+    the histogram is the source counts times the template histograms. The
+    figures equal schedule_layers and count_ops on lower_to_clifford_t(c),
+    without building that circuit.
+    """
+    ready = [0] * c.width
+    t_layers: set[int] = set()
+    counts: dict[GateKind, int] = {}
+    templates: dict[GateKind, Template] = {}
+    for kind, qubits, template in _lowered_ops(c):
+        counts[kind] = counts.get(kind, 0) + 1
+        templates[kind] = template
+        for lowered, positions in template:
+            if lowered is GateKind.CX:  # the one two-qubit lowered kind
+                a, b = qubits[positions[0]], qubits[positions[1]]
+                layer = (ready[a] if ready[a] > ready[b] else ready[b]) + 1
+                ready[a] = ready[b] = layer
+            else:
+                q = qubits[positions[0]]
+                layer = ready[q] + 1
+                ready[q] = layer
+                if lowered in _T_KINDS:
+                    t_layers.add(layer)
+    # filled in order of first appearance in the lowered stream, as
+    # count_ops of the lowered circuit orders it
+    hist: dict[GateKind, int] = {}
+    for kind, count in counts.items():
+        for lowered, _ in templates[kind]:
+            hist[lowered] = hist.get(lowered, 0) + count
     return ResourceReport(
         width=c.width,
         t_count=hist.get(GateKind.T, 0) + hist.get(GateKind.TDG, 0),
         t_depth=len(t_layers),
-        total_depth=max(layers, default=0),
+        total_depth=max(ready, default=0),
         histogram=hist,
     )
 

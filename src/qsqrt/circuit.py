@@ -76,6 +76,16 @@ class Gate:
         return f"{label}{self.qubits}"
 
 
+_NO_BODY = "composite gate without a body"
+
+
+def _body_of(gate: Gate) -> "Circuit":
+    """The body of composite `gate`; ArityError if a hand-built one has none."""
+    if gate.body is None:
+        raise ArityError(_NO_BODY)
+    return gate.body
+
+
 def _gate_errors(gate: Gate, width: int) -> list[CircuitError]:
     """Every invariant `gate` breaks as an operation of a `width`-qubit circuit.
 
@@ -89,7 +99,7 @@ def _gate_errors(gate: Gate, width: int) -> list[CircuitError]:
         if kind is not GateKind.COMPOSITE:
             return [ArityError(f"unknown gate kind {kind!r}")]
         if gate.body is None:
-            return [ArityError("composite gate without a body")]
+            return [ArityError(_NO_BODY)]
         expected = gate.body.width
     errors: list[CircuitError] = []
     count = len(qubits)
@@ -187,9 +197,8 @@ class Circuit:
             elif g.kind is GateKind.TDG:
                 inv.append(Gate(GateKind.T, g.qubits))
             elif g.kind is GateKind.COMPOSITE:
-                assert g.body is not None
                 inv.append(
-                    Gate(GateKind.COMPOSITE, g.qubits, g.name, g.body.inverse())
+                    Gate(GateKind.COMPOSITE, g.qubits, g.name, _body_of(g).inverse())
                 )
             else:
                 inv.append(g)  # X, CX, ZCX, CCX, SWAP, H are self-inverse

@@ -54,7 +54,7 @@ def from_qasm(text: str) -> Circuit:
     the offending line number.
     """
     circuit: Circuit | None = None
-    reg_name = ""
+    operand_re = None  # compiled once the qreg line names the register
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("//", 1)[0].strip()
@@ -77,6 +77,7 @@ def from_qasm(text: str) -> Circuit:
                 circuit = Circuit(int(m.group(2)), reg_name)
             except CircuitError as exc:
                 raise QasmParseError(str(exc), lineno) from exc
+            operand_re = re.compile(rf"{re.escape(reg_name)}\[(\d+)\]")
             continue
         m = _GATE_RE.fullmatch(line)
         if not m:
@@ -87,7 +88,6 @@ def from_qasm(text: str) -> Circuit:
         if kind is None:
             raise QasmParseError(f"unsupported gate '{m.group(1)}'", lineno)
         qubits = []
-        operand_re = re.compile(rf"{re.escape(reg_name)}\[(\d+)\]")
         for token in m.group(2).split(","):
             om = operand_re.fullmatch(token.strip())
             if not om:

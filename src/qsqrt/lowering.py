@@ -4,13 +4,27 @@ The lowered primitive set is {X, CX, H, T, TDG}. SWAP, ZCX and CCX are
 rewritten through a registry of decomposition rules so alternative
 realizations (for example a different Toffoli network) can be plugged in
 without touching the circuit generators.
+
+Both consumers of the rules go through one expansion table, built per call
+from the rules mapping: for each gate kind, its fully lowered template over
+operand positions, with nested rules resolved. lower_to_clifford_t
+instantiates it onto each source gate in one loop, and analyze streams it
+without building the lowered circuit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .circuit import CLIFFORD_T_KINDS, Circuit, Gate, GateKind
+from .circuit import (
+    CLIFFORD_T_KINDS,
+    PRIMITIVE_ARITY,
+    Circuit,
+    Gate,
+    GateKind,
+    _body_of,
+    _gate_errors,
+)
 from .errors import UnsupportedGateError
 
 
@@ -32,8 +46,7 @@ def iter_primitive_ops(c: Circuit) -> Iterator[tuple[GateKind, tuple[int, ...]]]
                 g.qubits if qmap is None else tuple(map(qmap.__getitem__, g.qubits))
             )
             if g.kind is GateKind.COMPOSITE:
-                assert g.body is not None
-                stack.append((iter(g.body.gates), qubits))
+                stack.append((iter(_body_of(g).gates), qubits))
                 break
             yield g.kind, qubits
         else:
@@ -117,6 +130,71 @@ DEFAULT_RULES: dict[GateKind, DecompositionRule] = {
 }
 
 
+#: A fully lowered expansion: (lowered kind, operand positions) pairs.
+Template = tuple[tuple[GateKind, tuple[int, ...]], ...]
+
+
+class _ExpansionTable(dict):
+    """Fully lowered template of each gate kind, resolved on first lookup.
+
+    table[kind] is a tuple of (lowered kind, operand positions) pairs over
+    {X, CX, H, T, TDG}: position i stands for operand i of a `kind` gate.
+    A lowered kind maps to itself; any other kind is its rule's template
+    with every nested gate replaced by that gate's own entry. Resolving on
+    lookup means UnsupportedGateError is raised only for a kind that is
+    actually used, and building one table per call means a changed `rules`
+    mapping is always seen.
+    """
+
+    def __init__(self, rules: Mapping[GateKind, DecompositionRule]):
+        super().__init__()
+        self.rules = rules
+
+    def __missing__(self, kind: GateKind) -> Template:
+        if kind in CLIFFORD_T_KINDS:
+            template: Template = ((kind, tuple(range(PRIMITIVE_ARITY[kind]))),)
+        else:
+            rule = self.rules.get(kind)
+            if rule is None:
+                raise UnsupportedGateError(f"no decomposition rule for {kind.value}")
+            # expanded onto operands 0..arity-1, a rule gives its positions
+            operands = tuple(range(PRIMITIVE_ARITY[kind]))
+            template = tuple(
+                (lowered, tuple(sub.qubits[p] for p in positions))
+                for sub in rule.expand(Gate(kind, operands))
+                for lowered, positions in self[sub.kind]
+            )
+        self[kind] = template
+        return template
+
+
+def _lowered_ops(
+    c: Circuit, rules: Mapping[GateKind, DecompositionRule] | None = None
+) -> Iterator[tuple[GateKind, tuple[int, ...], Template]]:
+    """Yield (kind, qubits, template) for each primitive gate of `c` in order.
+
+    `template` is the gate's fully lowered expansion over operand positions
+    (see _ExpansionTable), from one table built for this call. Each source
+    gate is checked once, as Circuit.append would check it, so a malformed
+    hand-built circuit raises the same CircuitError subclass; since template
+    positions are distinct operands of the gate, every lowered gate then
+    passes the same check.
+    """
+    table = _ExpansionTable(DEFAULT_RULES if rules is None else rules)
+    width = c.width
+    for kind, qubits in iter_primitive_ops(c):
+        template = table[kind]
+        count = len(qubits)
+        if (
+            count != PRIMITIVE_ARITY[kind]
+            or min(qubits) < 0
+            or max(qubits) >= width
+            or (count > 1 and len(set(qubits)) != count)
+        ):
+            raise _gate_errors(Gate(kind, qubits), width)[0]
+        yield kind, qubits, template
+
+
 def lower_to_clifford_t(
     c: Circuit, rules: Mapping[GateKind, DecompositionRule] | None = None
 ) -> Circuit:
@@ -126,22 +204,9 @@ def lower_to_clifford_t(
     circuit. Gate kinds outside the primitive set with no rule raise
     UnsupportedGateError.
     """
-    if rules is None:
-        rules = DEFAULT_RULES
     out = Circuit(c.width, c.name)
-    for kind, qubits in iter_primitive_ops(c):
-        _emit_lowered(out, Gate(kind, qubits), rules)
+    emit = out.gates.append
+    for _, qubits, template in _lowered_ops(c, rules):
+        for kind, positions in template:
+            emit(Gate(kind, tuple(map(qubits.__getitem__, positions))))
     return out
-
-
-def _emit_lowered(
-    out: Circuit, g: Gate, rules: Mapping[GateKind, DecompositionRule]
-) -> None:
-    if g.kind in CLIFFORD_T_KINDS:
-        out.append(g)
-        return
-    rule = rules.get(g.kind)
-    if rule is None:
-        raise UnsupportedGateError(f"no decomposition rule for {g.kind.value}")
-    for sub in rule.expand(g):
-        _emit_lowered(out, sub, rules)

@@ -261,7 +261,8 @@ def _sv_run_in_place(
             raise MustLowerError(
                 f"{kind.value} must be lowered before statevector simulation"
             )
-    assert np.all(np.abs(_column_norms(out) - 1.0) <= 1e-10), "statevector norm drifted"
+    if not np.all(np.abs(_column_norms(out) - 1.0) <= 1e-10):  # NaN fails too
+        raise RuntimeError("statevector norm drifted")
     return out
 
 

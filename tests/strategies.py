@@ -16,19 +16,29 @@ def _by_value(kinds):
 
 
 @st.composite
-def permutation_circuits(draw, width, depth=2):
-    """Random X/CX/ZCX/CCX/SWAP circuits with nested composites."""
+def _nested_circuits(draw, width, depth, kinds):
+    """Random circuits over `kinds` with composites nested `depth` deep."""
     c = Circuit(width)
     for _ in range(draw(st.integers(0, 10))):
         if depth and draw(st.booleans()):
             qubits = _operands(draw, width, draw(st.integers(1, min(width, 9))))
-            body = draw(permutation_circuits(len(qubits), depth - 1))
+            body = draw(_nested_circuits(len(qubits), depth - 1, kinds))
             c.append_composite("BLOCK", body, qubits)
             continue
-        kind = draw(_by_value(PERMUTATION_KINDS))
+        kind = draw(_by_value(kinds))
         if PRIMITIVE_ARITY[kind] <= width:
             c.append(Gate(kind, tuple(_operands(draw, width, PRIMITIVE_ARITY[kind]))))
     return c
+
+
+def permutation_circuits(width, depth=2):
+    """Random X/CX/ZCX/CCX/SWAP circuits with nested composites."""
+    return _nested_circuits(width, depth, PERMUTATION_KINDS)
+
+
+def primitive_circuits(width, depth=2):
+    """Random circuits over all eight primitive kinds with nested composites."""
+    return _nested_circuits(width, depth, frozenset(PRIMITIVE_ARITY))
 
 
 @st.composite
