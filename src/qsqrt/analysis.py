@@ -12,9 +12,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateKind
+from .circuit import Circuit, GateKind, iter_primitive_ops
 from .errors import InvalidWidthError, MustLowerError
-from .lowering import Template, _lowered_ops, iter_primitive_ops
+from .lowering import _ExpansionTable
 
 _T_KINDS = (GateKind.T, GateKind.TDG)
 
@@ -63,14 +63,13 @@ def analyze(c: Circuit) -> ResourceReport:
     figures equal schedule_layers and count_ops on lower_to_clifford_t(c),
     without building that circuit.
     """
+    table = _ExpansionTable()
     ready = [0] * c.width
     t_layers: set[int] = set()
     counts: dict[GateKind, int] = {}
-    templates: dict[GateKind, Template] = {}
-    for kind, qubits, template in _lowered_ops(c):
+    for kind, qubits in iter_primitive_ops(c):
         counts[kind] = counts.get(kind, 0) + 1
-        templates[kind] = template
-        for lowered, positions in template:
+        for lowered, positions in table[kind]:
             if lowered is GateKind.CX:  # the one two-qubit lowered kind
                 a, b = qubits[positions[0]], qubits[positions[1]]
                 layer = (ready[a] if ready[a] > ready[b] else ready[b]) + 1
@@ -85,7 +84,7 @@ def analyze(c: Circuit) -> ResourceReport:
     # count_ops of the lowered circuit orders it
     hist: dict[GateKind, int] = {}
     for kind, count in counts.items():
-        for lowered, _ in templates[kind]:
+        for lowered, _ in table[kind]:
             hist[lowered] = hist.get(lowered, 0) + count
     return ResourceReport(
         width=c.width,

@@ -1,10 +1,18 @@
-"""Gate set and circuit IR with validation and composite gates."""
+"""Gate set and circuit IR with validation and composite gates.
+
+The gate invariants (operand count, operand range, distinct operands) live
+in one place, _gate_errors. Circuit.append raises its first error, validate
+reports them all, and iter_primitive_ops, the one composite walk that
+flattening, lowering, analyze, counting, export and simulation share,
+raises the error append would on a malformed hand-built gate at any depth,
+and a CircuitError on a composite that contains itself.
+"""
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     ArityError,
@@ -77,6 +85,7 @@ class Gate:
 
 
 _NO_BODY = "composite gate without a body"
+_CYCLE = "composite cycle detected"
 
 
 def _body_of(gate: Gate) -> "Circuit":
@@ -90,7 +99,8 @@ def _gate_errors(gate: Gate, width: int) -> list[CircuitError]:
     """Every invariant `gate` breaks as an operation of a `width`-qubit circuit.
 
     The one home of the gate checks: Circuit.append raises the first error,
-    validate reports them all. A gate without a body or of an unknown kind
+    validate reports them all, and iter_primitive_ops raises the first
+    error of a malformed gate at any depth. A gate without a body or of an unknown kind
     gets that error alone, since its operand count is then undefined.
     """
     qubits, kind = gate.qubits, gate.kind
@@ -115,6 +125,71 @@ def _gate_errors(gate: Gate, width: int) -> list[CircuitError]:
     if len(set(qubits)) != count:
         errors.append(OperandCollisionError(f"duplicate operands in {gate!r}"))
     return errors
+
+
+class _Identity(dict):
+    """The identity map of qubits 0..width-1, filled in on first use.
+
+    The top level's operand map in iter_primitive_ops: an operand outside
+    the range misses it as a KeyError, as it misses a body's map, and a
+    wide circuit gets an entry only per qubit its gates touch.
+    """
+
+    def __init__(self, width: int):
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, q: int) -> int:
+        if not 0 <= q < self.width:
+            raise KeyError(q)
+        self[q] = q
+        return q
+
+
+def iter_primitive_ops(c: Circuit) -> Iterator[tuple[GateKind, tuple[int, ...]]]:
+    """Yield (kind, qubits) for each primitive gate of `c` in order.
+
+    Composite bodies are walked with an explicit stack of composed operand
+    maps, so the qubits are already in `c`'s numbering and no Gate is built
+    for any nesting level. Each gate is checked at the level that holds it,
+    as Circuit.append would check it there, and a malformed one raises that
+    error: an operand outside the holding circuit misses its map before it
+    is mapped, and the count and distinctness are tested on the mapped
+    operands, so such an error names the gate in `c`'s numbering. A
+    composite whose body is already being walked raises CircuitError.
+    """
+    arity = PRIMITIVE_ARITY.get
+    stack = [(iter(c.gates), _Identity(c.width).__getitem__, c)]
+    walking = {id(c)}  # the bodies on the stack
+    while stack:
+        gates, qmap, holder = stack[-1]
+        for g in gates:
+            try:
+                qubits = tuple(map(qmap, g.qubits))
+            except KeyError:
+                raise _gate_errors(g, holder.width)[0] from None
+            kind = g.kind
+            distinct = len(set(qubits))
+            if distinct == len(qubits) == arity(kind):
+                yield kind, qubits
+                continue
+            # a composite has no primitive arity, so it is checked here;
+            # any other gate that got this far is malformed
+            body = g.body
+            if (
+                kind is not GateKind.COMPOSITE
+                or body is None
+                or not distinct == len(qubits) == body.width
+            ):
+                raise _gate_errors(Gate(kind, qubits, g.name, body), c.width)[0]
+            if id(body) in walking:
+                raise CircuitError(f"{_CYCLE} at {g.name}{qubits}")
+            walking.add(id(body))
+            stack.append((iter(body.gates), dict(enumerate(qubits)).__getitem__, body))
+            break
+        else:
+            walking.discard(id(holder))
+            stack.pop()
 
 
 def _integer_width(value: object, what: str) -> int:
@@ -239,7 +314,7 @@ def validate(c: Circuit) -> list[Violation]:
     exceptions, so hand-built or deserialized circuits can be inspected.
     """
     out: list[Violation] = []
-    _validate_into(c, c.name or "circuit", (), out)
+    _validate_into(c, c.name or "circuit", (id(c),), out)
     return out
 
 
@@ -254,6 +329,6 @@ def _validate_into(
         if g.kind is GateKind.COMPOSITE and g.body is not None:
             sub_path = f"{path} > {g.name or 'composite'}"
             if id(g.body) in stack:
-                out.append(Violation(sub_path, i, "composite cycle detected"))
+                out.append(Violation(sub_path, i, _CYCLE))
                 continue
             _validate_into(g.body, sub_path, stack + (id(g.body),), out)

@@ -11,9 +11,8 @@ import io
 import json
 import re
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, Gate, GateKind, iter_primitive_ops
 from .errors import CircuitError, QasmParseError
-from .lowering import iter_primitive_ops
 
 _QREG_RE = re.compile(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*;")
 # parameter lists are matched so rz(0.1) reports "unsupported gate", not a

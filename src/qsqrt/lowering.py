@@ -10,11 +10,18 @@ from the rules mapping: for each gate kind, its fully lowered template over
 operand positions, with nested rules resolved. lower_to_clifford_t
 instantiates it onto each source gate in one loop, and analyze streams it
 without building the lowered circuit.
+
+Neither checks a gate itself: both read their source gates, as flatten
+does, through circuit.iter_primitive_ops, which raises Circuit.append's
+error on a malformed hand-built gate at any depth and a CircuitError on a
+composite cycle. A rule whose template width is not its kind's arity
+raises ArityError when it is built, and rules that expand a kind back to
+itself raise UnsupportedGateError when the table resolves them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .circuit import (
     CLIFFORD_T_KINDS,
@@ -22,42 +29,15 @@ from .circuit import (
     Circuit,
     Gate,
     GateKind,
-    _body_of,
-    _gate_errors,
+    iter_primitive_ops,
 )
-from .errors import UnsupportedGateError
-
-
-def iter_primitive_ops(c: Circuit) -> Iterator[tuple[GateKind, tuple[int, ...]]]:
-    """Yield (kind, qubits) for each primitive gate of `c` in order.
-
-    Composite bodies are walked with an explicit stack of composed operand
-    maps, so the qubits are already in `c`'s numbering and no Gate is built
-    for any nesting level. This is the one composite walk shared by
-    flattening, lowering, counting, export and simulation.
-    """
-    stack: list[tuple[Iterator[Gate], tuple[int, ...] | None]] = [
-        (iter(c.gates), None)
-    ]
-    while stack:
-        gates, qmap = stack[-1]
-        for g in gates:
-            qubits = (
-                g.qubits if qmap is None else tuple(map(qmap.__getitem__, g.qubits))
-            )
-            if g.kind is GateKind.COMPOSITE:
-                stack.append((iter(_body_of(g).gates), qubits))
-                break
-            yield g.kind, qubits
-        else:
-            stack.pop()
+from .errors import ArityError, UnsupportedGateError
 
 
 def flatten(c: Circuit) -> Circuit:
     """Expand all composite gates in place order; primitives pass through."""
     out = Circuit(c.width, c.name)
-    for kind, qubits in iter_primitive_ops(c):
-        out.append(Gate(kind, qubits))
+    out.gates.extend(Gate(kind, qubits) for kind, qubits in iter_primitive_ops(c))
     return out
 
 
@@ -71,6 +51,14 @@ class DecompositionRule:
 
     kind: GateKind
     template: Circuit
+
+    def __post_init__(self) -> None:
+        arity = PRIMITIVE_ARITY.get(self.kind)
+        if self.template.width != arity:
+            raise ArityError(
+                f"a {self.kind.value} rule needs a template of width {arity}, "
+                f"got {self.template.width}"
+            )
 
     def expand(self, gate: Gate) -> list[Gate]:
         """Instantiate the template onto `gate`'s operands."""
@@ -143,12 +131,14 @@ class _ExpansionTable(dict):
     with every nested gate replaced by that gate's own entry. Resolving on
     lookup means UnsupportedGateError is raised only for a kind that is
     actually used, and building one table per call means a changed `rules`
-    mapping is always seen.
+    mapping is always seen. A kind whose rules expand back to that kind,
+    directly or through nested rules, raises UnsupportedGateError too.
     """
 
-    def __init__(self, rules: Mapping[GateKind, DecompositionRule]):
+    def __init__(self, rules: Mapping[GateKind, DecompositionRule] | None = None):
         super().__init__()
-        self.rules = rules
+        self.rules = DEFAULT_RULES if rules is None else rules
+        self.resolving: set[GateKind] = set()
 
     def __missing__(self, kind: GateKind) -> Template:
         if kind in CLIFFORD_T_KINDS:
@@ -157,6 +147,11 @@ class _ExpansionTable(dict):
             rule = self.rules.get(kind)
             if rule is None:
                 raise UnsupportedGateError(f"no decomposition rule for {kind.value}")
+            if kind in self.resolving:
+                raise UnsupportedGateError(
+                    f"the decomposition rules for {kind.value} expand to {kind.value}"
+                )
+            self.resolving.add(kind)
             # expanded onto operands 0..arity-1, a rule gives its positions
             operands = tuple(range(PRIMITIVE_ARITY[kind]))
             template = tuple(
@@ -164,35 +159,9 @@ class _ExpansionTable(dict):
                 for sub in rule.expand(Gate(kind, operands))
                 for lowered, positions in self[sub.kind]
             )
+            self.resolving.discard(kind)
         self[kind] = template
         return template
-
-
-def _lowered_ops(
-    c: Circuit, rules: Mapping[GateKind, DecompositionRule] | None = None
-) -> Iterator[tuple[GateKind, tuple[int, ...], Template]]:
-    """Yield (kind, qubits, template) for each primitive gate of `c` in order.
-
-    `template` is the gate's fully lowered expansion over operand positions
-    (see _ExpansionTable), from one table built for this call. Each source
-    gate is checked once, as Circuit.append would check it, so a malformed
-    hand-built circuit raises the same CircuitError subclass; since template
-    positions are distinct operands of the gate, every lowered gate then
-    passes the same check.
-    """
-    table = _ExpansionTable(DEFAULT_RULES if rules is None else rules)
-    width = c.width
-    for kind, qubits in iter_primitive_ops(c):
-        template = table[kind]
-        count = len(qubits)
-        if (
-            count != PRIMITIVE_ARITY[kind]
-            or min(qubits) < 0
-            or max(qubits) >= width
-            or (count > 1 and len(set(qubits)) != count)
-        ):
-            raise _gate_errors(Gate(kind, qubits), width)[0]
-        yield kind, qubits, template
 
 
 def lower_to_clifford_t(
@@ -202,11 +171,14 @@ def lower_to_clifford_t(
 
     Idempotent: running it on an already lowered circuit returns an equal
     circuit. Gate kinds outside the primitive set with no rule raise
-    UnsupportedGateError.
+    UnsupportedGateError. Each source gate is checked by the walk, and
+    template positions are distinct operands of the gate, so every lowered
+    gate passes Circuit.append's check without going through it.
     """
+    table = _ExpansionTable(rules)
     out = Circuit(c.width, c.name)
     emit = out.gates.append
-    for _, qubits, template in _lowered_ops(c, rules):
-        for kind, positions in template:
-            emit(Gate(kind, tuple(map(qubits.__getitem__, positions))))
+    for kind, qubits in iter_primitive_ops(c):
+        for lowered, positions in table[kind]:
+            emit(Gate(lowered, tuple(map(qubits.__getitem__, positions))))
     return out

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .circuit import PERMUTATION_KINDS, Circuit, GateKind
+from .circuit import PERMUTATION_KINDS, Circuit, GateKind, iter_primitive_ops
 from .errors import (
     CapacityError,
     CircuitError,
@@ -39,7 +39,7 @@ from .errors import (
     MustLowerError,
     NonPermutationGateError,
 )
-from .lowering import iter_primitive_ops, lower_to_clifford_t
+from .lowering import lower_to_clifford_t
 
 #: Widest circuit sv_run accepts unless overridden (2**16 amplitudes).
 DEFAULT_SV_CAP = 16

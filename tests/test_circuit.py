@@ -15,12 +15,15 @@ from qsqrt import (
     perm_run,
     validate,
 )
+from qsqrt.circuit import PRIMITIVE_ARITY, iter_primitive_ops
 from qsqrt.errors import (
     ArityError,
+    CircuitError,
     InvalidWidthError,
     OperandCollisionError,
     QubitIndexError,
 )
+from strategies import primitive_circuits
 
 
 def test_new_circuit_is_empty():
@@ -185,5 +188,40 @@ def test_validate_agrees_with_append(case):
     except (ArityError, QubitIndexError, OperandCollisionError) as err:
         assert violations and violations[0].gate_index == 0
         assert str(err) == violations[0].message
+    else:
+        assert violations == []
+
+
+def _circuit_and_bodies(c):
+    """`c` and every composite body below it, depth first."""
+    found = [c]
+    for g in c.gates:
+        if g.body is not None:
+            found.extend(_circuit_and_bodies(g.body))
+    return found
+
+
+@st.composite
+def planted_circuits(draw):
+    """A nested primitive circuit with one hand-built gate planted at a random
+    depth: its operands are drawn around the holding circuit's width and its
+    count around the kind's arity, so it is mostly malformed but not always."""
+    c = draw(st.integers(1, 5).flatmap(primitive_circuits))
+    holder = draw(st.sampled_from(_circuit_and_bodies(c)))
+    kind = draw(st.sampled_from(sorted(PRIMITIVE_ARITY, key=lambda k: k.value)))
+    qubits = draw(st.lists(st.integers(-2, holder.width + 1), min_size=1, max_size=4))
+    at = draw(st.integers(0, len(holder.gates)))
+    holder.gates.insert(at, Gate(kind, tuple(qubits)))  # bypasses append checks
+    return c
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_circuits())
+def test_walk_raises_exactly_when_validate_reports(c):
+    violations = validate(c)
+    try:
+        list(iter_primitive_ops(c))
+    except CircuitError:
+        assert violations
     else:
         assert violations == []

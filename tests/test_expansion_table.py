@@ -24,10 +24,15 @@ from qsqrt import (
     analyze,
     build_isqrt_circuit,
     count_ops,
+    flatten,
+    is_permutation_circuit,
     lower_to_clifford_t,
+    perm_run,
     permutation_matrix,
     schedule_layers,
+    to_qasm,
     unitary,
+    validate,
 )
 from qsqrt.cli import FAMILIES
 from qsqrt.errors import (
@@ -215,19 +220,40 @@ def _planted(width, *gates):
     return c
 
 
-def _nested_collision():
-    # append_composite checks the composite, not the planted body gate,
-    # which collides only once its operands are mapped: cx(1, 1) -> cx(3, 3)
-    c = Circuit(4)
-    c.append_composite("BLOCK", _planted(2, Gate(GateKind.CX, (1, 1))), [0, 3])
-    return c, Gate(GateKind.CX, (3, 3))
-
-
 def _case(width, gate):
-    return _planted(width, gate), gate
+    return _planted(width, gate), width, gate
 
 
-# name: (circuit, its bad gate in the circuit's numbering, error type)
+def _nested(body_gate, operands=(0, 2), width=3):
+    # append_composite checks the composite, not the planted body gate
+    c = Circuit(width)
+    c.append_composite("BLOCK", _planted(len(operands), body_gate), operands)
+    return c
+
+
+def _nested_collision():
+    # the planted body gate collides once its operands are mapped:
+    # cx(1, 1) -> cx(3, 3), reported in the top circuit's numbering
+    return _nested(Gate(GateKind.CX, (1, 1)), (0, 3), 4), 4, Gate(GateKind.CX, (3, 3))
+
+
+def _deep_collision():
+    # two composite levels: ccx(2, 0, 2) of the inner body is ccx(1, 2, 1)
+    # of the middle one, and ccx(0, 1, 0) of the 5-qubit circuit
+    inner = _planted(3, Gate(GateKind.CCX, (2, 0, 2)))
+    middle = Circuit(3).append_composite("INNER", inner, [2, 0, 1])
+    c = Circuit(5).append_composite("MIDDLE", middle, [4, 0, 1])
+    return c, 5, Gate(GateKind.CCX, (0, 1, 0))
+
+
+def _nested_case(body_gate):
+    # an operand outside the body has no numbering in the top circuit, so
+    # it is reported against the body's own width, as the body's append would
+    return _nested(body_gate), 2, body_gate
+
+
+# name: (circuit, width its bad gate is checked against, the bad gate in
+# that numbering, error type)
 MALFORMED = {
     "out-of-range": (*_case(3, Gate(GateKind.CX, (0, 3))), QubitIndexError),
     "out-of-range-ccx": (*_case(3, Gate(GateKind.CCX, (0, 1, 5))), QubitIndexError),
@@ -241,19 +267,88 @@ MALFORMED = {
         *_case(3, Gate(GateKind.COMPOSITE, (0, 1), "BLOCK", None)), ArityError
     ),
     "nested-duplicate": (*_nested_collision(), OperandCollisionError),
+    "nested-duplicate-deep": (*_deep_collision(), OperandCollisionError),
+    "nested-negative": (*_nested_case(Gate(GateKind.X, (-1,))), QubitIndexError),
+    "nested-out-of-range": (
+        *_nested_case(Gate(GateKind.CX, (0, 2))), QubitIndexError
+    ),
+    "nested-long-x": (
+        _nested(Gate(GateKind.X, (0, 1))), 3, Gate(GateKind.X, (0, 2)), ArityError
+    ),
 }
 
 
-@pytest.mark.parametrize("fn", [analyze, lower_to_clifford_t], ids=lambda f: f.__name__)
+def perm_run_0(c):
+    return perm_run(c, 0)
+
+
+#: Every consumer of the composite walk, with its test id.
+WALK_CONSUMERS = pytest.mark.parametrize(
+    "fn",
+    [analyze, lower_to_clifford_t, to_qasm, count_ops, flatten, perm_run_0,
+     is_permutation_circuit],
+    ids=["analyze", "lower_to_clifford_t", "to_qasm", "count_ops", "flatten",
+         "perm_run", "is_permutation_circuit"],
+)
+
+
+@WALK_CONSUMERS
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_circuits_raise_the_append_error(fn, case):
-    c, bad, error = MALFORMED[case]
+    c, width, bad, error = MALFORMED[case]
     with pytest.raises(error) as got:
         fn(c)
     assert isinstance(got.value, CircuitError)
     with pytest.raises(error) as appended:
-        Circuit(c.width).append(bad)
+        Circuit(width).append(bad)
     assert str(got.value) == str(appended.value)
+
+
+def _self_composite():
+    c = Circuit(2)
+    return c.append_composite("C", c, [0, 1])  # the public API builds it
+
+
+def _planted_cycle():
+    # the cycle of test_validate_detects_composite_cycle
+    inner = Circuit(1, "loop")
+    outer = Circuit(1, "outer")
+    outer.append_composite("loop", inner, [0])
+    inner.gates.append(outer.gates[0])  # body now contains itself
+    return outer
+
+
+@WALK_CONSUMERS
+@pytest.mark.parametrize("make", [_self_composite, _planted_cycle],
+                         ids=["self-composite", "planted"])
+def test_composite_cycles_raise(fn, make):
+    c = make()
+    assert any(v.message == "composite cycle detected" for v in validate(c))
+    with pytest.raises(CircuitError, match="composite cycle detected"):
+        fn(c)
+
+
+def test_rule_template_must_match_the_kinds_arity():
+    with pytest.raises(ArityError, match="swap rule needs a template of width 2"):
+        DecompositionRule(GateKind.SWAP, Circuit(3).cx(0, 2))
+    with pytest.raises(ArityError, match="ccx rule needs a template of width 3"):
+        DecompositionRule(GateKind.CCX, Circuit(2).cx(0, 1))
+
+
+@pytest.mark.parametrize(
+    "templates",
+    [
+        {GateKind.SWAP: Circuit(2).swap(0, 1)},
+        {GateKind.SWAP: Circuit(2).zcx(0, 1), GateKind.ZCX: Circuit(2).swap(1, 0)},
+    ],
+    ids=["direct", "through-zcx"],
+)
+def test_self_referencing_rules_raise(monkeypatch, templates):
+    for kind, template in templates.items():
+        monkeypatch.setitem(DEFAULT_RULES, kind, DecompositionRule(kind, template))
+    for fn in (lower_to_clifford_t, analyze):
+        with pytest.raises(UnsupportedGateError, match="rules for swap expand to swap"):
+            fn(Circuit(2).swap(0, 1))
 
 
 def test_analyze_builds_no_circuit(monkeypatch):
