@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .circuit import Circuit, GateKind, iter_primitive_ops
-from .errors import InvalidWidthError, MustLowerError
+from .errors import InvalidWidthError, MustLowerError, int_text
 from .lowering import _ExpansionTable
 
 _T_KINDS = (GateKind.T, GateKind.TDG)
@@ -101,14 +101,14 @@ def expected_t_count_isqrt(n: int) -> int:
     Exact integer arithmetic; defined for even n >= 4.
     """
     if n < 4 or n % 2:
-        raise InvalidWidthError(f"formula defined for even n >= 4, got {n}")
+        raise InvalidWidthError(f"formula defined for even n >= 4, got {int_text(n)}")
     return (7 * n * n + 42 * n - 56) // 2
 
 
 def expected_t_count_adder(n: int) -> int:
     """Closed-form T-count of the adder and subtractor: 14n - 14."""
     if n < 1:
-        raise InvalidWidthError(f"adder formula defined for n >= 1, got {n}")
+        raise InvalidWidthError(f"adder formula defined for n >= 1, got {int_text(n)}")
     return 14 * n - 14
 
 
@@ -116,6 +116,6 @@ def expected_t_count_ctrl_adder(n: int) -> int:
     """Closed-form T-count of the controlled adder: 21n - 14."""
     if n < 2:
         raise InvalidWidthError(
-            f"controlled adder formula defined for n >= 2, got {n}"
+            f"controlled adder formula defined for n >= 2, got {int_text(n)}"
         )
     return 21 * n - 14

@@ -7,14 +7,14 @@ arithmetic wraps modulo 2**n because the adders carry no overflow qubit.
 from __future__ import annotations
 
 from .circuit import Circuit, _integer_width
-from .errors import InvalidWidthError
+from .errors import InvalidWidthError, int_text
 
 
 def _check_n(n: int, least: int, what: str) -> int:
     """`n` as an int, if it is an integer >= `least`."""
     n = _integer_width(n, what)
     if n < least:
-        raise InvalidWidthError(f"{what} needs n >= {least}, got {n}")
+        raise InvalidWidthError(f"{what} needs n >= {least}, got {int_text(n)}")
     return n
 
 

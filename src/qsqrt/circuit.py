@@ -1,17 +1,19 @@
 """Gate set and circuit IR with validation and composite gates.
 
-The gate invariants (operand count, operand range, distinct operands) live
-in one place, _gate_errors. Circuit.append raises its first error, validate
-reports them all, and iter_primitive_ops, the one composite walk that
-flattening, lowering, analyze, counting, export and simulation share,
+The gate invariants (operand count, int operands in range, distinct
+operands) live in one place, _gate_errors. Circuit.append raises its first
+error, validate reports them all, and iter_primitive_ops, the one walk
+that every reader of a circuit's gates shares (lowering and its rule
+templates, analyze, counting, export, both simulators, Circuit.inverse),
 raises the error append would on a malformed hand-built gate at any depth,
 and a CircuitError on a composite that contains itself.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from numbers import Integral
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -20,6 +22,7 @@ from .errors import (
     InvalidWidthError,
     OperandCollisionError,
     QubitIndexError,
+    int_text,
 )
 
 
@@ -81,18 +84,12 @@ class Gate:
 
     def __repr__(self) -> str:
         label = self.name if self.kind is GateKind.COMPOSITE else self.kind.value
-        return f"{label}{self.qubits}"
+        return f"{label}({', '.join(map(int_text, self.qubits))})"
 
 
 _NO_BODY = "composite gate without a body"
+_INVERSE_KIND = {GateKind.T: GateKind.TDG, GateKind.TDG: GateKind.T}
 _CYCLE = "composite cycle detected"
-
-
-def _body_of(gate: Gate) -> "Circuit":
-    """The body of composite `gate`; ArityError if a hand-built one has none."""
-    if gate.body is None:
-        raise ArityError(_NO_BODY)
-    return gate.body
 
 
 def _gate_errors(gate: Gate, width: int) -> list[CircuitError]:
@@ -116,34 +113,16 @@ def _gate_errors(gate: Gate, width: int) -> list[CircuitError]:
     if count != expected:
         errors.append(ArityError(f"{gate!r} expects {expected} operands, got {count}"))
     for q in qubits:
-        if not 0 <= q < width:
-            bad = [q for q in qubits if not 0 <= q < width]
-            errors.append(
-                QubitIndexError(f"operands {bad} out of range for width {width}")
-            )
+        if type(q) is not int or not 0 <= q < width:
+            bad = [q for q in qubits if type(q) is not int or not 0 <= q < width]
+            errors.append(QubitIndexError(
+                f"operands [{', '.join(map(int_text, bad))}] out of range "
+                f"for width {int_text(width)}"
+            ))
             break
     if len(set(qubits)) != count:
         errors.append(OperandCollisionError(f"duplicate operands in {gate!r}"))
     return errors
-
-
-class _Identity(dict):
-    """The identity map of qubits 0..width-1, filled in on first use.
-
-    The top level's operand map in iter_primitive_ops: an operand outside
-    the range misses it as a KeyError, as it misses a body's map, and a
-    wide circuit gets an entry only per qubit its gates touch.
-    """
-
-    def __init__(self, width: int):
-        super().__init__()
-        self.width = width
-
-    def __missing__(self, q: int) -> int:
-        if not 0 <= q < self.width:
-            raise KeyError(q)
-        self[q] = q
-        return q
 
 
 def iter_primitive_ops(c: Circuit) -> Iterator[tuple[GateKind, tuple[int, ...]]]:
@@ -153,21 +132,22 @@ def iter_primitive_ops(c: Circuit) -> Iterator[tuple[GateKind, tuple[int, ...]]]
     maps, so the qubits are already in `c`'s numbering and no Gate is built
     for any nesting level. Each gate is checked at the level that holds it,
     as Circuit.append would check it there, and a malformed one raises that
-    error: an operand outside the holding circuit misses its map before it
-    is mapped, and the count and distinctness are tested on the mapped
+    error: each operand must be an int in the holding circuit's range before
+    it is mapped, and the count and distinctness are tested on the mapped
     operands, so such an error names the gate in `c`'s numbering. A
     composite whose body is already being walked raises CircuitError.
     """
     arity = PRIMITIVE_ARITY.get
-    stack = [(iter(c.gates), _Identity(c.width).__getitem__, c)]
+    stack = [(iter(c.gates), range(c.width).__getitem__, c)]
     walking = {id(c)}  # the bodies on the stack
     while stack:
         gates, qmap, holder = stack[-1]
+        width = holder.width
         for g in gates:
-            try:
-                qubits = tuple(map(qmap, g.qubits))
-            except KeyError:
-                raise _gate_errors(g, holder.width)[0] from None
+            for q in g.qubits:  # a map would take a bool and wrap a negative
+                if type(q) is not int or not 0 <= q < width:
+                    raise _gate_errors(g, width)[0]
+            qubits = tuple(map(qmap, g.qubits))
             kind = g.kind
             distinct = len(set(qubits))
             if distinct == len(qubits) == arity(kind):
@@ -185,7 +165,7 @@ def iter_primitive_ops(c: Circuit) -> Iterator[tuple[GateKind, tuple[int, ...]]]
             if id(body) in walking:
                 raise CircuitError(f"{_CYCLE} at {g.name}{qubits}")
             walking.add(id(body))
-            stack.append((iter(body.gates), dict(enumerate(qubits)).__getitem__, body))
+            stack.append((iter(body.gates), qubits.__getitem__, body))
             break
         else:
             walking.discard(id(holder))
@@ -213,16 +193,26 @@ class Circuit:
     def __init__(self, width: int, name: str = ""):
         width = _integer_width(width, "a circuit")
         if width < 1:
-            raise InvalidWidthError(f"circuit width must be >= 1, got {width}")
+            raise InvalidWidthError(
+                f"circuit width must be >= 1, got {int_text(width)}"
+            )
         self.width = width
         self.name = name
         self.gates: list[Gate] = []
 
     def append(self, gate: Gate) -> "Circuit":
-        """Append one gate after checking arity, index range and distinctness."""
+        """Append one gate after checking arity, index range and distinctness.
+
+        Integer operands of another type (numpy's) are stored as int."""
         errors = _gate_errors(gate, self.width)
-        if errors:
-            raise errors[0]
+        if errors:  # a bool is an Integral, but no more a qubit than a float
+            gate = replace(gate, qubits=tuple(
+                int(q) if isinstance(q, Integral) and type(q) is not bool else q
+                for q in gate.qubits
+            ))
+            errors = _gate_errors(gate, self.width)
+            if errors:
+                raise errors[0]
         self.gates.append(gate)
         return self
 
@@ -264,19 +254,15 @@ class Circuit:
         return self.append(Gate(GateKind.TDG, (q,)))
 
     def inverse(self) -> "Circuit":
-        """Gate-wise inverse: reversed order with T and TDG exchanged."""
+        """Flat inverse: the walk's gates reversed, T and TDG exchanged.
+
+        It keeps the width and name but no composite, and a malformed gate
+        or a composite cycle raises as in every other reader of the walk."""
         inv = Circuit(self.width, self.name)
-        for g in reversed(self.gates):
-            if g.kind is GateKind.T:
-                inv.append(Gate(GateKind.TDG, g.qubits))
-            elif g.kind is GateKind.TDG:
-                inv.append(Gate(GateKind.T, g.qubits))
-            elif g.kind is GateKind.COMPOSITE:
-                inv.append(
-                    Gate(GateKind.COMPOSITE, g.qubits, g.name, _body_of(g).inverse())
-                )
-            else:
-                inv.append(g)  # X, CX, ZCX, CCX, SWAP, H are self-inverse
+        inv.gates.extend(
+            Gate(_INVERSE_KIND.get(kind, kind), qubits)
+            for kind, qubits in reversed(list(iter_primitive_ops(self)))
+        )
         return inv
 
     def __len__(self) -> int:

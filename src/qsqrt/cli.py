@@ -32,7 +32,7 @@ from .arithmetic import (
     build_subtractor,
 )
 from .circuit import Circuit
-from .errors import CapacityError, CircuitError
+from .errors import CapacityError, CircuitError, int_text
 from .export import report_rows_to_csv, report_rows_to_json, to_qasm
 from .sim import _cached_program, _run_program
 from .sqrt import build_isqrt_circuit, build_isqrt_pipeline, isqrt, min_width
@@ -41,8 +41,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
-#: Exhaustive verification is limited to this many enumerated cases.
-MAX_EXHAUSTIVE_CASES = 1 << 20
+#: Exhaustive verification is limited to 2^MAX_EXHAUSTIVE_BITS cases.
+MAX_EXHAUSTIVE_BITS = 20
 SAMPLED_CASES = 100
 #: A sweep runs through the kernel this many cases at a time, so its memory
 #: stays bounded whatever the case count.
@@ -79,8 +79,9 @@ class CircuitFamily:
     registers: Callable[[int], tuple[Fields, Fields]]
     verify_build: Callable[[int], Circuit] | None = None
 
-    def case_count(self, n: int) -> int:
-        return 1 << sum(width for _, _, width in self.registers(n)[0])
+    def case_bits(self, n: int) -> int:
+        """log2 of the case count, which can be too large to build or print."""
+        return sum(width for _, _, width in self.registers(n)[0])
 
 
 def _two_operand(op: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Oracle:
@@ -278,17 +279,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
     _check_family_n(family, n)
     mode = "sampled" if args.sampled else "exhaustive"
-    total = family.case_count(n)
+    bits = family.case_bits(n)
     if mode == "exhaustive":
-        if total > MAX_EXHAUSTIVE_CASES:
+        if bits > MAX_EXHAUSTIVE_BITS:
             raise CapacityError(
-                f"{total} cases exceed the exhaustive limit "
-                f"({MAX_EXHAUSTIVE_CASES}); use --sampled"
+                f"2^{int_text(bits)} cases exceed the exhaustive limit "
+                f"(2^{MAX_EXHAUSTIVE_BITS}); use --sampled"
             )
-        indices: Sequence[int] = range(total)
+        indices: Sequence[int] = range(1 << bits)
     else:
         rng = random.Random(_SAMPLE_SEED)
-        indices = [rng.randrange(total) for _ in range(SAMPLED_CASES)]
+        indices = [rng.randrange(1 << bits) for _ in range(SAMPLED_CASES)]
     program = _cached_program(family.verify_build or family.build, n)
     width, _ = program
     started = time.perf_counter()

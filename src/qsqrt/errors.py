@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the formatter of their ints."""
 
 
 class CircuitError(Exception):
@@ -47,3 +47,11 @@ class QasmParseError(CircuitError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def int_text(value: object) -> str:
+    """repr of `value` for a message, but an int of over 128 bits as its bit
+    length: Python refuses to print one of over 4300 digits in decimal."""
+    if type(value) is int and value.bit_length() > 128:
+        return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit integer>"
+    return repr(value)

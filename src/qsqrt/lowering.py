@@ -127,12 +127,13 @@ class _ExpansionTable(dict):
 
     table[kind] is a tuple of (lowered kind, operand positions) pairs over
     {X, CX, H, T, TDG}: position i stands for operand i of a `kind` gate.
-    A lowered kind maps to itself; any other kind is its rule's template
-    with every nested gate replaced by that gate's own entry. Resolving on
-    lookup means UnsupportedGateError is raised only for a kind that is
-    actually used, and building one table per call means a changed `rules`
-    mapping is always seen. A kind whose rules expand back to that kind,
-    directly or through nested rules, raises UnsupportedGateError too.
+    A lowered kind maps to itself; any other kind is its rule's template,
+    read through the checked walk, with every gate replaced by that gate's
+    own entry. Resolving on lookup means UnsupportedGateError is raised
+    only for a kind that is actually used, and building one table per call
+    means a changed `rules` mapping is always seen. A kind whose rules
+    expand back to that kind, directly or through nested rules, raises
+    UnsupportedGateError too.
     """
 
     def __init__(self, rules: Mapping[GateKind, DecompositionRule] | None = None):
@@ -145,19 +146,18 @@ class _ExpansionTable(dict):
             template: Template = ((kind, tuple(range(PRIMITIVE_ARITY[kind]))),)
         else:
             rule = self.rules.get(kind)
-            if rule is None:
+            if rule is None or rule.kind is not kind:  # filed under another kind
                 raise UnsupportedGateError(f"no decomposition rule for {kind.value}")
             if kind in self.resolving:
                 raise UnsupportedGateError(
                     f"the decomposition rules for {kind.value} expand to {kind.value}"
                 )
             self.resolving.add(kind)
-            # expanded onto operands 0..arity-1, a rule gives its positions
-            operands = tuple(range(PRIMITIVE_ARITY[kind]))
+            # the template's qubit i is operand i, so its walk gives positions
             template = tuple(
-                (lowered, tuple(sub.qubits[p] for p in positions))
-                for sub in rule.expand(Gate(kind, operands))
-                for lowered, positions in self[sub.kind]
+                (lowered, tuple(qubits[p] for p in positions))
+                for sub, qubits in iter_primitive_ops(rule.template)
+                for lowered, positions in self[sub]
             )
             self.resolving.discard(kind)
         self[kind] = template

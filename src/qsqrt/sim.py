@@ -9,12 +9,13 @@ once per (builder, width) by a bounded cache, for the calls that run the
 same circuit again and again (isqrt and `qsqrt verify`). perm_run is the
 one-state case of perm_run_many.
 
-One statevector kernel, sv_run_many, applies a fully lowered circuit
-(X, CX, H, T, TDG) to a batch of dense statevectors held as the columns of
-one array, in one in-place pass over the gates; it is reserved for
-verifying decompositions, where phases matter. sv_run is its one-column
-case; unitary hands it every column at once, assert_equiv in batches of
-at most _SV_BATCH_AMPLITUDES amplitudes.
+One statevector kernel, sv_run_many, applies a lowered circuit (X, CX,
+H, T, TDG, in composites too) to a batch of dense statevectors held as the
+columns of one array, in one in-place pass over the gates; it is reserved
+for verifying decompositions, where phases matter. sv_run is its
+one-column case; unitary hands it every column at once, assert_equiv in
+batches of at most _SV_BATCH_AMPLITUDES amplitudes. Both kernels read the
+gates through circuit.iter_primitive_ops and so share its checks.
 
 Basis convention everywhere: bit i of an integer state or of a statevector
 index is qubit i, and qubit 0 is the LSB of its register.
@@ -38,11 +39,15 @@ from .errors import (
     InvalidWidthError,
     MustLowerError,
     NonPermutationGateError,
+    int_text,
 )
 from .lowering import lower_to_clifford_t
 
 #: Widest circuit sv_run accepts unless overridden (2**16 amplitudes).
 DEFAULT_SV_CAP = 16
+
+#: Widest circuit unitary and permutation_matrix build a dense matrix of.
+_MATRIX_CAP = 10
 
 _T_PHASE = np.exp(1j * np.pi / 4)
 _T_PHASE_DG = _T_PHASE.conjugate()
@@ -144,7 +149,7 @@ def _run(
     """The permutation kernel: run `ops` on bit-sliced `states`."""
     limit = 1 << width
     if len(states) and (min(states) < 0 or max(states) >= limit):
-        bad = next(s for s in states if not 0 <= s < limit)
+        bad = int_text(next(s for s in states if not 0 <= s < limit))
         raise InputRangeError(f"basis state {bad} out of range for width {width}")
     ones = (1 << len(states)) - 1
     cols = _transpose(states, width)
@@ -190,7 +195,7 @@ def basis_statevector(width: int, index: int) -> np.ndarray:
     """Unit statevector with amplitude 1 on basis `index`."""
     if not 0 <= index < 1 << width:
         raise InputRangeError(
-            f"basis index {index} out of range for width {width}"
+            f"basis index {int_text(index)} out of range for width {width}"
         )
     vec = np.zeros(1 << width, dtype=complex)
     vec[index] = 1.0
@@ -217,8 +222,8 @@ def sv_run_many(
 
     `states` is a (2**width, B) array whose columns are the B input
     vectors; returns a fresh array of the B output columns, leaving
-    `states` untouched. The circuit must contain only {X, CX, H, T, TDG};
-    anything else raises MustLowerError. Widths above the cap (default
+    `states` untouched. Its gates, composites' included, must be X, CX, H, T
+    or TDG; anything else raises MustLowerError. Widths above the cap (default
     sv_cap()) raise CapacityError, any other shape InvalidWidthError. The
     norm of each column is checked to 1e-10 on the way in and out.
     """
@@ -234,7 +239,7 @@ def _sv_run_in_place(
         cap = sv_cap()
     n = c.width
     if n > cap:
-        raise CapacityError(f"width {n} exceeds statevector cap {cap}")
+        raise CapacityError(f"width {int_text(n)} exceeds statevector cap {cap}")
     if out.ndim != 2 or out.shape[0] != 1 << n:
         raise InvalidWidthError(
             f"statevector batch shape {out.shape} does not match width {n}"
@@ -244,8 +249,7 @@ def _sv_run_in_place(
     # Axis n - 1 - q is qubit q; the trailing batch axis is never indexed,
     # so each gate updates every column through views, in place.
     psi = out.reshape([2] * n + [out.shape[1]])
-    for g in c.gates:
-        kind, q = g.kind, g.qubits
+    for kind, q in iter_primitive_ops(c):
         if kind is GateKind.X:
             _swap(psi[_half(n, q[0], 0)], psi[_half(n, q[0], 1)])
         elif kind is GateKind.CX:
@@ -309,23 +313,21 @@ def sv_run(c: Circuit, state: np.ndarray, cap: int | None = None) -> np.ndarray:
     return sv_run_many(c, np.asarray(state, dtype=complex)[..., None], cap)[:, 0]
 
 
-def unitary(c: Circuit, max_width: int = 10) -> np.ndarray:
-    """Dense unitary of a lowered circuit.
+def unitary(c: Circuit) -> np.ndarray:
+    """Dense unitary of a lowered circuit, up to _MATRIX_CAP qubits.
 
     Runs the columns of the identity through the sv_run_many kernel as one
     batch, in place.
     """
-    if c.width > max_width:
-        raise CapacityError(
-            f"unitary construction capped at {max_width} qubits"
-        )
+    if c.width > _MATRIX_CAP:
+        raise CapacityError(f"unitary construction capped at {_MATRIX_CAP} qubits")
     return _sv_run_in_place(c, np.eye(1 << c.width, dtype=complex))
 
 
 def permutation_matrix(c: Circuit) -> np.ndarray:
     """0/1 matrix of a permutation circuit's action on every basis state."""
-    if c.width > 10:
-        raise CapacityError("permutation matrix capped at 10 qubits")
+    if c.width > _MATRIX_CAP:
+        raise CapacityError(f"permutation matrix capped at {_MATRIX_CAP} qubits")
     dim = 1 << c.width
     mat = np.zeros((dim, dim))
     mat[perm_run_many(c, range(dim)), np.arange(dim)] = 1.0

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .arithmetic import build_ctrl_add_sub, build_ctrl_adder
 from .circuit import Circuit, _integer_width
-from .errors import InputRangeError, InvalidWidthError
+from .errors import InputRangeError, InvalidWidthError, int_text
 from .sim import _cached_program, _run_program
 
 
@@ -29,7 +29,7 @@ def _check_width(n: int) -> int:
     n = _integer_width(n, "a square root circuit")
     if n < 4 or n % 2:
         raise InvalidWidthError(
-            f"square root circuits need even n >= 4, got {n}"
+            f"square root circuits need even n >= 4, got {int_text(n)}"
         )
     return n
 
@@ -41,7 +41,7 @@ def _check_input(a: int) -> int:
     except TypeError:
         raise InputRangeError(f"input must be an integer, got {a!r}") from None
     if a < 0:
-        raise InputRangeError(f"input must be non-negative, got {a}")
+        raise InputRangeError(f"input must be non-negative, got {int_text(a)}")
     return a
 
 
@@ -211,8 +211,8 @@ def isqrt(a: int, n: int | None = None) -> SqrtResult:
     n = min_width(a) if n is None else _check_width(n)
     if a > (1 << (n - 1)) - 1:
         raise InputRangeError(
-            f"input {a} does not fit signed width {n} "
-            f"(max {(1 << (n - 1)) - 1})"
+            f"input {int_text(a)} does not fit signed width {n} "
+            f"(max 2^{n - 1} - 1)"
         )
     program = _cached_program(build_isqrt_pipeline, n)
     out = _run_program(program, (a | 1 << n,))[0]

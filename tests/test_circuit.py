@@ -52,6 +52,22 @@ def test_numpy_integer_width_is_an_int():
     assert perm_run(qc, 0) == 0b100
 
 
+def test_numpy_integer_operands_are_stored_as_ints():
+    qc = Circuit(4).cx(np.int64(0), np.int32(3))
+    qc.append_composite("PERES", peres_circuit(), np.arange(3))
+    assert [type(q) for g in qc.gates for q in g.qubits] == [int] * 5
+    expected = Circuit(4).cx(0, 3)
+    assert qc == expected.append_composite("PERES", peres_circuit(), [0, 1, 2])
+
+
+@pytest.mark.parametrize("operand", [1.5, 1.0, True, np.float64(1.0), np.True_, "1"])
+def test_non_integer_operands_rejected(operand):
+    with pytest.raises(QubitIndexError, match="out of range for width 2"):
+        Circuit(2).x(operand)
+    with pytest.raises(QubitIndexError):
+        Circuit(3).append_composite("PERES", peres_circuit(), [0, operand, 2])
+
+
 @pytest.mark.parametrize("kind", list(GateKind))
 def test_gate_kinds_round_trip_and_key_by_identity(kind):
     assert pickle.loads(pickle.dumps(kind)) is kind
@@ -164,6 +180,18 @@ def test_inverse_reverses_order_and_swaps_t_kinds():
     ]
 
 
+def test_inverse_is_flat_with_the_same_width_and_name():
+    qc = Circuit(4, "OUTER").t(3)
+    qc.append_composite("PERES", peres_circuit(), [2, 0, 1])
+    inv = qc.inverse()
+    assert (inv.width, inv.name) == (4, "OUTER")
+    assert [(g.kind, g.qubits, g.body) for g in inv.gates] == [
+        (GateKind.CX, (2, 0), None),
+        (GateKind.CCX, (2, 0, 1), None),
+        (GateKind.TDG, (3,), None),
+    ]
+
+
 @st.composite
 def single_gates(draw):
     """(circuit width, one gate) with arbitrary kind, arity and operands."""
@@ -172,7 +200,9 @@ def single_gates(draw):
     body = None
     if kind is GateKind.COMPOSITE:
         body = draw(st.one_of(st.none(), st.integers(1, 4).map(Circuit)))
-    qubits = draw(st.lists(st.integers(-2, width + 2), max_size=4))
+    # a float equal to a qubit index is no operand either
+    operand = st.integers(-2, width + 2) | st.integers(0, width).map(float)
+    qubits = draw(st.lists(operand, max_size=4))
     return width, Gate(kind, tuple(qubits), name="BLOCK", body=body)
 
 
@@ -204,12 +234,15 @@ def _circuit_and_bodies(c):
 @st.composite
 def planted_circuits(draw):
     """A nested primitive circuit with one hand-built gate planted at a random
-    depth: its operands are drawn around the holding circuit's width and its
-    count around the kind's arity, so it is mostly malformed but not always."""
+    depth: its operands are drawn around the holding circuit's width, some
+    of them floats, and its count around the kind's arity, so it is mostly
+    malformed but not always."""
     c = draw(st.integers(1, 5).flatmap(primitive_circuits))
     holder = draw(st.sampled_from(_circuit_and_bodies(c)))
     kind = draw(st.sampled_from(sorted(PRIMITIVE_ARITY, key=lambda k: k.value)))
-    qubits = draw(st.lists(st.integers(-2, holder.width + 1), min_size=1, max_size=4))
+    width = holder.width
+    operand = st.integers(-2, width + 1) | st.integers(0, width).map(float)
+    qubits = draw(st.lists(operand, min_size=1, max_size=4))
     at = draw(st.integers(0, len(holder.gates)))
     holder.gates.insert(at, Gate(kind, tuple(qubits)))  # bypasses append checks
     return c

@@ -176,9 +176,23 @@ def test_verify_sampled_wide_states(capsys, circuit, n):
     assert "checked 100 cases, 100 passed" in capsys.readouterr().out
 
 
-def test_verify_exhaustive_capacity_guard(capsys):
-    assert main(["verify", "--circuit", "adder", "--n", "11", "--no-timing"]) == 2
-    assert "--sampled" in capsys.readouterr().err
+def test_verify_exhaustive_capacity_guard(monkeypatch, capsys):
+    def no_build(n):
+        raise AssertionError(f"built a circuit for n = {n}")
+
+    # 2^16000 and 2^99999 cases are too many to print in decimal; the
+    # guard must name --sampled before any circuit is built
+    for circuit, n in [("adder", 11), ("adder", 7000), ("adder", 8000),
+                       ("isqrt", 100000)]:
+        family = dataclasses.replace(
+            cli.FAMILIES[circuit], build=no_build, verify_build=no_build
+        )
+        monkeypatch.setitem(cli.FAMILIES, circuit, family)
+        argv = ["verify", "--circuit", circuit, "--n", str(n), "--no-timing"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--sampled" in err
+        assert f"2^{family.case_bits(n)} cases" in err
 
 
 def test_verify_timing_line_toggle(capsys):

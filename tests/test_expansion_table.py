@@ -25,11 +25,13 @@ from qsqrt import (
     build_isqrt_circuit,
     count_ops,
     flatten,
+    basis_statevector,
     is_permutation_circuit,
     lower_to_clifford_t,
     perm_run,
     permutation_matrix,
     schedule_layers,
+    sv_run,
     to_qasm,
     unitary,
     validate,
@@ -212,6 +214,9 @@ def test_missing_rule_raises_only_for_a_used_kind():
     del nested[GateKind.ZCX]
     with pytest.raises(UnsupportedGateError, match="no decomposition rule for zcx"):
         lower_to_clifford_t(Circuit(3).ccx(0, 1, 2), nested)
+    misfiled = {GateKind.SWAP: DEFAULT_RULES[GateKind.ZCX]}  # no SWAP rule
+    with pytest.raises(UnsupportedGateError, match="no decomposition rule for swap"):
+        lower_to_clifford_t(Circuit(2).swap(0, 1), misfiled)
 
 
 def _planted(width, *gates):
@@ -275,6 +280,12 @@ MALFORMED = {
     "nested-long-x": (
         _nested(Gate(GateKind.X, (0, 1))), 3, Gate(GateKind.X, (0, 2)), ArityError
     ),
+    # a float or a bool equal to a qubit index is still no operand
+    "float": (*_case(3, Gate(GateKind.X, (1.5,))), QubitIndexError),
+    "integral-float": (*_case(3, Gate(GateKind.CX, (0, 1.0))), QubitIndexError),
+    "bool": (*_case(3, Gate(GateKind.T, (True,))), QubitIndexError),
+    "nested-float": (*_nested_case(Gate(GateKind.X, (1.0,))), QubitIndexError),
+    "nested-bool": (*_nested_case(Gate(GateKind.CX, (0, True))), QubitIndexError),
 }
 
 
@@ -282,13 +293,17 @@ def perm_run_0(c):
     return perm_run(c, 0)
 
 
+def sv_run_0(c):
+    return sv_run(c, basis_statevector(c.width, 0))
+
+
 #: Every consumer of the composite walk, with its test id.
 WALK_CONSUMERS = pytest.mark.parametrize(
     "fn",
     [analyze, lower_to_clifford_t, to_qasm, count_ops, flatten, perm_run_0,
-     is_permutation_circuit],
+     is_permutation_circuit, sv_run_0, unitary, Circuit.inverse],
     ids=["analyze", "lower_to_clifford_t", "to_qasm", "count_ops", "flatten",
-         "perm_run", "is_permutation_circuit"],
+         "perm_run", "is_permutation_circuit", "sv_run", "unitary", "inverse"],
 )
 
 

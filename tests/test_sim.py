@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qsqrt import (
     DEFAULT_RULES,
     PERMUTATION_KINDS,
+    CLIFFORD_T_KINDS,
     Circuit,
     DecompositionRule,
     Gate,
@@ -36,7 +37,7 @@ from qsqrt.errors import (
 )
 from qsqrt import sim
 from qsqrt.sim import _compile, _run_program
-from strategies import clifford_t_circuits, permutation_circuits
+from strategies import _nested_circuits, clifford_t_circuits, permutation_circuits
 
 
 def test_perm_run_gate_truth_tables():
@@ -60,6 +61,15 @@ def test_perm_run_rejects_non_permutation_gates():
 def test_perm_run_rejects_out_of_range_state():
     with pytest.raises(InputRangeError):
         perm_run(Circuit(2).x(0), 4)
+    # too wide to print in decimal: the message names its bit length
+    with pytest.raises(InputRangeError, match="<20001-bit integer>"):
+        perm_run(build_adder(2), 1 << 20000)
+
+
+@pytest.mark.parametrize("index", [-1, 4, 1 << 20000], ids=["-1", "4", "2^20000"])
+def test_basis_statevector_rejects_out_of_range_index(index):
+    with pytest.raises(InputRangeError, match="basis index"):
+        basis_statevector(2, index)
 
 
 def test_perm_run_flattens_composites_on_the_fly():
@@ -254,6 +264,26 @@ def test_inverse_restores_random_statevector():
     vin /= np.linalg.norm(vin)
     back = sv_run(qc.inverse(), sv_run(qc, vin))
     assert np.max(np.abs(back - vin)) < 1e-9
+
+
+@st.composite
+def nested_clifford_t_and_columns(draw):
+    """A Clifford+T circuit with composites nested two deep, and a batch of
+    random normalised columns of its width."""
+    width = draw(st.integers(1, 6))
+    c = draw(_nested_circuits(width, 2, CLIFFORD_T_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = rng.normal(size=(1 << width, 3)) + 1j * rng.normal(size=(1 << width, 3))
+    return c, cols / np.linalg.norm(cols, axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_clifford_t_and_columns())
+def test_sv_kernel_runs_clifford_t_composites_like_their_flattening(case):
+    c, cols = case
+    assert np.array_equal(sv_run_many(c, cols), sv_run_many(flatten(c), cols))
+    v = cols[:, 0]
+    assert np.max(np.abs(sv_run(c.inverse(), sv_run(c, v)) - v)) < 1e-9
 
 
 def test_inverse_restores_basis_states_through_permutation_gates():

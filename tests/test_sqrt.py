@@ -232,6 +232,9 @@ def test_invalid_widths_rejected(n):
 def test_out_of_range_inputs_rejected():
     with pytest.raises(InputRangeError):
         isqrt(32, 6)  # max for width 6 is 31
+    for a in (1 << 20000, -(1 << 20000)):  # too wide to print in decimal
+        with pytest.raises(InputRangeError, match="20001-bit integer"):
+            isqrt(a, 4)
     with pytest.raises(InputRangeError):
         isqrt(-1)
     with pytest.raises(InputRangeError):
