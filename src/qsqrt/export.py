@@ -73,7 +73,7 @@ def from_qasm(text: str) -> Circuit:
                 raise QasmParseError("multiple qreg declarations", lineno)
             reg_name = m.group(1)
             try:
-                circuit = Circuit(int(m.group(2)), reg_name)
+                circuit = Circuit(_decimal(m.group(2), "qreg size", lineno), reg_name)
             except CircuitError as exc:
                 raise QasmParseError(str(exc), lineno) from exc
             operand_re = re.compile(rf"{re.escape(reg_name)}\[(\d+)\]")
@@ -91,7 +91,7 @@ def from_qasm(text: str) -> Circuit:
             om = operand_re.fullmatch(token.strip())
             if not om:
                 raise QasmParseError(f"malformed operand '{token.strip()}'", lineno)
-            qubits.append(int(om.group(1)))
+            qubits.append(_decimal(om.group(1), "operand index", lineno))
         try:
             circuit.append(Gate(kind, tuple(qubits)))
         except CircuitError as exc:
@@ -99,6 +99,16 @@ def from_qasm(text: str) -> Circuit:
     if circuit is None:
         raise QasmParseError("missing qreg declaration", lineno or 1)
     return circuit
+
+
+def _decimal(digits: str, what: str, lineno: int) -> int:
+    """int(digits), or QasmParseError past Python's int-string digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise QasmParseError(
+            f"{what} of {len(digits)} digits is too large", lineno
+        ) from None
 
 
 def report_rows_to_json(rows: list[dict]) -> str:

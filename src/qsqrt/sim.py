@@ -1,13 +1,22 @@
 """Two simulation backends over the circuit IR.
 
-One permutation kernel, _run, pushes a whole batch of basis states
-through the classical-reversible gates (X, CX, ZCX, CCX, SWAP) in one pass
-over the gates. It reads (opcode, q0, q1, q2) tuples from one of two
-sources: perm_run_many streams them from a circuit's composite walk and
-stores nothing, and a compiled program holds them in a flat array, built
-once per (builder, width) by a bounded cache, for the calls that run the
-same circuit again and again (isqrt and `qsqrt verify`). perm_run is the
-one-state case of perm_run_many.
+One permutation kernel, _run_columns, pushes a whole batch of basis
+states through the classical-reversible gates (X, CX, ZCX, CCX, SWAP) in
+one pass over the gates. It works on bit-sliced columns: one int per
+qubit, whose bit k is that qubit in case k. It reads (opcode, q0, q1, q2)
+tuples from one of two sources: perm_run_many streams them from a
+circuit's composite walk and stores nothing, and a compiled program holds
+them in a flat array, built once per (builder, width) by a bounded cache,
+for the calls that run the same circuit again and again (isqrt and
+`qsqrt verify`). Two callers feed it columns:
+- _run transposes a list of basis states into columns and the output
+  columns back. perm_run_many, perm_run (its one-state case),
+  permutation_matrix, assert_equiv, isqrt and a sampled `qsqrt verify` go
+  through it.
+- _run_counter serves an exhaustive `qsqrt verify`, whose inputs are a
+  run of consecutive case numbers over constant bits. It builds the input
+  columns straight from the counter, with no transpose, and unpacks the
+  output columns into one uint64 array, so no Python int is made per case.
 
 One statevector kernel, sv_run_many, applies a lowered circuit (X, CX,
 H, T, TDG, in composites too) to a batch of dense statevectors held as the
@@ -139,20 +148,51 @@ def _cached_program(builder: Callable[[int], Circuit], n: int) -> tuple[int, arr
 def _run_program(program: tuple[int, array], states: Sequence[int]) -> list[int]:
     """perm_run_many over a program from _compile instead of a circuit."""
     width, code = program
+    return _run(_program_ops(code), width, states)
+
+
+def _run_counter(
+    program: tuple[int, array], lo: int, count: int, const: int
+) -> np.ndarray:
+    """_run_program on the states (lo + k) | const for k < count, as uint64.
+
+    Bit-sliced from input to output: the input columns come straight from
+    the counter (_counter_columns) and the output columns are unpacked by
+    numpy (_lanes), so no Python int is made per state. The program's
+    width must be at most 64, and every state must fit in it.
+    """
+    width, code = program
+    cols = _counter_columns(lo, count, width, const)
+    return _lanes(_run_columns(_program_ops(code), cols, count), count)
+
+
+def _program_ops(code: array) -> Iterator[tuple[int, ...]]:
+    """The (opcode, q0, q1, q2) tuples of a flat program array."""
     it = iter(code)
-    return _run(zip(it, it, it, it), width, states)
+    return zip(it, it, it, it)
 
 
 def _run(
     ops: Iterable[tuple[int, ...]], width: int, states: Sequence[int]
 ) -> list[int]:
-    """The permutation kernel: run `ops` on bit-sliced `states`."""
+    """_run_columns on basis states: transpose in, run `ops`, transpose out."""
     limit = 1 << width
     if len(states) and (min(states) < 0 or max(states) >= limit):
         bad = int_text(next(s for s in states if not 0 <= s < limit))
         raise InputRangeError(f"basis state {bad} out of range for width {width}")
-    ones = (1 << len(states)) - 1
-    cols = _transpose(states, width)
+    count = len(states)
+    return _transpose(_run_columns(ops, _transpose(states, width), count), count)
+
+
+def _run_columns(
+    ops: Iterable[tuple[int, ...]], cols: list[int], lanes: int
+) -> list[int]:
+    """The permutation kernel: run `ops` on bit-sliced qubit columns.
+
+    Bit k of cols[q] is qubit q in case k, for `lanes` cases. The columns
+    are updated in place and returned.
+    """
+    ones = (1 << lanes) - 1
     for op, a, b, t in ops:
         if op == _CX:
             cols[b] ^= cols[a]
@@ -164,7 +204,45 @@ def _run(
             cols[a] ^= ones
         else:
             cols[a], cols[b] = cols[b], cols[a]
-    return _transpose(cols, len(states))
+    return cols
+
+
+def _counter_columns(lo: int, count: int, width: int, const: int) -> list[int]:
+    """The `width` qubit columns of the states (lo + k) | const, k < count.
+
+    A column that `const` sets is all ones. Any other column q is bit q of
+    a binary counter: runs of 2**q zeros and 2**q ones, entered at phase
+    lo mod 2**(q+1). It is built from the runs of ones in its first period
+    and then repeated as bytes, with no transpose.
+    """
+    ones = (1 << count) - 1
+    return [
+        ones if const >> q & 1 else _counter_column(lo, count, q)
+        for q in range(width)
+    ]
+
+
+def _counter_column(lo: int, count: int, q: int) -> int:
+    """Bit k is bit q of lo + k, for k < count."""
+    run = 1 << q
+    period = 2 * run
+    phase = lo % period
+    span = min(count, period)
+    # lane k sees counter phase + k, whose bit q is set on [run, 2 run) and,
+    # since phase + span < 4 run, on [3 run, 4 run)
+    col = 0
+    for start in (run - phase, period + run - phase):
+        first, stop = max(start, 0), min(start + run, span)
+        if first < stop:
+            col |= ((1 << (stop - first)) - 1) << first
+    if count > period:  # col is one whole period: repeat it
+        while period % 8:
+            col |= col << period
+            period *= 2
+        reps = -(-count // period)
+        data = col.to_bytes(period // 8, "little") * reps
+        col = int.from_bytes(data, "little") & ((1 << count) - 1)
+    return col
 
 
 def _transpose(rows: Sequence[int], width: int) -> list[int]:
@@ -172,23 +250,82 @@ def _transpose(rows: Sequence[int], width: int) -> list[int]:
 
     `rows` holds ints below 2**width and the result has `width` ints of
     len(rows) bits each; it turns basis states into bit-sliced qubit
-    columns and back. Up to 64 bits a row or column is one uint64.
+    columns and back.
     """
-    count = len(rows)
-    if width <= 64:
-        words = np.fromiter(rows, "<u8", count=count)
-        data = words.view(np.uint8).reshape(count, 8)
-    else:
-        nbytes = (width + 7) // 8
-        raw = b"".join(row.to_bytes(nbytes, "little") for row in rows)
-        data = np.frombuffer(raw, np.uint8).reshape(count, nbytes)
-    bits = np.unpackbits(data, axis=1, count=width, bitorder="little")
-    packed = np.packbits(bits.T, axis=1, bitorder="little")
-    if count <= 64:
-        words = np.zeros((width, 8), np.uint8)
-        words[:, : packed.shape[1]] = packed
-        return words.view("<u8").ravel().tolist()
-    return [int.from_bytes(col.tobytes(), "little") for col in packed]
+    cols = _bit_transpose(_bytes_of(rows, width), width)
+    if cols.shape[1] == 8:
+        return cols.view("<u8").ravel().tolist()
+    return [int.from_bytes(col.tobytes(), "little") for col in cols]
+
+
+def _lanes(cols: Sequence[int], count: int) -> np.ndarray:
+    """uint64 array of the `count` states held by at most 64 qubit columns."""
+    return _bit_transpose(_bytes_of(cols, count), count).view("<u8").ravel()
+
+
+def _bytes_of(ints: Sequence[int], nbits: int) -> np.ndarray:
+    """(len(ints), ceil(nbits / 8)) uint8 array: each int below 2**nbits
+    as little-endian bytes."""
+    nbytes = (nbits + 7) // 8
+    if nbits <= 64:
+        words = np.fromiter(ints, "<u8", count=len(ints))
+        return words.view(np.uint8).reshape(len(ints), 8)[:, :nbytes]
+    raw = b"".join(i.to_bytes(nbytes, "little") for i in ints)
+    return np.frombuffer(raw, np.uint8).reshape(len(ints), nbytes)
+
+
+# (shift, mask) of the three exchange steps that transpose an 8 x 8 bit
+# block held in one uint64, byte k being row k (Hacker's Delight, 7-3).
+_BLOCK_STEPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in (
+        (7, 0x00AA00AA00AA00AA),
+        (14, 0x0000CCCC0000CCCC),
+        (28, 0x00000000F0F0F0F0),
+    )
+)
+
+#: Bytes from which _bit_transpose runs the block steps: below about this
+#: size, unpacking every bit costs less than their fixed numpy overhead.
+_BLOCK_TRANSPOSE_BYTES = 1 << 10
+
+
+def _bit_transpose(mat: np.ndarray, nbits: int) -> np.ndarray:
+    """Transpose the first `nbits` bits of a (rows, nbytes) uint8 matrix.
+
+    Each row of `mat` holds bits in little-endian order. Returns the
+    C-ordered (nbits, 8 * ceil(rows / 64)) matrix in the same layout whose
+    row c holds bit c of every row of `mat`, zero-padded to whole uint64s.
+    A large matrix is cut into blocks of 8 rows by 8 bits, each one
+    uint64, all transposed at once.
+    """
+    rows, nbytes = mat.shape
+    full, rest = divmod(rows, 8)
+    groups = full + (rest > 0)
+    padded = -(-groups // 8) * 8
+    if mat.size < _BLOCK_TRANSPOSE_BYTES:
+        bits = np.unpackbits(mat, axis=1, count=nbits, bitorder="little")
+        out = np.zeros((nbits, padded), np.uint8)
+        out[:, :groups] = np.packbits(bits.T, axis=1, bitorder="little")
+        return out
+    # blocks[g, i, k] is byte i of row 8 g + k, so blocks[g, i] is one block
+    blocks = np.zeros((groups, nbytes, 8), np.uint8)
+    by_row = blocks.transpose(0, 2, 1)
+    by_row[:full] = mat[: 8 * full].reshape(full, 8, nbytes)
+    if rest:
+        by_row[full, :rest] = mat[8 * full :]
+    x = blocks.view("<u8")[..., 0]
+    for shift, mask in _BLOCK_STEPS:
+        t = x >> shift
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    # now byte b of blocks[g, i] is byte g of output row 8 i + b
+    out = np.zeros((nbytes, 8, padded), np.uint8)
+    out[..., :groups] = blocks.transpose(1, 2, 0)
+    return out.reshape(8 * nbytes, padded)[:nbits]
 
 
 def basis_statevector(width: int, index: int) -> np.ndarray:

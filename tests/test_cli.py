@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
+import numpy as np
 import pytest
 
 import qsqrt.cli as cli
-from qsqrt import Circuit, count_ops, flatten, from_qasm, isqrt
+from qsqrt import Circuit, count_ops, flatten, from_qasm, isqrt, perm_run
 from qsqrt.arithmetic import build_adder
 from qsqrt.cli import main
 from qsqrt.sim import _cached_program
@@ -182,8 +184,8 @@ def test_verify_exhaustive_capacity_guard(monkeypatch, capsys):
 
     # 2^16000 and 2^99999 cases are too many to print in decimal; the
     # guard must name --sampled before any circuit is built
-    for circuit, n in [("adder", 11), ("adder", 7000), ("adder", 8000),
-                       ("isqrt", 100000)]:
+    for circuit, n in [("adder", 15), ("isqrt", 30), ("adder", 7000),
+                       ("adder", 8000), ("isqrt", 100000)]:
         family = dataclasses.replace(
             cli.FAMILIES[circuit], build=no_build, verify_build=no_build
         )
@@ -217,12 +219,84 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "circuit, n, cases",
-    [("isqrt", n, 1 << (n - 1)) for n in range(4, 17, 2)]
-    + [("adder", n, 1 << (2 * n)) for n in range(1, 9)],
+    [("isqrt", n, 1 << (n - 1)) for n in range(4, 21, 2)]
+    + [("adder", n, 1 << (2 * n)) for n in range(1, 11)],
 )
 def test_verify_exhaustive_sweeps(capsys, circuit, n, cases):
     assert main(["verify", "--circuit", circuit, "--n", str(n), "--no-timing"]) == 0
     assert f"checked {cases} cases, {cases} passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(cli.FAMILIES))
+def test_family_input_is_the_case_number_over_a_constant(name):
+    # the sliced sweep builds input(k) as k | input(0) from the case counter
+    family = cli.FAMILIES[name]
+    for n in range(family.min_n, 9, 2 if family.even_only else 1):
+        bits = family.case_bits(n)
+        ks = np.arange(1 << bits, dtype=np.uint64)
+        states, _ = family.oracle(n, ks)
+        const = int(family.oracle(n, np.zeros(1, np.uint64))[0][0])
+        assert const >> bits << bits == const
+        assert states.tolist() == [k | const for k in range(1 << bits)]
+
+
+def reference_case(name, n, k):
+    """(input, expected output) state of case k, in Python ints."""
+    if name == "isqrt":
+        root = math.isqrt(k)
+        return k | 1 << n, (k - root * root) | root << n
+    if name in ("adder", "subtractor"):
+        a, b = k % 2**n, k >> n
+        result = a + b if name == "adder" else a - b
+        return k, result % 2**n | b << n
+    z, a, b = k & 1, (k >> 1) % 2**n, k >> (n + 1)
+    if name == "ctrl-add-sub":
+        result = a - b if z else a + b
+    else:
+        result = a + b if z else a
+    return k, z | result % 2**n << 1 | b << (n + 1)
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [("isqrt", 10), ("adder", 4), ("subtractor", 4), ("ctrl-add-sub", 4),
+     ("ctrl-add", 4)],
+)
+def test_sliced_sweep_reports_a_planted_fault_like_a_per_case_run(
+    monkeypatch, capsys, name, n
+):
+    # the middle top-level gate removed: some cases of each family fail
+    family = cli.FAMILIES[name]
+    field = "verify_build" if family.verify_build else "build"
+    build = getattr(family, field)
+
+    def broken(width):
+        circuit = build(width)
+        del circuit.gates[len(circuit.gates) // 2]
+        return circuit
+
+    monkeypatch.setitem(
+        cli.FAMILIES, name, dataclasses.replace(family, **{field: broken})
+    )
+    circuit = broken(n)
+    total = 1 << family.case_bits(n)
+    wrong = []
+    for k in range(total):
+        state, want = reference_case(name, n, k)
+        got = perm_run(circuit, state)
+        if got != want:
+            wrong.append((state, want, got))
+    assert 0 < len(wrong) < total
+    argv = ["verify", "--circuit", name, "--n", str(n), "--no-timing"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"checked {total} cases, {total - len(wrong)} passed" in captured.out
+    lines = captured.err.splitlines()
+    assert lines[0] == f"FAIL: {len(wrong)} of {total} cases failed; first failure:"
+    state, want, got = wrong[0]
+    assert lines[4].split() == [
+        "basis", "states:", f"input={state}", f"expected={want}", f"actual={got}"
+    ]
 
 
 def test_verify_and_isqrt_share_one_compiled_pipeline(capsys):

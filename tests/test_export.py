@@ -128,6 +128,17 @@ def test_operand_from_wrong_register_rejected():
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize(
+    "body", ["qreg q[{big}];\n", "qreg q[2];\nx q[{big}];\n"],
+    ids=["qreg size", "operand index"],
+)
+def test_integer_past_the_digit_limit_is_a_parse_error(body):
+    # int() converts at most 4300 digits by default
+    with pytest.raises(QasmParseError, match="5000 digits") as err:
+        from_qasm(HEADER + body.format(big="9" * 5000))
+    assert err.value.line == 2 + body.count("\n")
+
+
 def test_unsupported_version_rejected():
     with pytest.raises(QasmParseError):
         from_qasm("OPENQASM 3.0;\nqreg q[1];\n")

@@ -131,6 +131,40 @@ def test_compiled_program_matches_streamed_run_lane_by_lane(case):
     assert got == [reference_run(c, s) for s in states]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.sampled_from([1, 7, 8, 9, 57, 64, 65, 70]),
+    count=st.sampled_from([0, 1, 5, 63, 64, 65, 129, 1000]),
+    data=st.data(),
+)
+def test_transposes_match_a_bit_by_bit_reference(width, count, data):
+    # batches on both sides of _BLOCK_TRANSPOSE_BYTES, widths of 64
+    rows = data.draw(
+        st.lists(st.integers(0, (1 << width) - 1), min_size=count, max_size=count)
+    )
+    cols = [
+        sum((row >> q & 1) << k for k, row in enumerate(rows)) for q in range(width)
+    ]
+    assert sim._transpose(rows, width) == cols
+    assert sim._transpose(cols, count) == rows
+    if width <= 64:
+        lanes = sim._lanes(cols, count)
+        assert lanes.dtype == np.uint64 and lanes.tolist() == rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lo=st.integers(0, 1 << 72),
+    count=st.sampled_from([1, 5, 63, 64, 65, 1 << 16]),
+    width=st.sampled_from([1, 2, 9, 17, 63, 64, 65, 70]),
+    const=st.integers(0, (1 << 70) - 1),
+)
+def test_counter_columns_are_the_transposed_counter(lo, count, width, const):
+    mask = (1 << width) - 1
+    rows = [(lo + k | const) & mask for k in range(count)]
+    assert sim._counter_columns(lo, count, width, const) == sim._transpose(rows, width)
+
+
 def test_compiled_program_takes_wide_entries_beyond_two_byte_qubits():
     c = Circuit(70_000).x(69_999)
     c.cx(69_999, 65_536).swap(65_536, 3).ccx(3, 69_999, 0).zcx(1, 65_535)
