@@ -46,6 +46,10 @@ EXIT_USAGE = 2
 #: widest sweeps it admits, isqrt n = 28 (2^27 cases) and adder n = 14,
 #: took 15 s and 12 s on a 2-CPU Intel Xeon VM; isqrt n = 30 took 58 s.
 MAX_EXHAUSTIVE_BITS = 28
+#: Widest n the command line builds a circuit for. Building and compiling
+#: the isqrt pipeline grows as n^2: 1 s at n = 256 and 3.6 s at n = 512 on
+#: the same VM. The library itself (`isqrt`, the builders) has no limit.
+MAX_CLI_N = 256
 SAMPLED_CASES = 100
 #: A sweep runs through the kernel this many cases at a time, so its memory
 #: stays bounded whatever the case count.
@@ -172,6 +176,7 @@ def _parse_n_range(spec: str, family: CircuitFamily) -> list[int]:
         hi = int(hi_text) if sep else lo
     except ValueError:
         raise CircuitError(f"invalid width '{spec}': expected N or N..M") from None
+    _check_cli_n(hi)
     step = 2 if family.even_only else 1
     values = list(range(lo, hi + 1, step))
     for n in values:
@@ -188,14 +193,22 @@ def _check_family_n(family: CircuitFamily, n: int) -> None:
         raise CircuitError(f"n must be >= {family.min_n}, got {n}")
 
 
+def _check_cli_n(n: int) -> None:
+    """Fail fast on a width the command line will not build."""
+    if n > MAX_CLI_N:
+        raise CapacityError(
+            f"n = {int_text(n)} exceeds the command-line limit of {MAX_CLI_N}"
+        )
+
+
 # ---------------------------------------------------------------- isqrt
 
 
 def cmd_isqrt(args: argparse.Namespace) -> int:
     value = args.value
-    n = args.n
-    if n is None:
-        n = min_width(value)
+    n = min_width(value) if args.n is None else args.n
+    _check_cli_n(n)
+    if args.n is None:
         print(f"n = {n} (auto-selected: smallest even n >= 4 "
               f"with value <= 2^(n-1) - 1)")
     result = isqrt(value, n)
@@ -297,6 +310,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         indices: Sequence[int] = range(1 << bits)
     else:
+        _check_cli_n(n)
         rng = random.Random(_SAMPLE_SEED)
         indices = [rng.randrange(1 << bits) for _ in range(SAMPLED_CASES)]
     program = _cached_program(family.verify_build or family.build, n)
@@ -356,6 +370,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     family = FAMILIES[args.circuit]
     _check_family_n(family, args.n)
+    _check_cli_n(args.n)
     circuit = family.build(args.n)
     text = to_qasm(circuit)
     gate_total = sum(count_ops(circuit).values())

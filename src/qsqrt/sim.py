@@ -18,13 +18,13 @@ for the calls that run the same circuit again and again (isqrt and
   columns straight from the counter, with no transpose, and unpacks the
   output columns into one uint64 array, so no Python int is made per case.
 
-One statevector kernel, sv_run_many, applies a lowered circuit (X, CX,
-H, T, TDG, in composites too) to a batch of dense statevectors held as the
-columns of one array, in one in-place pass over the gates; it is reserved
-for verifying decompositions, where phases matter. sv_run is its
-one-column case; unitary hands it every column at once, assert_equiv in
-batches of at most _SV_BATCH_AMPLITUDES amplitudes. Both kernels read the
-gates through circuit.iter_primitive_ops and so share its checks.
+One statevector kernel, _sv_entries, applies a lowered circuit (X, CX, H,
+T, TDG, in composites too) to a batch of sparse columns in one pass over
+the gates; it is reserved for verifying decompositions, where phases
+matter. Dense columns exist only at the API: sv_run_many and sv_run
+convert them to entries and back, while unitary and assert_equiv start
+from basis entries. Both kernels read the gates through
+circuit.iter_primitive_ops and so share its checks.
 
 Basis convention everywhere: bit i of an integer state or of a statevector
 index is qubit i, and qubit 0 is the LSB of its register.
@@ -40,7 +40,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .circuit import PERMUTATION_KINDS, Circuit, GateKind, iter_primitive_ops
+from .circuit import CLIFFORD_T_KINDS, PERMUTATION_KINDS, Circuit, GateKind
+from .circuit import iter_primitive_ops
 from .errors import (
     CapacityError,
     CircuitError,
@@ -58,8 +59,7 @@ DEFAULT_SV_CAP = 16
 #: Widest circuit unitary and permutation_matrix build a dense matrix of.
 _MATRIX_CAP = 10
 
-_T_PHASE = np.exp(1j * np.pi / 4)
-_T_PHASE_DG = _T_PHASE.conjugate()
+_PHASES = {GateKind.T: np.exp(1j * np.pi / 4), GateKind.TDG: np.exp(-1j * np.pi / 4)}
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
 
 
@@ -103,9 +103,9 @@ _OPCODES = {
 }
 _PAD = {1: (0, 0), 2: (0,), 3: ()}
 
-#: Amplitudes in one batch of columns assert_equiv hands to sv_run_many
-#: (16 MB of complex128 a side): an exhaustive check at width 12 runs in
-#: 16 batches of 256 columns, one at width 8 or less in one batch.
+#: assert_equiv runs _SV_BATCH_AMPLITUDES >> width basis columns (at least
+#: one) a batch, as many as when they were dense: an exhaustive check at
+#: width 12 runs in 16 batches of 256 columns, one at width 8 or less in one.
 _SV_BATCH_AMPLITUDES = 1 << 20
 
 #: Programs _cached_program keeps: more than the 31 widths (4..64) that
@@ -339,126 +339,133 @@ def basis_statevector(width: int, index: int) -> np.ndarray:
     return vec
 
 
-def _half(n: int, qubit: int, value: int) -> tuple:
-    """Index of the `value` half of `qubit` in a [2]*n + [batch] array."""
-    return (slice(None),) * (n - 1 - qubit) + (value,)
-
-
-def _cx_half(n: int, control: int, target: int, value: int) -> tuple:
-    """Index of control = 1, target = `value` in a [2]*n + [batch] array."""
-    sel: list = [slice(None)] * n
-    sel[n - 1 - control] = 1
-    sel[n - 1 - target] = value
-    return tuple(sel)
-
-
-def sv_run_many(
-    c: Circuit, states: np.ndarray, cap: int | None = None
-) -> np.ndarray:
+def sv_run_many(c: Circuit, states: np.ndarray, cap: int | None = None) -> np.ndarray:
     """Apply a lowered circuit to a batch of statevectors in one pass.
 
     `states` is a (2**width, B) array whose columns are the B input
     vectors; returns a fresh array of the B output columns, leaving
     `states` untouched. Its gates, composites' included, must be X, CX, H, T
-    or TDG; anything else raises MustLowerError. Widths above the cap (default
-    sv_cap()) raise CapacityError, any other shape InvalidWidthError. The
-    norm of each column is checked to 1e-10 on the way in and out.
+    or TDG; anything else raises MustLowerError. `cap` (default sv_cap())
+    bounds the width of the dense columns (CapacityError); any other shape
+    raises InvalidWidthError. Norms are checked to 1e-10 in and out.
     """
-    return _sv_run_in_place(c, np.array(states, dtype=complex, order="C"), cap)
-
-
-def _sv_run_in_place(
-    c: Circuit, out: np.ndarray, cap: int | None = None
-) -> np.ndarray:
-    """sv_run_many on `out`, a C-ordered complex array that it overwrites
-    and returns; for callers that own their input columns."""
-    if cap is None:
-        cap = sv_cap()
     n = c.width
-    if n > cap:
-        raise CapacityError(f"width {int_text(n)} exceeds statevector cap {cap}")
-    if out.ndim != 2 or out.shape[0] != 1 << n:
+    _check_cap(n, cap)
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2 or states.shape[0] != 1 << n:
         raise InvalidWidthError(
-            f"statevector batch shape {out.shape} does not match width {n}"
+            f"statevector batch shape {states.shape} does not match width {n}"
         )
-    if np.any(np.abs(_column_norms(out) - 1.0) > 1e-10):
+    count = states.shape[1]
+    rows, cols = np.nonzero(states)
+    keys, amps = _pack(cols, rows, n, count), states[rows, cols]
+    if np.any(np.abs(_column_norms(keys, amps, n, count) - 1.0) > 1e-10):
         raise ValueError("statevector must be normalised")
-    # Axis n - 1 - q is qubit q; the trailing batch axis is never indexed,
-    # so each gate updates every column through views, in place.
-    psi = out.reshape([2] * n + [out.shape[1]])
+    return _dense(*_sv_entries(c, keys, amps, count), n, count)
+
+
+def _check_cap(width: int, cap: int | None) -> None:
+    cap = sv_cap() if cap is None else cap
+    if width > cap:
+        raise CapacityError(f"width {int_text(width)} exceeds statevector cap {cap}")
+
+
+def _pack(cols: np.ndarray, rows: Sequence[int], width: int, count: int):
+    """Keys col << width | row of entries in a batch of `count` columns:
+    uint64 while they fit in 63 bits, Python ints (dtype=object) beyond."""
+    dtype = np.dtype(np.uint64 if width + (count - 1).bit_length() <= 63 else object)
+    return cols.astype(dtype) << dtype.type(width) | np.asarray(rows, dtype)
+
+
+def _basis(states: Sequence[int], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the basis columns `states`, one of amplitude 1 each."""
+    count = len(states)
+    return _pack(np.arange(count), states, width, count), np.ones(count, complex)
+
+
+def _run_basis(c: Circuit, states: Sequence[int], cap: int | None):
+    """The output entries of the basis columns `states`, with no dense array."""
+    _check_cap(c.width, cap)
+    return _sv_entries(c, *_basis(states, c.width), len(states))
+
+
+def _sv_entries(c: Circuit, keys: np.ndarray, amps: np.ndarray, count: int):
+    """The statevector kernel: run a lowered circuit on sparse columns.
+
+    A batch of `count` columns is held as its nonzero entries, keys from
+    _pack and amplitudes `amps`. X, CX, T and TDG update them in place; H
+    splits each entry into its two partners and sums equal keys, so a basis
+    input holds two entries at most through a Toffoli template. Raises
+    MustLowerError on any other gate, and RuntimeError if a column's norm
+    drifts from 1 by more than 1e-10.
+    """
+    word = keys.dtype.type
+    bits = [word(1 << q) for q in range(c.width)]
     for kind, q in iter_primitive_ops(c):
+        bit = bits[q[-1]]
         if kind is GateKind.X:
-            _swap(psi[_half(n, q[0], 0)], psi[_half(n, q[0], 1)])
-        elif kind is GateKind.CX:
-            _swap(psi[_cx_half(n, *q, 0)], psi[_cx_half(n, *q, 1)])
+            keys ^= bit
+        elif kind is GateKind.CX:  # the control bit, shifted onto the target
+            up, moved = q[1] - q[0], keys & bits[q[0]]
+            keys ^= moved << word(up) if up > 0 else moved >> word(-up)
         elif kind is GateKind.H:
-            _hadamard(psi[_half(n, q[0], 0)], psi[_half(n, q[0], 1)])
-            psi *= _SQRT1_2
-        elif kind is GateKind.T:
-            psi[_half(n, q[0], 1)] *= _T_PHASE
-        elif kind is GateKind.TDG:
-            psi[_half(n, q[0], 1)] *= _T_PHASE_DG
+            low, half = keys & ~bit, amps * _SQRT1_2
+            signed = np.where((keys & bit).astype(bool), -half, half)
+            keys, amps = _combine(
+                np.concatenate((low, low | bit)), np.concatenate((half, signed))
+            )
+        elif kind in _PHASES:
+            np.putmask(amps, (keys & bit).astype(bool), amps * _PHASES[kind])
         else:
             raise MustLowerError(
                 f"{kind.value} must be lowered before statevector simulation"
             )
-    if not np.all(np.abs(_column_norms(out) - 1.0) <= 1e-10):  # NaN fails too
+    norms = _column_norms(keys, amps, c.width, count)
+    if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
         raise RuntimeError("statevector norm drifted")
+    return keys, amps
+
+
+def _combine(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys with their summed amplitudes, leaving out the
+    cancellation residue (magnitude 1e-14 or less)."""
+    if not len(keys):
+        return keys, amps
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    sums = np.add.reduceat(amps[order], starts)
+    live = np.abs(sums) > 1e-14
+    return keys[starts[live]], sums[live]
+
+
+def _column_norms(keys: np.ndarray, amps: np.ndarray, width: int, count: int):
+    """Euclidean norm of each of the `count` columns held as entries."""
+    cols = (keys >> keys.dtype.type(width)).astype(np.intp)
+    return np.sqrt(np.bincount(cols, amps.real**2 + amps.imag**2, count))
+
+
+def _dense(keys: np.ndarray, amps: np.ndarray, width: int, count: int) -> np.ndarray:
+    """The (2**width, count) array of the columns held as entries."""
+    word = keys.dtype.type
+    out = np.zeros((1 << width, count), dtype=complex)
+    rows = (keys & word((1 << width) - 1)).astype(np.intp)
+    out[rows, (keys >> word(width)).astype(np.intp)] = amps
     return out
 
 
-# The two halves of a qubit interleave in memory, so numpy copies one of
-# them into a temporary before any operation that reads one half and writes
-# the other. These helpers keep such operations to one per gate.
-
-
-def _swap(a: np.ndarray, b: np.ndarray) -> None:
-    """Exchange the contents of two views of the same shape, in place."""
-    tmp = a.copy()
-    a[...] = b
-    b[...] = tmp
-
-
-def _hadamard(lo: np.ndarray, hi: np.ndarray) -> None:
-    """(lo, hi) <- (lo + hi, lo - hi) in place, unscaled.
-
-    lo + hi is formed as 2 lo - (lo - hi), so only the fresh difference is
-    written across halves and no hidden copy is made.
-    """
-    diff = lo - hi
-    lo *= 2.0
-    lo -= diff
-    hi[...] = diff
-
-
-def _column_norms(cols: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column of a C-ordered complex array.
-
-    Sums squares over its float view (real and imaginary parts in
-    alternate columns), so no temporary of the array's size is made.
-    """
-    parts = cols.view(np.float64)
-    sq = np.einsum("ij,ij->j", parts, parts)
-    return np.sqrt(sq[0::2] + sq[1::2])
-
-
 def sv_run(c: Circuit, state: np.ndarray, cap: int | None = None) -> np.ndarray:
-    """Apply a lowered circuit to one statevector, returning a fresh vector.
-
-    The one-column case of sv_run_many, with the same checks.
-    """
+    """The one-column case of sv_run_many, with the same checks."""
     return sv_run_many(c, np.asarray(state, dtype=complex)[..., None], cap)[:, 0]
 
 
 def unitary(c: Circuit) -> np.ndarray:
-    """Dense unitary of a lowered circuit, up to _MATRIX_CAP qubits.
-
-    Runs the columns of the identity through the sv_run_many kernel as one
-    batch, in place.
-    """
+    """Dense unitary of a lowered circuit, up to _MATRIX_CAP qubits (and
+    sv_cap()): the identity's columns run as one batch of basis entries."""
     if c.width > _MATRIX_CAP:
         raise CapacityError(f"unitary construction capped at {_MATRIX_CAP} qubits")
-    return _sv_run_in_place(c, np.eye(1 << c.width, dtype=complex))
+    dim = 1 << c.width
+    return _dense(*_run_basis(c, np.arange(dim), None), c.width, dim)
 
 
 def permutation_matrix(c: Circuit) -> np.ndarray:
@@ -490,12 +497,13 @@ def assert_equiv(
     index where they differ. A pair of permutation-only circuits is
     compared with one perm_run_many batch each (exhaustive up to width 20).
     Otherwise each side runs on its natural backend: a permutation-only
-    circuit through one perm_run_many batch (each output read as a one-hot
-    statevector), anything else lowered and through sv_run_many, with
+    circuit through one perm_run_many batch (each output read as one entry
+    of amplitude 1), anything else lowered and through _sv_entries, with
     amplitudes compared to 1e-9 (exhaustive up to width 12). Lowering one
     side therefore never hides a faulty decomposition of the other. The
-    input columns go through in batches of at most _SV_BATCH_AMPLITUDES
-    amplitudes, in order, so the batch size never changes the answer.
+    inputs run as basis entries in batches of _SV_BATCH_AMPLITUDES >> width,
+    in order, so the batch size never changes the answer. `cap` (default
+    sv_cap()) bounds the width; a wide sampled check passes cap=width.
     """
     if a.width != b.width:
         raise InvalidWidthError(f"width mismatch: {a.width} != {b.width}")
@@ -523,25 +531,27 @@ def assert_equiv(
         return None
     if a_perm:  # the permutation side, if there is one, is b from here on
         a, b, out_b = b, a, out_a
-    la = lower_to_clifford_t(a)
-    lb = None if out_b is not None else lower_to_clifford_t(b)
+    la = _lowered(a)
+    lb = None if out_b is not None else _lowered(b)
     step = max(1, _SV_BATCH_AMPLITUDES >> width)
     for lo in range(0, len(inputs), step):
-        basis = _one_hot(width, inputs[lo : lo + step])
+        batch = inputs[lo : lo + step]
+        keys, amps = _run_basis(la, batch, cap)
         if lb is None:
-            diff = _sv_run_in_place(la, basis, cap)
-            diff[out_b[lo : lo + step], np.arange(diff.shape[1])] -= 1.0
+            other, other_amps = _basis(out_b[lo : lo + step], width)
         else:
-            diff = sv_run_many(la, basis, cap)
-            diff -= _sv_run_in_place(lb, basis, cap)
-        bad = np.max(np.abs(diff), axis=0) > 1e-9
-        if bad.any():
-            return inputs[lo + int(np.argmax(bad))]
+            other, other_amps = _run_basis(lb, batch, cap)
+        keys, diff = _combine(
+            np.concatenate((keys, other)), np.concatenate((amps, -other_amps))
+        )
+        bad = keys[np.abs(diff) > 1e-9]
+        if len(bad):  # the smallest key is in the first differing column
+            return batch[int(bad.min() >> bad.dtype.type(width))]
     return None
 
 
-def _one_hot(width: int, indices: Sequence[int]) -> np.ndarray:
-    """(2**width, len(indices)) array whose column k is basis `indices[k]`."""
-    cols = np.zeros((1 << width, len(indices)), dtype=complex)
-    cols[indices, np.arange(len(indices))] = 1.0
-    return cols
+def _lowered(c: Circuit) -> Circuit:
+    """`c` itself if it is already Clifford+T, else its lowering."""
+    if all(kind in CLIFFORD_T_KINDS for kind, _ in iter_primitive_ops(c)):
+        return c
+    return lower_to_clifford_t(c)

@@ -197,6 +197,41 @@ def test_verify_exhaustive_capacity_guard(monkeypatch, capsys):
         assert f"2^{family.case_bits(n)} cases" in err
 
 
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["verify", "--circuit", "isqrt", "--n", "100000", "--sampled"], 100000),
+        (["verify", "--circuit", "adder", "--n", "257", "--sampled"], 257),
+        (["isqrt", "--value", "9" * 4000], 13290),
+        (["isqrt", "--value", "9", "--n", "258"], 258),
+        (["resources", "--circuit", "isqrt", "--n", "250..300"], 300),
+        (["export", "--circuit", "adder", "--n", "257"], 257),
+    ],
+    ids=["verify-isqrt", "verify-adder", "isqrt-auto", "isqrt-n", "resources", "export"],
+)
+def test_width_limit_fails_before_building(monkeypatch, capsys, argv, n):
+    def no_build(*args):
+        raise AssertionError(f"built a circuit for {args}")
+
+    for name, family in cli.FAMILIES.items():
+        family = dataclasses.replace(family, build=no_build, verify_build=no_build)
+        monkeypatch.setitem(cli.FAMILIES, name, family)
+    monkeypatch.setattr(cli, "isqrt", no_build)
+    monkeypatch.setattr(cli, "build_isqrt_circuit", no_build)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: n = {n} exceeds the command-line limit of {cli.MAX_CLI_N}\n"
+    )
+
+
+def test_width_limit_admits_its_own_width(capsys):
+    argv = ["verify", "--circuit", "adder", "--n", str(cli.MAX_CLI_N), "--sampled"]
+    assert main(argv) == 0
+    assert "checked 100 cases, 100 passed" in capsys.readouterr().out
+
+
 def test_verify_timing_line_toggle(capsys):
     assert main(["verify", "--circuit", "adder", "--n", "2"]) == 0
     assert "elapsed" in capsys.readouterr().out

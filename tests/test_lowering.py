@@ -176,6 +176,34 @@ def test_lowered_isqrt_matches_logical_circuit():
     assert assert_equiv(logical, lowered, mode="sampled", samples=100, seed=3) is None
 
 
+@pytest.mark.parametrize("n, samples", [(16, 4), (32, 2)])
+def test_lowered_pipeline_matches_it_at_the_papers_widths(n, samples):
+    # 33 and 65 qubits, far beyond any dense statevector; at 65 qubits the
+    # sparse kernel's keys no longer fit in 63 bits and are Python ints
+    pipeline = build_isqrt_pipeline(n)
+    lowered = lower_to_clifford_t(pipeline)
+    width = pipeline.width
+    assert assert_equiv(pipeline, lowered, "sampled", samples, cap=width) is None
+
+
+def test_wide_lowered_check_finds_one_flipped_t_gate():
+    pipeline = build_isqrt_pipeline(32)
+    gates = lower_to_clifford_t(pipeline).gates
+    # the first H of a Toffoli template halfway through: its target is in
+    # superposition at the template's first T, on every input
+    h = next(
+        i for i in range(len(gates) // 2, len(gates))
+        if gates[i].kind is GateKind.H and gates[i + 1].qubits[1:] == gates[i].qubits
+    )
+    assert gates[h + 4] == Gate(GateKind.T, gates[h].qubits)
+    broken = Circuit(pipeline.width)
+    for i, g in enumerate(gates):
+        broken.append(Gate(GateKind.TDG, g.qubits) if i == h + 4 else g)
+    first = random.Random(0).randrange(1 << pipeline.width)
+    check = assert_equiv(pipeline, broken, "sampled", 2, cap=pipeline.width)
+    assert check == first
+
+
 def test_unknown_kind_without_rule_raises():
     qc = Circuit(2).swap(0, 1)
     with pytest.raises(UnsupportedGateError):

@@ -36,6 +36,7 @@ from qsqrt.errors import (
     NonPermutationGateError,
 )
 from qsqrt import sim
+from qsqrt.cli import FAMILIES
 from qsqrt.sim import _compile, _run_program
 from strategies import _nested_circuits, clifford_t_circuits, permutation_circuits
 
@@ -427,6 +428,90 @@ def test_sv_run_many_matches_dense_reference_and_sv_run(case):
     for k in range(states.shape[1]):
         assert np.max(np.abs(got[:, k] - sv_run(c, states[:, k]))) < 1e-12
     assert np.array_equal(states, before)
+
+
+@st.composite
+def clifford_t_batches(draw):
+    """A Clifford+T circuit of width 1..8 with a batch of 1, 3 or 64 basis
+    inputs, and the same number of random normalised dense columns."""
+    width = draw(st.integers(1, 8))
+    batch = draw(st.sampled_from([1, 3, 64]))
+    lanes = st.integers(0, (1 << width) - 1)
+    inputs = draw(st.lists(lanes, min_size=batch, max_size=batch))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (1 << width, batch)
+    cols = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return draw(clifford_t_circuits(width)), inputs, cols / np.linalg.norm(cols, axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clifford_t_batches())
+def test_sparse_kernel_matches_dense_reference_on_basis_and_dense_columns(case):
+    c, inputs, cols = case
+    one_hot = np.zeros_like(cols)
+    one_hot[inputs, np.arange(len(inputs))] = 1.0
+    want = dense_reference(c, one_hot)
+    from_entries = sim._dense(*sim._run_basis(c, inputs, None), c.width, len(inputs))
+    assert np.max(np.abs(from_entries - want)) < 1e-12
+    assert np.max(np.abs(sv_run_many(c, one_hot) - want)) < 1e-12
+    assert np.max(np.abs(sv_run_many(c, cols) - dense_reference(c, cols))) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "width, count, dtype",
+    [(62, 2, np.uint64), (63, 2, object), (63, 1, np.uint64), (64, 1, object),
+     (55, 256, np.uint64), (56, 256, object), (129, 3, object)],
+)
+def test_entry_keys_turn_to_python_ints_past_63_bits(width, count, dtype):
+    rows = [(1 << width) - 1 - k for k in range(count)]
+    keys = sim._pack(np.arange(count), rows, width, count)
+    assert keys.dtype == dtype
+    assert keys.tolist() == [k << width | row for k, row in enumerate(rows)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 6).flatmap(clifford_t_circuits), st.data())
+def test_sparse_kernel_runs_python_int_keys_like_uint64_keys(c, data):
+    lanes = st.integers(0, (1 << c.width) - 1)
+    inputs = data.draw(st.lists(lanes, min_size=1, max_size=64))
+    keys, amps = sim._basis(inputs, c.width)
+    small = sim._sv_entries(c, keys.copy(), amps.copy(), len(inputs))
+    big = sim._sv_entries(c, keys.astype(object), amps.copy(), len(inputs))
+    assert small[0].dtype == np.uint64 and big[0].dtype == object
+    assert small[0].tolist() == big[0].tolist()
+    assert np.array_equal(small[1], big[1])
+
+
+def families_up_to_width_8():
+    for name, family in FAMILIES.items():
+        for n in range(family.min_n, 9, 2 if family.even_only else 1):
+            yield f"{name}-{n}", family.build(n)
+    yield "isqrt-pipeline-16", build_isqrt_pipeline(16)
+
+
+def test_basis_inputs_hold_two_entries_at_most(monkeypatch):
+    # every H comes from a Toffoli template, whose second H on the target
+    # recombines the two branches its first H made
+    combine = sim._combine
+    most = {}
+
+    def counting(keys, amps):
+        keys, amps = combine(keys, amps)
+        cols = (keys >> keys.dtype.type(width)).astype(np.intp)
+        most[name] = max(most[name], np.bincount(cols).max(initial=0))
+        return keys, amps
+
+    monkeypatch.setattr(sim, "_combine", counting)
+    rng = random.Random(8)
+    for name, c in families_up_to_width_8():
+        width, most[name] = c.width, 1
+        inputs = [rng.randrange(1 << width) for _ in range(32)]
+        sim._run_basis(lower_to_clifford_t(c), inputs, width)
+    # adder, subtractor and ctrl-add-sub at n = 1 hold no Toffoli
+    assert [name for name, peak in most.items() if peak != 2] == [
+        "adder-1", "subtractor-1", "ctrl-add-sub-1"
+    ]
+    assert max(most.values()) == 2 and len(most) == 35
 
 
 @pytest.mark.parametrize(
