@@ -34,7 +34,6 @@ from .lowering import (
     lower_to_clifford_t,
 )
 from .sim import (
-    DEFAULT_SV_CAP,
     assert_equiv,
     basis_statevector,
     is_permutation_circuit,
@@ -62,7 +61,6 @@ __all__ = [
     "CLIFFORD_T_KINDS",
     "Circuit",
     "DEFAULT_RULES",
-    "DEFAULT_SV_CAP",
     "DecompositionRule",
     "Gate",
     "GateKind",

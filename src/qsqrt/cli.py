@@ -177,20 +177,17 @@ def _parse_n_range(spec: str, family: CircuitFamily) -> list[int]:
     except ValueError:
         raise CircuitError(f"invalid width '{spec}': expected N or N..M") from None
     _check_cli_n(hi)
-    step = 2 if family.even_only else 1
-    values = list(range(lo, hi + 1, step))
-    for n in values:
-        _check_family_n(family, n)
-    if not values:
+    if lo > hi:
         raise CircuitError(f"empty width range '{spec}'")
-    return values
+    _check_family_n(family, lo)  # then every later width passes too
+    return list(range(lo, hi + 1, 2 if family.even_only else 1))
 
 
 def _check_family_n(family: CircuitFamily, n: int) -> None:
     if family.even_only and n % 2:
-        raise CircuitError(f"n must be even, got {n}")
+        raise CircuitError(f"n must be even, got {int_text(n)}")
     if n < family.min_n:
-        raise CircuitError(f"n must be >= {family.min_n}, got {n}")
+        raise CircuitError(f"n must be >= {family.min_n}, got {int_text(n)}")
 
 
 def _check_cli_n(n: int) -> None:

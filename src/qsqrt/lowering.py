@@ -60,17 +60,6 @@ class DecompositionRule:
                 f"got {self.template.width}"
             )
 
-    def expand(self, gate: Gate) -> list[Gate]:
-        """Instantiate the template onto `gate`'s operands."""
-        if gate.kind is not self.kind:
-            raise UnsupportedGateError(
-                f"rule for {self.kind.value} applied to {gate.kind.value}"
-            )
-        return [
-            Gate(tg.kind, tuple(gate.qubits[i] for i in tg.qubits))
-            for tg in self.template.gates
-        ]
-
 
 def _swap_template() -> Circuit:
     qc = Circuit(2, "swap")

@@ -22,8 +22,10 @@ One statevector kernel, _sv_entries, applies a lowered circuit (X, CX, H,
 T, TDG, in composites too) to a batch of sparse columns in one pass over
 the gates; it is reserved for verifying decompositions, where phases
 matter. Dense columns exist only at the API: sv_run_many and sv_run
-convert them to entries and back, while unitary and assert_equiv start
-from basis entries. Both kernels read the gates through
+convert them to entries and back, so the caller's array bounds their
+entries. unitary and assert_equiv start from basis entries, which the
+kernel bounds itself: an H that spreads such a batch past _SV_MAX_ENTRIES
+entries raises CapacityError. Both kernels read the gates through
 circuit.iter_primitive_ops and so share its checks.
 
 Basis convention everywhere: bit i of an integer state or of a statevector
@@ -31,7 +33,6 @@ index is qubit i, and qubit 0 is the LSB of its register.
 """
 from __future__ import annotations
 
-import os
 import random
 from array import array
 from functools import lru_cache
@@ -44,7 +45,6 @@ from .circuit import CLIFFORD_T_KINDS, PERMUTATION_KINDS, Circuit, GateKind
 from .circuit import iter_primitive_ops
 from .errors import (
     CapacityError,
-    CircuitError,
     InputRangeError,
     InvalidWidthError,
     MustLowerError,
@@ -53,25 +53,11 @@ from .errors import (
 )
 from .lowering import lower_to_clifford_t
 
-#: Widest circuit sv_run accepts unless overridden (2**16 amplitudes).
-DEFAULT_SV_CAP = 16
-
 #: Widest circuit unitary and permutation_matrix build a dense matrix of.
 _MATRIX_CAP = 10
 
 _PHASES = {GateKind.T: np.exp(1j * np.pi / 4), GateKind.TDG: np.exp(-1j * np.pi / 4)}
 _SQRT1_2 = 1.0 / np.sqrt(2.0)
-
-
-def sv_cap() -> int:
-    """Statevector qubit cap, overridable through QSQRT_SV_CAP."""
-    raw = os.environ.get("QSQRT_SV_CAP")
-    if raw is None:
-        return DEFAULT_SV_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise CircuitError(f"QSQRT_SV_CAP must be an integer, got {raw!r}") from None
 
 
 def perm_run_many(c: Circuit, states: Sequence[int]) -> list[int]:
@@ -107,6 +93,11 @@ _PAD = {1: (0, 0), 2: (0,), 3: ()}
 #: one) a batch, as many as when they were dense: an exhaustive check at
 #: width 12 runs in 16 batches of 256 columns, one at width 8 or less in one.
 _SV_BATCH_AMPLITUDES = 1 << 20
+
+#: Entries a batch of basis columns may hold (_run_basis). Such a batch of
+#: assert_equiv's size holds at most _SV_BATCH_AMPLITUDES, so only a column
+#: of more than 20 qubits that spreads over more than 2**20 states meets it.
+_SV_MAX_ENTRIES = 1 << 20
 
 #: Programs _cached_program keeps: more than the 31 widths (4..64) that
 #: isqrt calls on inputs of up to 63 bits cycle through, so such a mix of
@@ -339,18 +330,17 @@ def basis_statevector(width: int, index: int) -> np.ndarray:
     return vec
 
 
-def sv_run_many(c: Circuit, states: np.ndarray, cap: int | None = None) -> np.ndarray:
+def sv_run_many(c: Circuit, states: np.ndarray) -> np.ndarray:
     """Apply a lowered circuit to a batch of statevectors in one pass.
 
     `states` is a (2**width, B) array whose columns are the B input
     vectors; returns a fresh array of the B output columns, leaving
     `states` untouched. Its gates, composites' included, must be X, CX, H, T
-    or TDG; anything else raises MustLowerError. `cap` (default sv_cap())
-    bounds the width of the dense columns (CapacityError); any other shape
-    raises InvalidWidthError. Norms are checked to 1e-10 in and out.
+    or TDG; anything else raises MustLowerError. Any other shape raises
+    InvalidWidthError. Norms are checked to 1e-10 in and out. The entries
+    never outnumber the elements of `states`, so no width is refused.
     """
     n = c.width
-    _check_cap(n, cap)
     states = np.asarray(states, dtype=complex)
     if states.ndim != 2 or states.shape[0] != 1 << n:
         raise InvalidWidthError(
@@ -362,12 +352,6 @@ def sv_run_many(c: Circuit, states: np.ndarray, cap: int | None = None) -> np.nd
     if np.any(np.abs(_column_norms(keys, amps, n, count) - 1.0) > 1e-10):
         raise ValueError("statevector must be normalised")
     return _dense(*_sv_entries(c, keys, amps, count), n, count)
-
-
-def _check_cap(width: int, cap: int | None) -> None:
-    cap = sv_cap() if cap is None else cap
-    if width > cap:
-        raise CapacityError(f"width {int_text(width)} exceeds statevector cap {cap}")
 
 
 def _pack(cols: np.ndarray, rows: Sequence[int], width: int, count: int):
@@ -383,20 +367,22 @@ def _basis(states: Sequence[int], width: int) -> tuple[np.ndarray, np.ndarray]:
     return _pack(np.arange(count), states, width, count), np.ones(count, complex)
 
 
-def _run_basis(c: Circuit, states: Sequence[int], cap: int | None):
+def _run_basis(c: Circuit, states: Sequence[int]):
     """The output entries of the basis columns `states`, with no dense array."""
-    _check_cap(c.width, cap)
-    return _sv_entries(c, *_basis(states, c.width), len(states))
+    return _sv_entries(c, *_basis(states, c.width), len(states), _SV_MAX_ENTRIES)
 
 
-def _sv_entries(c: Circuit, keys: np.ndarray, amps: np.ndarray, count: int):
+def _sv_entries(
+    c: Circuit, keys: np.ndarray, amps: np.ndarray, count: int, limit: int | None = None
+):
     """The statevector kernel: run a lowered circuit on sparse columns.
 
     A batch of `count` columns is held as its nonzero entries, keys from
     _pack and amplitudes `amps`. X, CX, T and TDG update them in place; H
     splits each entry into its two partners and sums equal keys, so a basis
     input holds two entries at most through a Toffoli template. Raises
-    MustLowerError on any other gate, and RuntimeError if a column's norm
+    MustLowerError on any other gate, CapacityError before an H would
+    leave more than `limit` entries, and RuntimeError if a column's norm
     drifts from 1 by more than 1e-10.
     """
     word = keys.dtype.type
@@ -410,6 +396,8 @@ def _sv_entries(c: Circuit, keys: np.ndarray, amps: np.ndarray, count: int):
             keys ^= moved << word(up) if up > 0 else moved >> word(-up)
         elif kind is GateKind.H:
             low, half = keys & ~bit, amps * _SQRT1_2
+            if limit is not None and 2 * len(low) > limit:
+                _check_spread(low, limit, count)
             signed = np.where((keys & bit).astype(bool), -half, half)
             keys, amps = _combine(
                 np.concatenate((low, low | bit)), np.concatenate((half, signed))
@@ -424,6 +412,17 @@ def _sv_entries(c: Circuit, keys: np.ndarray, amps: np.ndarray, count: int):
     if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
         raise RuntimeError("statevector norm drifted")
     return keys, amps
+
+
+def _check_spread(low: np.ndarray, limit: int, count: int) -> None:
+    """Raise CapacityError if the H that makes each distinct key of `low`
+    two entries would leave more than `limit` of them."""
+    low = np.sort(low)  # under numpy 2.4, np.unique is far slower on uint64
+    if 2 * (1 + np.count_nonzero(low[1:] != low[:-1])) > limit:
+        raise CapacityError(
+            f"an H would spread {count} basis columns over more than "
+            f"{limit} statevector entries"
+        )
 
 
 def _combine(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -454,18 +453,18 @@ def _dense(keys: np.ndarray, amps: np.ndarray, width: int, count: int) -> np.nda
     return out
 
 
-def sv_run(c: Circuit, state: np.ndarray, cap: int | None = None) -> np.ndarray:
+def sv_run(c: Circuit, state: np.ndarray) -> np.ndarray:
     """The one-column case of sv_run_many, with the same checks."""
-    return sv_run_many(c, np.asarray(state, dtype=complex)[..., None], cap)[:, 0]
+    return sv_run_many(c, np.asarray(state, dtype=complex)[..., None])[:, 0]
 
 
 def unitary(c: Circuit) -> np.ndarray:
-    """Dense unitary of a lowered circuit, up to _MATRIX_CAP qubits (and
-    sv_cap()): the identity's columns run as one batch of basis entries."""
+    """Dense unitary of a lowered circuit, up to _MATRIX_CAP qubits: the
+    identity's columns run as one batch of basis entries."""
     if c.width > _MATRIX_CAP:
         raise CapacityError(f"unitary construction capped at {_MATRIX_CAP} qubits")
     dim = 1 << c.width
-    return _dense(*_run_basis(c, np.arange(dim), None), c.width, dim)
+    return _dense(*_run_basis(c, np.arange(dim)), c.width, dim)
 
 
 def permutation_matrix(c: Circuit) -> np.ndarray:
@@ -489,7 +488,6 @@ def assert_equiv(
     mode: str = "exhaustive",
     samples: int = 100,
     seed: int = 0,
-    cap: int | None = None,
 ) -> int | None:
     """Compare two circuits on basis inputs.
 
@@ -502,8 +500,9 @@ def assert_equiv(
     amplitudes compared to 1e-9 (exhaustive up to width 12). Lowering one
     side therefore never hides a faulty decomposition of the other. The
     inputs run as basis entries in batches of _SV_BATCH_AMPLITUDES >> width,
-    in order, so the batch size never changes the answer. `cap` (default
-    sv_cap()) bounds the width; a wide sampled check passes cap=width.
+    in order, so the batch size never changes the answer. A batch that
+    spreads over more than _SV_MAX_ENTRIES entries raises CapacityError,
+    which only a circuit of more than 20 qubits can reach.
     """
     if a.width != b.width:
         raise InvalidWidthError(f"width mismatch: {a.width} != {b.width}")
@@ -536,11 +535,11 @@ def assert_equiv(
     step = max(1, _SV_BATCH_AMPLITUDES >> width)
     for lo in range(0, len(inputs), step):
         batch = inputs[lo : lo + step]
-        keys, amps = _run_basis(la, batch, cap)
+        keys, amps = _run_basis(la, batch)
         if lb is None:
             other, other_amps = _basis(out_b[lo : lo + step], width)
         else:
-            other, other_amps = _run_basis(lb, batch, cap)
+            other, other_amps = _run_basis(lb, batch)
         keys, diff = _combine(
             np.concatenate((keys, other)), np.concatenate((amps, -other_amps))
         )

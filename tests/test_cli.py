@@ -408,6 +408,19 @@ def test_resources_rejects_malformed_width(capsys, spec):
     assert capsys.readouterr().err.startswith("error: invalid width")
 
 
+@pytest.mark.parametrize("circuit", ["adder", "isqrt"])
+def test_resources_checks_the_lower_end_before_listing_widths(capsys, circuit):
+    # listing every width from -10**21 would fail with an OverflowError
+    assert main(["resources", "--circuit", circuit, f"--n={-10**21}..4"]) == 2
+    assert capsys.readouterr().err.startswith("error: n must be")
+
+
+@pytest.mark.parametrize("spec", ["4..2", "3..2"])
+def test_resources_rejects_an_empty_width_range(capsys, spec):
+    assert main(["resources", "--circuit", "isqrt", "--n", spec]) == 2
+    assert capsys.readouterr().err == f"error: empty width range '{spec}'\n"
+
+
 def test_export_writes_matching_qasm(tmp_path, capsys):
     target = tmp_path / "isqrt6.qasm"
     assert (

@@ -1,8 +1,8 @@
 """The one expansion table behind analyze and lower_to_clifford_t.
 
 Both are checked against references written here the way they used to be
-composed: a recursive rule-by-rule lowering through DecompositionRule.expand
-and Circuit.append, then schedule_layers and count_ops on its output.
+composed: a recursive rule-by-rule lowering that instantiates each rule's
+template onto the gate's operands through Circuit.append, then schedule_layers and count_ops on its output.
 """
 import os
 import subprocess
@@ -60,8 +60,8 @@ def reference_lower(c, rules=None):
         rule = rules.get(g.kind)
         if rule is None:
             raise UnsupportedGateError(f"no decomposition rule for {g.kind.value}")
-        for sub in rule.expand(g):
-            emit(sub)
+        for tg in rule.template.gates:
+            emit(Gate(tg.kind, tuple(g.qubits[i] for i in tg.qubits)))
 
     for kind, qubits in iter_primitive_ops(c):
         emit(Gate(kind, qubits))

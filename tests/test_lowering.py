@@ -182,8 +182,7 @@ def test_lowered_pipeline_matches_it_at_the_papers_widths(n, samples):
     # sparse kernel's keys no longer fit in 63 bits and are Python ints
     pipeline = build_isqrt_pipeline(n)
     lowered = lower_to_clifford_t(pipeline)
-    width = pipeline.width
-    assert assert_equiv(pipeline, lowered, "sampled", samples, cap=width) is None
+    assert assert_equiv(pipeline, lowered, "sampled", samples) is None
 
 
 def test_wide_lowered_check_finds_one_flipped_t_gate():
@@ -200,7 +199,7 @@ def test_wide_lowered_check_finds_one_flipped_t_gate():
     for i, g in enumerate(gates):
         broken.append(Gate(GateKind.TDG, g.qubits) if i == h + 4 else g)
     first = random.Random(0).randrange(1 << pipeline.width)
-    check = assert_equiv(pipeline, broken, "sampled", 2, cap=pipeline.width)
+    check = assert_equiv(pipeline, broken, "sampled", 2)
     assert check == first
 
 
@@ -223,11 +222,6 @@ def test_alternate_rule_can_be_plugged():
     assert [g.qubits for g in lowered.gates] == [(1, 0), (0, 1), (1, 0)]
     for state in range(4):
         assert perm_run(lowered, state) == perm_run(logical, state)
-
-
-def test_rule_rejects_wrong_gate_kind():
-    with pytest.raises(UnsupportedGateError):
-        DEFAULT_RULES[GateKind.SWAP].expand(Gate(GateKind.CX, (0, 1)))
 
 
 def test_t_count_invariant_under_flatten():

@@ -26,10 +26,10 @@ from qsqrt import (
     perm_run_many,
     sv_run,
     sv_run_many,
+    unitary,
 )
 from qsqrt.errors import (
     CapacityError,
-    CircuitError,
     InputRangeError,
     InvalidWidthError,
     MustLowerError,
@@ -236,25 +236,9 @@ def test_sv_rejects_unlowered_gates():
         sv_run(qc, basis_statevector(3, 0))
 
 
-def test_sv_width_cap():
-    qc = Circuit(17).x(0)
-    with pytest.raises(CapacityError):
-        sv_run(qc, np.zeros(1 << 17))
-
-
-def test_sv_cap_env_override(monkeypatch):
-    monkeypatch.setenv("QSQRT_SV_CAP", "3")
-    qc = Circuit(4).x(0)
-    with pytest.raises(CapacityError):
-        sv_run(qc, basis_statevector(4, 0))
-    monkeypatch.setenv("QSQRT_SV_CAP", "4")
-    sv_run(qc, basis_statevector(4, 0))
-
-
-def test_sv_cap_env_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("QSQRT_SV_CAP", "x")
-    with pytest.raises(CircuitError, match="QSQRT_SV_CAP"):
-        sv_run(Circuit(1).x(0), basis_statevector(1, 0))
+def test_sv_run_takes_any_width_its_array_holds():
+    out = sv_run(Circuit(17).x(0), basis_statevector(17, 0))
+    assert out[1] == 1.0 and np.count_nonzero(out) == 1
 
 
 def test_sv_does_not_mutate_input_vector():
@@ -451,7 +435,7 @@ def test_sparse_kernel_matches_dense_reference_on_basis_and_dense_columns(case):
     one_hot = np.zeros_like(cols)
     one_hot[inputs, np.arange(len(inputs))] = 1.0
     want = dense_reference(c, one_hot)
-    from_entries = sim._dense(*sim._run_basis(c, inputs, None), c.width, len(inputs))
+    from_entries = sim._dense(*sim._run_basis(c, inputs), c.width, len(inputs))
     assert np.max(np.abs(from_entries - want)) < 1e-12
     assert np.max(np.abs(sv_run_many(c, one_hot) - want)) < 1e-12
     assert np.max(np.abs(sv_run_many(c, cols) - dense_reference(c, cols))) < 1e-12
@@ -506,7 +490,7 @@ def test_basis_inputs_hold_two_entries_at_most(monkeypatch):
     for name, c in families_up_to_width_8():
         width, most[name] = c.width, 1
         inputs = [rng.randrange(1 << width) for _ in range(32)]
-        sim._run_basis(lower_to_clifford_t(c), inputs, width)
+        sim._run_basis(lower_to_clifford_t(c), inputs)
     # adder, subtractor and ctrl-add-sub at n = 1 hold no Toffoli
     assert [name for name, peak in most.items() if peak != 2] == [
         "adder-1", "subtractor-1", "ctrl-add-sub-1"
@@ -536,15 +520,6 @@ def test_sv_run_many_rejects_unlowered_gates():
     qc.append_composite("PERES", peres_circuit(), [0, 1, 2])
     with pytest.raises(MustLowerError):
         sv_run_many(qc, np.eye(8))
-
-
-def test_sv_run_many_caps_width(monkeypatch):
-    with pytest.raises(CapacityError):
-        sv_run_many(Circuit(4).x(0), np.eye(16), cap=3)
-    monkeypatch.setenv("QSQRT_SV_CAP", "3")
-    with pytest.raises(CapacityError):
-        sv_run_many(Circuit(4).x(0), np.eye(16))
-    assert sv_run_many(Circuit(4).x(0), np.eye(16), cap=4)[1, 0] == 1.0
 
 
 def test_sv_run_many_checks_every_column_norm():
@@ -640,14 +615,25 @@ def test_small_column_batches_answer_like_one_batch(monkeypatch, amplitudes):
     assert single[-2] is not None and single[-1] is None
 
 
-def test_assert_equiv_statevector_capacity_errors(monkeypatch):
-    logical = Circuit(4).ccx(0, 1, 3)
-    with pytest.raises(CapacityError, match="statevector cap 3"):
-        assert_equiv(logical, lower_to_clifford_t(logical), cap=3)
-    with pytest.raises(CapacityError, match="statevector cap 3"):
-        assert_equiv(Circuit(4).h(0), Circuit(4).h(0), mode="sampled", cap=3)
-    monkeypatch.setenv("QSQRT_SV_CAP", "3")
-    with pytest.raises(CapacityError, match="statevector cap 3"):
-        assert_equiv(logical, lower_to_clifford_t(logical))
-    monkeypatch.setenv("QSQRT_SV_CAP", "4")
-    assert assert_equiv(logical, lower_to_clifford_t(logical)) is None
+def all_h(width):
+    c = Circuit(width)
+    for q in range(width):
+        c.h(q)
+    return c
+
+
+def test_basis_batches_stop_at_the_entry_bound():
+    # one sampled column of 21 qubits spreads over 2**21 basis states
+    with pytest.raises(CapacityError, match="more than 1048576"):
+        assert_equiv(all_h(21), all_h(21), "sampled", 1)
+
+
+def test_entry_bound_holds_basis_batches_alone(monkeypatch):
+    monkeypatch.setattr(sim, "_SV_MAX_ENTRIES", 8)
+    assert assert_equiv(all_h(3), all_h(3), "sampled", 1) is None
+    with pytest.raises(CapacityError):
+        assert_equiv(all_h(4), all_h(4), "sampled", 1)
+    with pytest.raises(CapacityError):
+        unitary(all_h(4))
+    # a dense batch is bounded by the caller's own array
+    assert np.allclose(sv_run(all_h(4), basis_statevector(4, 0)), 0.25)
