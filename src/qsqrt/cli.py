@@ -315,9 +315,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     # uint64 lanes while every state fits, Python ints (dtype=object) beyond
     dtype = np.uint64 if width < 63 else object
-    # Case k's input is k | input(0), so an exhaustive sweep in uint64
-    # lanes runs bit-sliced from the case counter to the output check.
-    sliced = mode == "exhaustive" and dtype is np.uint64
+    # Case k's input is k | input(0), so an exhaustive sweep (below 63 qubits
+    # by MAX_EXHAUSTIVE_BITS) runs bit-sliced from counter to output check.
+    sliced = mode == "exhaustive"
     if sliced:
         const = int(family.oracle(n, np.zeros(1, dtype))[0][0])
     failed = 0

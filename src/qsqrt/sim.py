@@ -25,8 +25,8 @@ matter. Dense columns exist only at the API: sv_run_many and sv_run
 convert them to entries and back, so the caller's array bounds their
 entries. unitary and assert_equiv start from basis entries, which the
 kernel bounds itself: an H that spreads such a batch past _SV_MAX_ENTRIES
-entries raises CapacityError. Both kernels read the gates through
-circuit.iter_primitive_ops and so share its checks.
+entries raises CapacityError (assert_equiv then halves its batch). Both
+kernels read the gates, checks included, through iter_primitive_ops.
 
 Basis convention everywhere: bit i of an integer state or of a statevector
 index is qubit i, and qubit 0 is the LSB of its register.
@@ -89,14 +89,9 @@ _OPCODES = {
 }
 _PAD = {1: (0, 0), 2: (0,), 3: ()}
 
-#: assert_equiv runs _SV_BATCH_AMPLITUDES >> width basis columns (at least
-#: one) a batch, as many as when they were dense: an exhaustive check at
-#: width 12 runs in 16 batches of 256 columns, one at width 8 or less in one.
-_SV_BATCH_AMPLITUDES = 1 << 20
-
-#: Entries a batch of basis columns may hold (_run_basis). Such a batch of
-#: assert_equiv's size holds at most _SV_BATCH_AMPLITUDES, so only a column
-#: of more than 20 qubits that spreads over more than 2**20 states meets it.
+#: Entries a batch of basis columns may hold (_run_basis). Every column
+#: holds at least one, so it also caps assert_equiv's batches, which halve
+#: until they fit.
 _SV_MAX_ENTRIES = 1 << 20
 
 #: Programs _cached_program keeps: more than the 31 widths (4..64) that
@@ -499,18 +494,17 @@ def assert_equiv(
     of amplitude 1), anything else lowered and through _sv_entries, with
     amplitudes compared to 1e-9 (exhaustive up to width 12). Lowering one
     side therefore never hides a faulty decomposition of the other. The
-    inputs run as basis entries in batches of _SV_BATCH_AMPLITUDES >> width,
-    in order, so the batch size never changes the answer. A batch that
-    spreads over more than _SV_MAX_ENTRIES entries raises CapacityError,
-    which only a circuit of more than 20 qubits can reach.
+    inputs run in order, in batches of at most _SV_MAX_ENTRIES columns; a
+    batch that would spread past _SV_MAX_ENTRIES entries (CapacityError)
+    is halved and rerun, and later batches keep its size, so the batch
+    size never changes the answer. One column that does not fit raises.
     """
     if a.width != b.width:
         raise InvalidWidthError(f"width mismatch: {a.width} != {b.width}")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     width = a.width
-    a_perm = is_permutation_circuit(a)
-    b_perm = is_permutation_circuit(b)
+    a_perm, b_perm = is_permutation_circuit(a), is_permutation_circuit(b)
     if mode == "exhaustive":
         limit = 20 if a_perm and b_perm else 12
         if width > limit:
@@ -521,32 +515,38 @@ def assert_equiv(
     else:
         rng = random.Random(seed)
         inputs = [rng.randrange(1 << width) for _ in range(samples)]
-    out_a = perm_run_many(a, inputs) if a_perm else None
-    out_b = perm_run_many(b, inputs) if b_perm else None
-    if out_a is not None and out_b is not None:
-        for s, got_a, got_b in zip(inputs, out_a, out_b):
-            if got_a != got_b:
-                return s
-        return None
-    if a_perm:  # the permutation side, if there is one, is b from here on
-        a, b, out_b = b, a, out_a
-    la = _lowered(a)
-    lb = None if out_b is not None else _lowered(b)
-    step = max(1, _SV_BATCH_AMPLITUDES >> width)
-    for lo in range(0, len(inputs), step):
+    if a_perm and b_perm:
+        pairs = zip(inputs, perm_run_many(a, inputs), perm_run_many(b, inputs))
+        return next((s for s, x, y in pairs if x != y), None)
+    run_a, run_b = _batch_entries(a, a_perm), _batch_entries(b, b_perm)
+    lo, step = 0, min(len(inputs), _SV_MAX_ENTRIES)
+    while lo < len(inputs):
         batch = inputs[lo : lo + step]
-        keys, amps = _run_basis(la, batch)
-        if lb is None:
-            other, other_amps = _basis(out_b[lo : lo + step], width)
-        else:
-            other, other_amps = _run_basis(lb, batch)
+        try:
+            (keys, amps), (other, other_amps) = run_a(batch), run_b(batch)
+        except CapacityError:
+            if len(batch) == 1:
+                raise
+            step = len(batch) // 2
+            continue
         keys, diff = _combine(
             np.concatenate((keys, other)), np.concatenate((amps, -other_amps))
         )
         bad = keys[np.abs(diff) > 1e-9]
         if len(bad):  # the smallest key is in the first differing column
             return batch[int(bad.min() >> bad.dtype.type(width))]
+        lo += step
     return None
+
+
+def _batch_entries(c: Circuit, perm: bool) -> Callable:
+    """Map a batch of basis states to the output entries of `c` on them:
+    perm_run_many's states as entries of amplitude 1 if `perm`, else the
+    statevector kernel's on `c` lowered."""
+    if perm:
+        return lambda batch: _basis(perm_run_many(c, batch), c.width)
+    lowered = _lowered(c)
+    return lambda batch: _run_basis(lowered, batch)
 
 
 def _lowered(c: Circuit) -> Circuit:

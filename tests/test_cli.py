@@ -275,6 +275,16 @@ def test_family_input_is_the_case_number_over_a_constant(name):
         assert states.tolist() == [k | const for k in range(1 << bits)]
 
 
+def test_every_exhaustive_sweep_fits_uint64_lanes():
+    # so verify runs every exhaustive sweep bit-sliced, in uint64 lanes
+    for family in cli.FAMILIES.values():
+        step = 2 if family.even_only else 1
+        n = family.min_n
+        while family.case_bits(n + step) <= cli.MAX_EXHAUSTIVE_BITS:
+            n += step
+        assert (family.verify_build or family.build)(n).width < 63
+
+
 def reference_case(name, n, k):
     """(input, expected output) state of case k, in Python ints."""
     if name == "isqrt":

@@ -127,15 +127,16 @@ def test_lowering_preserves_permutation_semantics(c):
 
 @pytest.mark.parametrize(
     "build, n",
-    [(build_adder, n) for n in range(1, 6)]
-    + [(build_subtractor, n) for n in range(1, 6)]
-    + [(build_ctrl_add_sub, n) for n in range(1, 5)]
-    + [(build_ctrl_adder, n) for n in range(2, 5)]
+    [(build_adder, n) for n in range(1, 7)]
+    + [(build_subtractor, n) for n in range(1, 7)]
+    + [(build_ctrl_add_sub, n) for n in range(1, 6)]
+    + [(build_ctrl_adder, n) for n in range(2, 6)]
     + [(build_isqrt_pipeline, 4)],
     ids=lambda v: getattr(v, "__name__", str(v)),
 )
 def test_lowered_family_matches_its_circuit_on_every_basis_state(build, n):
-    # up to width 10: every input column, phases included, to 1e-9
+    # up to width 12, the exhaustive cap: every input column, phases
+    # included, to 1e-9
     c = build(n)
     assert assert_equiv(c, lower_to_clifford_t(c)) is None
 
@@ -176,13 +177,13 @@ def test_lowered_isqrt_matches_logical_circuit():
     assert assert_equiv(logical, lowered, mode="sampled", samples=100, seed=3) is None
 
 
-@pytest.mark.parametrize("n, samples", [(16, 4), (32, 2)])
-def test_lowered_pipeline_matches_it_at_the_papers_widths(n, samples):
+@pytest.mark.parametrize("n", [16, 32])
+def test_lowered_pipeline_matches_it_at_the_papers_widths(n):
     # 33 and 65 qubits, far beyond any dense statevector; at 65 qubits the
     # sparse kernel's keys no longer fit in 63 bits and are Python ints
     pipeline = build_isqrt_pipeline(n)
     lowered = lower_to_clifford_t(pipeline)
-    assert assert_equiv(pipeline, lowered, "sampled", samples) is None
+    assert assert_equiv(pipeline, lowered, "sampled") is None
 
 
 def test_wide_lowered_check_finds_one_flipped_t_gate():

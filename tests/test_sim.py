@@ -597,8 +597,10 @@ def test_assert_equiv_runs_the_permutation_side_unlowered(monkeypatch):
     assert assert_equiv(broken, _LOGICAL_CCX) is not None
 
 
-@pytest.mark.parametrize("amplitudes", [1, 16, 40, 64])
-def test_small_column_batches_answer_like_one_batch(monkeypatch, amplitudes):
+# not 2: the flipped-T pairs leave a template's closing H unrecombined, so
+# one of their columns holds 4 entries
+@pytest.mark.parametrize("entries", [4, 16, 40, 64])
+def test_small_column_batches_answer_like_one_batch(monkeypatch, entries):
     adder = build_adder(3)
     subtractor = lower_to_clifford_t(adder).inverse()
     cases = [(*pair, mode, seed) for pair in _EQUIV_PAIRS.values()
@@ -610,7 +612,7 @@ def test_small_column_batches_answer_like_one_batch(monkeypatch, amplitudes):
                 for a, b, mode, seed in cases]
 
     single = answers()
-    monkeypatch.setattr(sim, "_SV_BATCH_AMPLITUDES", amplitudes)
+    monkeypatch.setattr(sim, "_SV_MAX_ENTRIES", entries)
     assert answers() == single
     assert single[-2] is not None and single[-1] is None
 
@@ -626,6 +628,17 @@ def test_basis_batches_stop_at_the_entry_bound():
     # one sampled column of 21 qubits spreads over 2**21 basis states
     with pytest.raises(CapacityError, match="more than 1048576"):
         assert_equiv(all_h(21), all_h(21), "sampled", 1)
+
+
+def test_batches_halve_until_they_fit_the_entry_bound(monkeypatch):
+    monkeypatch.setattr(sim, "_SV_MAX_ENTRIES", 64)
+    with pytest.raises(CapacityError):  # all 16 columns as one batch
+        sim._run_basis(all_h(4), range(16))
+    assert assert_equiv(all_h(4), all_h(4)) is None
+    phased = all_h(4).t(2)
+    expected = first_difference_input_by_input(all_h(4), phased, range(16))
+    assert expected is not None
+    assert assert_equiv(all_h(4), phased) == expected
 
 
 def test_entry_bound_holds_basis_batches_alone(monkeypatch):
