@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateKind, iter_primitive_ops
+from .circuit import Circuit, GateKind, _integer_width, iter_primitive_ops
 from .errors import InvalidWidthError, MustLowerError, int_text
 from .lowering import _ExpansionTable
 
@@ -40,16 +40,17 @@ def schedule_layers(c: Circuit) -> list[int]:
 
     layer(g) is 1 plus the highest layer among earlier gates sharing a
     qubit with g, so gates inside one layer act on disjoint qubits and the
-    per-qubit gate order is preserved.
+    per-qubit gate order is preserved. A malformed gate raises the error
+    Circuit.append would.
     """
+    if any(g.kind is GateKind.COMPOSITE for g in c.gates):
+        raise MustLowerError("flatten or lower the circuit before scheduling")
     ready = [0] * c.width
     layers: list[int] = []
-    for g in c.gates:
-        if g.kind is GateKind.COMPOSITE:
-            raise MustLowerError("flatten or lower the circuit before scheduling")
-        layer = 1 + max(ready[q] for q in g.qubits)
+    for _, qubits in iter_primitive_ops(c):
+        layer = 1 + max(ready[q] for q in qubits)
         layers.append(layer)
-        for q in g.qubits:
+        for q in qubits:
             ready[q] = layer
     return layers
 
@@ -100,6 +101,7 @@ def expected_t_count_isqrt(n: int) -> int:
 
     Exact integer arithmetic; defined for even n >= 4.
     """
+    n = _integer_width(n, "the square root T-count formula")
     if n < 4 or n % 2:
         raise InvalidWidthError(f"formula defined for even n >= 4, got {int_text(n)}")
     return (7 * n * n + 42 * n - 56) // 2
@@ -107,6 +109,7 @@ def expected_t_count_isqrt(n: int) -> int:
 
 def expected_t_count_adder(n: int) -> int:
     """Closed-form T-count of the adder and subtractor: 14n - 14."""
+    n = _integer_width(n, "the adder T-count formula")
     if n < 1:
         raise InvalidWidthError(f"adder formula defined for n >= 1, got {int_text(n)}")
     return 14 * n - 14
@@ -114,6 +117,7 @@ def expected_t_count_adder(n: int) -> int:
 
 def expected_t_count_ctrl_adder(n: int) -> int:
     """Closed-form T-count of the controlled adder: 21n - 14."""
+    n = _integer_width(n, "the controlled adder T-count formula")
     if n < 2:
         raise InvalidWidthError(
             f"controlled adder formula defined for n >= 2, got {int_text(n)}"

@@ -35,7 +35,7 @@ from .arithmetic import (
 from .circuit import Circuit
 from .errors import CapacityError, CircuitError, int_text
 from .export import report_rows_to_csv, report_rows_to_json, to_qasm
-from .sim import _cached_program, _run_counter, _run_program
+from .sim import _cached_program, _run, _run_counter
 from .sqrt import build_isqrt_circuit, build_isqrt_pipeline, isqrt, min_width
 
 EXIT_OK = 0
@@ -332,9 +332,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if sliced:
             outputs = _run_counter(program, lo, len(batch), const)
         else:
-            outputs = np.array(
-                _run_program(program, states.tolist()), dtype=expected.dtype
-            )
+            outputs = np.array(_run(program, states.tolist()), dtype=expected.dtype)
         failures = np.flatnonzero(outputs != expected)
         if len(failures) and first_failure is None:
             i = failures[0]

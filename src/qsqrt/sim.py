@@ -3,14 +3,12 @@
 One permutation kernel, _run_columns, pushes a whole batch of basis
 states through the classical-reversible gates (X, CX, ZCX, CCX, SWAP) in
 one pass over the gates. It works on bit-sliced columns: one int per
-qubit, whose bit k is that qubit in case k. It reads (opcode, q0, q1, q2)
-tuples from one of two sources: perm_run_many streams them from a
-circuit's composite walk and stores nothing, and a compiled program holds
-them in a flat array, built once per (builder, width) by a bounded cache,
-for the calls that run the same circuit again and again (isqrt and
-`qsqrt verify`). Two callers feed it columns:
-- _run transposes a list of basis states into columns and the output
-  columns back. perm_run_many, perm_run (its one-state case),
+qubit, whose bit k is that qubit in case k. It reads one format, a program
+from _compile: the circuit's (opcode, q0, q1, q2) in a flat array. Every
+caller compiles first; isqrt and `qsqrt verify` keep theirs in a bounded
+per-(builder, width) cache. Two callers feed it columns:
+- _run checks and transposes a list of basis states into columns and the
+  output columns back. perm_run_many, perm_run (its one-state case),
   permutation_matrix, assert_equiv, isqrt and a sampled `qsqrt verify` go
   through it.
 - _run_counter serves an exhaustive `qsqrt verify`, whose inputs are a
@@ -33,11 +31,11 @@ index is qubit i, and qubit 0 is the LSB of its register.
 """
 from __future__ import annotations
 
+import operator
 import random
 from array import array
 from functools import lru_cache
-from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,12 +63,12 @@ def perm_run_many(c: Circuit, states: Sequence[int]) -> list[int]:
 
     Bit-sliced (Biham, FSE 1997): qubit q is held as one int whose bit k is
     qubit q's value in case k, so each X, CX, ZCX, CCX or SWAP is one
-    big-int XOR, AND or swap for the whole batch. Composites are walked in
-    place and no program is stored. Returns the output state of each case,
-    in order. Raises InputRangeError if any state is outside the circuit's
-    width and NonPermutationGateError on H, T or TDG.
+    big-int XOR, AND or swap for the whole batch; `c` is compiled first.
+    Returns the output state of each case, in order. Raises
+    NonPermutationGateError on H, T or TDG, and InputRangeError on a state
+    that is not an integer (numpy integers pass) below 2**width.
     """
-    return _run(_ops(c), c.width, states)
+    return _run(_compile(c), states)
 
 
 def perm_run(c: Circuit, state: int) -> int:
@@ -100,25 +98,22 @@ _SV_MAX_ENTRIES = 1 << 20
 _PROGRAM_CACHE_SIZE = 64
 
 
-def _ops(c: Circuit) -> Iterator[tuple[int, ...]]:
-    """(opcode, q0, q1, q2) of each primitive gate of `c`, zero-padded."""
+def _compile(c: Circuit) -> tuple[int, array]:
+    """The program of a permutation circuit: its width and a flat array of
+    (opcode, q0, q1, q2) per primitive gate, zero-padded. Raises
+    NonPermutationGateError on H, T or TDG. Qubit indices below 2**16 fit
+    the two-byte typecode, about 8 bytes a gate; wider circuits take
+    eight-byte entries.
+    """
+    code = array("H" if c.width <= 1 << 16 else "Q")
     for kind, q in iter_primitive_ops(c):
         op = _OPCODES.get(kind)
         if op is None:
             raise NonPermutationGateError(
                 f"{kind.value} is not a basis-state permutation"
             )
-        yield (op, *q, *_PAD[len(q)])
-
-
-def _compile(c: Circuit) -> tuple[int, array]:
-    """The program of a permutation circuit: (width, flat array of _ops).
-
-    Qubit indices below 2**16 fit the two-byte typecode, about 8 bytes a
-    gate; wider circuits take eight-byte entries.
-    """
-    typecode = "H" if c.width <= 1 << 16 else "Q"
-    return c.width, array(typecode, chain.from_iterable(_ops(c)))
+        code.extend((op, *q, *_PAD[len(q)]))
+    return c.width, code
 
 
 @lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
@@ -131,16 +126,10 @@ def _cached_program(builder: Callable[[int], Circuit], n: int) -> tuple[int, arr
     return _compile(builder(n))
 
 
-def _run_program(program: tuple[int, array], states: Sequence[int]) -> list[int]:
-    """perm_run_many over a program from _compile instead of a circuit."""
-    width, code = program
-    return _run(_program_ops(code), width, states)
-
-
 def _run_counter(
     program: tuple[int, array], lo: int, count: int, const: int
 ) -> np.ndarray:
-    """_run_program on the states (lo + k) | const for k < count, as uint64.
+    """_run on the states (lo + k) | const for k < count, as uint64.
 
     Bit-sliced from input to output: the input columns come straight from
     the counter (_counter_columns) and the output columns are unpacked by
@@ -149,37 +138,47 @@ def _run_counter(
     """
     width, code = program
     cols = _counter_columns(lo, count, width, const)
-    return _lanes(_run_columns(_program_ops(code), cols, count), count)
+    return _lanes(_run_columns(code, cols, count), count)
 
 
-def _program_ops(code: array) -> Iterator[tuple[int, ...]]:
-    """The (opcode, q0, q1, q2) tuples of a flat program array."""
-    it = iter(code)
-    return zip(it, it, it, it)
-
-
-def _run(
-    ops: Iterable[tuple[int, ...]], width: int, states: Sequence[int]
-) -> list[int]:
-    """_run_columns on basis states: transpose in, run `ops`, transpose out."""
-    limit = 1 << width
-    if len(states) and (min(states) < 0 or max(states) >= limit):
-        bad = int_text(next(s for s in states if not 0 <= s < limit))
-        raise InputRangeError(f"basis state {bad} out of range for width {width}")
+def _run(program: tuple[int, array], states: Sequence[int]) -> list[int]:
+    """_run_columns on basis states: check and transpose them in, run the
+    program, transpose out."""
+    width, code = program
+    states = _check_states(states, width)
     count = len(states)
-    return _transpose(_run_columns(ops, _transpose(states, width), count), count)
+    return _transpose(_run_columns(code, _transpose(states, width), count), count)
 
 
-def _run_columns(
-    ops: Iterable[tuple[int, ...]], cols: list[int], lanes: int
+def _check_states(
+    states: Sequence[int], width: int, what: str = "basis state"
 ) -> list[int]:
-    """The permutation kernel: run `ops` on bit-sliced qubit columns.
+    """`states` as ints, if each is an integer below 2**width.
+
+    Each passes through operator.index, so numpy integers are accepted and
+    floats, strings and the like raise InputRangeError.
+    """
+    try:
+        checked = list(map(operator.index, states))
+    except TypeError:
+        bad = next(s for s in states if not hasattr(type(s), "__index__"))
+        raise InputRangeError(f"{what} must be an integer, got {bad!r}") from None
+    limit = 1 << width
+    if checked and (min(checked) < 0 or max(checked) >= limit):
+        bad = int_text(next(s for s in checked if not 0 <= s < limit))
+        raise InputRangeError(f"{what} {bad} out of range for width {width}")
+    return checked
+
+
+def _run_columns(code: array, cols: list[int], lanes: int) -> list[int]:
+    """The permutation kernel: run a program's code on bit-sliced columns.
 
     Bit k of cols[q] is qubit q in case k, for `lanes` cases. The columns
     are updated in place and returned.
     """
     ones = (1 << lanes) - 1
-    for op, a, b, t in ops:
+    it = iter(code)
+    for op, a, b, t in zip(it, it, it, it):
         if op == _CX:
             cols[b] ^= cols[a]
         elif op == _CCX:
@@ -315,11 +314,8 @@ def _bit_transpose(mat: np.ndarray, nbits: int) -> np.ndarray:
 
 
 def basis_statevector(width: int, index: int) -> np.ndarray:
-    """Unit statevector with amplitude 1 on basis `index`."""
-    if not 0 <= index < 1 << width:
-        raise InputRangeError(
-            f"basis index {int_text(index)} out of range for width {width}"
-        )
+    """Unit statevector with amplitude 1 on basis `index`, an integer."""
+    (index,) = _check_states((index,), width, "basis index")
     vec = np.zeros(1 << width, dtype=complex)
     vec[index] = 1.0
     return vec
@@ -344,7 +340,7 @@ def sv_run_many(c: Circuit, states: np.ndarray) -> np.ndarray:
     count = states.shape[1]
     rows, cols = np.nonzero(states)
     keys, amps = _pack(cols, rows, n, count), states[rows, cols]
-    if np.any(np.abs(_column_norms(keys, amps, n, count) - 1.0) > 1e-10):
+    if not _normalised(keys, amps, n, count):
         raise ValueError("statevector must be normalised")
     return _dense(*_sv_entries(c, keys, amps, count), n, count)
 
@@ -403,8 +399,7 @@ def _sv_entries(
             raise MustLowerError(
                 f"{kind.value} must be lowered before statevector simulation"
             )
-    norms = _column_norms(keys, amps, c.width, count)
-    if not np.all(np.abs(norms - 1.0) <= 1e-10):  # NaN fails too
+    if not _normalised(keys, amps, c.width, count):
         raise RuntimeError("statevector norm drifted")
     return keys, amps
 
@@ -433,10 +428,11 @@ def _combine(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return keys[starts[live]], sums[live]
 
 
-def _column_norms(keys: np.ndarray, amps: np.ndarray, width: int, count: int):
-    """Euclidean norm of each of the `count` columns held as entries."""
+def _normalised(keys: np.ndarray, amps: np.ndarray, width: int, count: int) -> bool:
+    """True if every column held as entries has norm 1 to 1e-10; NaN fails."""
     cols = (keys >> keys.dtype.type(width)).astype(np.intp)
-    return np.sqrt(np.bincount(cols, amps.real**2 + amps.imag**2, count))
+    norms = np.sqrt(np.bincount(cols, amps.real**2 + amps.imag**2, count))
+    return bool(np.all(np.abs(norms - 1.0) <= 1e-10))
 
 
 def _dense(keys: np.ndarray, amps: np.ndarray, width: int, count: int) -> np.ndarray:
@@ -541,10 +537,11 @@ def assert_equiv(
 
 def _batch_entries(c: Circuit, perm: bool) -> Callable:
     """Map a batch of basis states to the output entries of `c` on them:
-    perm_run_many's states as entries of amplitude 1 if `perm`, else the
-    statevector kernel's on `c` lowered."""
+    its program's states (compiled once) as entries of amplitude 1 if
+    `perm`, else the statevector kernel's on `c` lowered (once)."""
     if perm:
-        return lambda batch: _basis(perm_run_many(c, batch), c.width)
+        program = _compile(c)
+        return lambda batch: _basis(_run(program, batch), c.width)
     lowered = _lowered(c)
     return lambda batch: _run_basis(lowered, batch)
 

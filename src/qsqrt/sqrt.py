@@ -14,7 +14,7 @@ from typing import NamedTuple
 from .arithmetic import build_ctrl_add_sub, build_ctrl_adder
 from .circuit import Circuit, _integer_width
 from .errors import InputRangeError, InvalidWidthError, int_text
-from .sim import _cached_program, _run_program
+from .sim import _cached_program, _run
 
 
 class SqrtResult(NamedTuple):
@@ -214,7 +214,6 @@ def isqrt(a: int, n: int | None = None) -> SqrtResult:
             f"input {int_text(a)} does not fit signed width {n} "
             f"(max 2^{n - 1} - 1)"
         )
-    program = _cached_program(build_isqrt_pipeline, n)
-    out = _run_program(program, (a | 1 << n,))[0]
+    out = _run(_cached_program(build_isqrt_pipeline, n), (a | 1 << n,))[0]
     mask = (1 << n) - 1
     return SqrtResult(root=(out >> n) & mask, remainder=out & mask)

@@ -88,6 +88,16 @@ def test_expected_t_count_validation():
         expected_t_count_ctrl_adder(1)
 
 
+@pytest.mark.parametrize(
+    "formula", [expected_t_count_isqrt, expected_t_count_adder, expected_t_count_ctrl_adder]
+)
+@pytest.mark.parametrize("n", [6.0, 4.5, "4", None], ids=repr)
+def test_expected_t_count_rejects_non_integer_widths(formula, n):
+    with pytest.raises(InvalidWidthError, match="needs an integer width"):
+        formula(n)
+    assert formula(np.int64(6)) == formula(6)
+
+
 def test_schedule_single_gate():
     assert schedule_layers(Circuit(1).x(0)) == [1]
 

@@ -319,6 +319,20 @@ def test_malformed_circuits_raise_the_append_error(fn, case):
     assert str(got.value) == str(appended.value)
 
 
+@pytest.mark.parametrize("case", sorted(
+    name for name, (c, *_) in MALFORMED.items()
+    if all(g.kind is not GateKind.COMPOSITE for g in c.gates)
+))
+def test_schedule_layers_raises_the_append_error(case):
+    # schedule_layers takes flat circuits only, so it reads the flat cases
+    c, width, bad, error = MALFORMED[case]
+    with pytest.raises(error) as got:
+        schedule_layers(c)
+    with pytest.raises(error) as appended:
+        Circuit(width).append(bad)
+    assert str(got.value) == str(appended.value)
+
+
 def _self_composite():
     c = Circuit(2)
     return c.append_composite("C", c, [0, 1])  # the public API builds it

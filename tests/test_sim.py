@@ -37,7 +37,7 @@ from qsqrt.errors import (
 )
 from qsqrt import sim
 from qsqrt.cli import FAMILIES
-from qsqrt.sim import _compile, _run_program
+from qsqrt.sim import _compile, _run
 from strategies import _nested_circuits, clifford_t_circuits, permutation_circuits
 
 
@@ -71,6 +71,13 @@ def test_perm_run_rejects_out_of_range_state():
 def test_basis_statevector_rejects_out_of_range_index(index):
     with pytest.raises(InputRangeError, match="basis index"):
         basis_statevector(2, index)
+
+
+@pytest.mark.parametrize("index", [1.5, 2.0, "3", None])
+def test_basis_statevector_rejects_non_integer_index(index):
+    with pytest.raises(InputRangeError, match="basis index must be an integer"):
+        basis_statevector(2, index)
+    assert basis_statevector(2, np.uint8(3))[3] == 1.0
 
 
 def test_perm_run_flattens_composites_on_the_fly():
@@ -124,15 +131,6 @@ def test_perm_run_many_matches_reference_lane_by_lane(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(circuits_and_batches())
-def test_compiled_program_matches_streamed_run_lane_by_lane(case):
-    c, states = case
-    got = _run_program(_compile(c), states)
-    assert got == perm_run_many(c, states)
-    assert got == [reference_run(c, s) for s in states]
-
-
-@settings(max_examples=60, deadline=None)
 @given(
     width=st.sampled_from([1, 7, 8, 9, 57, 64, 65, 70]),
     count=st.sampled_from([0, 1, 5, 63, 64, 65, 129, 1000]),
@@ -172,7 +170,7 @@ def test_compiled_program_takes_wide_entries_beyond_two_byte_qubits():
     program = _compile(c)
     assert program[1].itemsize >= 4
     states = [0, 1 << 69_999, 1 << 65_535 | 1 << 2]
-    assert _run_program(program, states) == [reference_run(c, s) for s in states]
+    assert _run(program, states) == [reference_run(c, s) for s in states]
 
 
 @settings(max_examples=60, deadline=None)
@@ -198,6 +196,28 @@ def test_perm_run_many_rejects_non_permutation_gates_like_perm_run(circuit):
     wrapped.append_composite("BLOCK", circuit, [2, 0])
     with pytest.raises(NonPermutationGateError):
         perm_run_many(wrapped, [5, 6])
+
+
+NON_INTEGERS = [1.5, 2.0, np.float64(2.0), "3", None]
+
+
+@pytest.mark.parametrize("width", [4, 80])
+@pytest.mark.parametrize("bad", NON_INTEGERS, ids=repr)
+def test_perm_run_rejects_non_integer_states(width, bad):
+    circuit = Circuit(width).x(0)
+    with pytest.raises(InputRangeError, match="basis state must be an integer"):
+        perm_run(circuit, bad)
+    with pytest.raises(InputRangeError, match="basis state must be an integer"):
+        perm_run_many(circuit, [0, 3, bad, 1])
+
+
+@pytest.mark.parametrize("width", [4, 80])
+def test_perm_run_takes_numpy_integers_like_ints(width):
+    circuit = Circuit(width).x(0).cx(0, 3).ccx(0, 3, 1)
+    states = [0, 1, 9, 14]
+    numpy_states = [np.uint64(0), np.int64(1), np.uint8(9), np.int32(14)]
+    assert perm_run_many(circuit, numpy_states) == perm_run_many(circuit, states)
+    assert perm_run(circuit, np.uint64(9)) == perm_run(circuit, 9)
 
 
 @pytest.mark.parametrize("bad", [-1, 4, 1 << 70])
@@ -529,6 +549,16 @@ def test_sv_run_many_checks_every_column_norm():
         sv_run_many(Circuit(2).h(0), states)
 
 
+@pytest.mark.parametrize("amp", [np.nan, np.inf, complex(0, np.nan)])
+def test_sv_run_many_rejects_nan_and_inf_amplitudes(amp):
+    with pytest.raises(ValueError, match="normalised"):
+        sv_run(Circuit(1).h(0), np.array([amp, 0]))
+    states = np.eye(4, dtype=complex)
+    states[1, 2] = amp
+    with pytest.raises(ValueError, match="normalised"):
+        sv_run_many(Circuit(2).h(0), states)
+
+
 def test_sv_run_many_empty_batch():
     assert sv_run_many(Circuit(2).h(0), np.zeros((4, 0))).shape == (4, 0)
 
@@ -639,6 +669,31 @@ def test_batches_halve_until_they_fit_the_entry_bound(monkeypatch):
     expected = first_difference_input_by_input(all_h(4), phased, range(16))
     assert expected is not None
     assert assert_equiv(all_h(4), phased) == expected
+
+
+@pytest.mark.parametrize("perm_first", [True, False], ids=["perm-first", "perm-second"])
+def test_halved_batches_compile_the_permutation_side_once(monkeypatch, perm_first):
+    adder = build_adder(3)
+    pair = (adder, lower_to_clifford_t(adder))
+    compiled = []
+    compile_ = sim._compile
+    monkeypatch.setattr(sim, "_compile", lambda c: compiled.append(c) or compile_(c))
+    halved = []
+    run_basis = sim._run_basis
+
+    def counting_run_basis(c, states):
+        try:
+            return run_basis(c, states)
+        except CapacityError:
+            halved.append(len(states))
+            raise
+
+    monkeypatch.setattr(sim, "_run_basis", counting_run_basis)
+    # 64 inputs of two entries each: 16 columns per batch do not fit, 8 do
+    monkeypatch.setattr(sim, "_SV_MAX_ENTRIES", 16)
+    assert assert_equiv(*(pair if perm_first else pair[::-1])) is None
+    assert halved == [16]
+    assert compiled == [adder]
 
 
 def test_entry_bound_holds_basis_batches_alone(monkeypatch):
