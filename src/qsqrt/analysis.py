@@ -12,9 +12,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateKind, _integer_width, iter_primitive_ops
-from .errors import InvalidWidthError, MustLowerError, int_text
+from .arithmetic import _check_n
+from .circuit import Circuit, GateKind, iter_primitive_ops
+from .errors import MustLowerError
 from .lowering import _ExpansionTable
+from .sqrt import _check_width
 
 _T_KINDS = (GateKind.T, GateKind.TDG)
 
@@ -101,25 +103,17 @@ def expected_t_count_isqrt(n: int) -> int:
 
     Exact integer arithmetic; defined for even n >= 4.
     """
-    n = _integer_width(n, "the square root T-count formula")
-    if n < 4 or n % 2:
-        raise InvalidWidthError(f"formula defined for even n >= 4, got {int_text(n)}")
+    n = _check_width(n)
     return (7 * n * n + 42 * n - 56) // 2
 
 
 def expected_t_count_adder(n: int) -> int:
     """Closed-form T-count of the adder and subtractor: 14n - 14."""
-    n = _integer_width(n, "the adder T-count formula")
-    if n < 1:
-        raise InvalidWidthError(f"adder formula defined for n >= 1, got {int_text(n)}")
+    n = _check_n(n, 1, "adder")
     return 14 * n - 14
 
 
 def expected_t_count_ctrl_adder(n: int) -> int:
     """Closed-form T-count of the controlled adder: 21n - 14."""
-    n = _integer_width(n, "the controlled adder T-count formula")
-    if n < 2:
-        raise InvalidWidthError(
-            f"controlled adder formula defined for n >= 2, got {int_text(n)}"
-        )
+    n = _check_n(n, 2, "controlled adder")
     return 21 * n - 14

@@ -14,7 +14,9 @@ def _check_n(n: int, least: int, what: str) -> int:
     """`n` as an int, if it is an integer >= `least`."""
     n = _integer_width(n, what)
     if n < least:
-        raise InvalidWidthError(f"{what} needs n >= {least}, got {int_text(n)}")
+        raise InvalidWidthError(
+            f"n must be >= {least} for the {what}, got {int_text(n)}"
+        )
     return n
 
 

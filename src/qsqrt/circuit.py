@@ -183,6 +183,14 @@ def _integer_width(value: object, what: str) -> int:
         ) from None
 
 
+def _positive_width(value: object, what: str) -> int:
+    """`value` as an int, if it is an integer >= 1."""
+    width = _integer_width(value, f"a {what}")
+    if width < 1:
+        raise InvalidWidthError(f"{what} width must be >= 1, got {int_text(width)}")
+    return width
+
+
 class Circuit:
     """Fixed-width ordered gate sequence, the IR for the whole toolkit.
 
@@ -191,12 +199,7 @@ class Circuit:
     """
 
     def __init__(self, width: int, name: str = ""):
-        width = _integer_width(width, "a circuit")
-        if width < 1:
-            raise InvalidWidthError(
-                f"circuit width must be >= 1, got {int_text(width)}"
-            )
-        self.width = width
+        self.width = _positive_width(width, "circuit")
         self.name = name
         self.gates: list[Gate] = []
 

@@ -74,11 +74,11 @@ class CircuitFamily:
     input and of the output; `verify` runs one case per value of the input
     fields and decodes both in a failure report. oracle(n, ks) maps an
     array of case numbers to the input basis states and the output states
-    the circuit must produce.
+    the circuit must produce. Only the builders check n; even_only is the
+    step of a `resources` width range.
     """
 
     build: Callable[[int], Circuit]
-    min_n: int
     even_only: bool
     width_of: Callable[[int], int]
     expected_t_count: Callable[[int], int]
@@ -146,30 +146,30 @@ def _isqrt_fields(n: int) -> tuple[Fields, Fields]:
 
 FAMILIES: dict[str, CircuitFamily] = {
     "adder": CircuitFamily(
-        build_adder, 1, False, lambda n: 2 * n, expected_t_count_adder,
+        build_adder, False, lambda n: 2 * n, expected_t_count_adder,
         _two_operand(operator.add), _two_operand_fields,
     ),
     "subtractor": CircuitFamily(
-        build_subtractor, 1, False, lambda n: 2 * n, expected_t_count_adder,
+        build_subtractor, False, lambda n: 2 * n, expected_t_count_adder,
         _two_operand(operator.sub), _two_operand_fields,
     ),
     "ctrl-add-sub": CircuitFamily(
-        build_ctrl_add_sub, 1, False, lambda n: 2 * n + 1, expected_t_count_adder,
+        build_ctrl_add_sub, False, lambda n: 2 * n + 1, expected_t_count_adder,
         _controlled(lambda z, a, b: np.where(z, a - b, a + b)), _controlled_fields,
     ),
     "ctrl-add": CircuitFamily(
-        build_ctrl_adder, 2, False, lambda n: 2 * n + 1, expected_t_count_ctrl_adder,
+        build_ctrl_adder, False, lambda n: 2 * n + 1, expected_t_count_ctrl_adder,
         _controlled(lambda z, a, b: np.where(z, a + b, a)), _controlled_fields,
     ),
     "isqrt": CircuitFamily(
-        build_isqrt_circuit, 4, True, lambda n: 2 * n + 1, expected_t_count_isqrt,
+        build_isqrt_circuit, True, lambda n: 2 * n + 1, expected_t_count_isqrt,
         _isqrt_oracle, _isqrt_fields, verify_build=build_isqrt_pipeline,
     ),
 }
 
 
-def _parse_n_range(spec: str, family: CircuitFamily) -> list[int]:
-    """Expand "4" or "6..16" into the list of widths to process."""
+def _parse_n_range(spec: str, family: CircuitFamily) -> range:
+    """The widths that "4" or "6..16" names; each build checks its own n."""
     lo_text, sep, hi_text = spec.partition("..")
     try:
         lo = int(lo_text)
@@ -179,15 +179,7 @@ def _parse_n_range(spec: str, family: CircuitFamily) -> list[int]:
     _check_cli_n(hi)
     if lo > hi:
         raise CircuitError(f"empty width range '{spec}'")
-    _check_family_n(family, lo)  # then every later width passes too
-    return list(range(lo, hi + 1, 2 if family.even_only else 1))
-
-
-def _check_family_n(family: CircuitFamily, n: int) -> None:
-    if family.even_only and n % 2:
-        raise CircuitError(f"n must be even, got {int_text(n)}")
-    if n < family.min_n:
-        raise CircuitError(f"n must be >= {family.min_n}, got {int_text(n)}")
+    return range(lo, hi + 1, 2 if family.even_only else 1)
 
 
 def _check_cli_n(n: int) -> None:
@@ -296,21 +288,22 @@ def _decode(state: int, fields: Fields) -> str:
 def cmd_verify(args: argparse.Namespace) -> int:
     family = FAMILIES[args.circuit]
     n = args.n
-    _check_family_n(family, n)
     mode = "sampled" if args.sampled else "exhaustive"
     bits = family.case_bits(n)
+    if mode == "sampled":
+        _check_cli_n(n)
+    elif bits > MAX_EXHAUSTIVE_BITS:
+        raise CapacityError(
+            f"2^{int_text(bits)} cases exceed the exhaustive limit "
+            f"(2^{MAX_EXHAUSTIVE_BITS}); use --sampled"
+        )
+    # the builder checks n, so the sweep below is sized for a valid width
+    program = _cached_program(family.verify_build or family.build, n)
     if mode == "exhaustive":
-        if bits > MAX_EXHAUSTIVE_BITS:
-            raise CapacityError(
-                f"2^{int_text(bits)} cases exceed the exhaustive limit "
-                f"(2^{MAX_EXHAUSTIVE_BITS}); use --sampled"
-            )
         indices: Sequence[int] = range(1 << bits)
     else:
-        _check_cli_n(n)
         rng = random.Random(_SAMPLE_SEED)
         indices = [rng.randrange(1 << bits) for _ in range(SAMPLED_CASES)]
-    program = _cached_program(family.verify_build or family.build, n)
     width, _ = program
     started = time.perf_counter()
     # uint64 lanes while every state fits, Python ints (dtype=object) beyond
@@ -364,7 +357,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_export(args: argparse.Namespace) -> int:
     family = FAMILIES[args.circuit]
-    _check_family_n(family, args.n)
     _check_cli_n(args.n)
     circuit = family.build(args.n)
     text = to_qasm(circuit)

@@ -14,6 +14,7 @@ import re
 from .circuit import Circuit, Gate, GateKind, iter_primitive_ops
 from .errors import CircuitError, QasmParseError
 
+_HEADER = ("OPENQASM 2.0;", 'include "qelib1.inc";')
 _QREG_RE = re.compile(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*;")
 # parameter lists are matched so rz(0.1) reports "unsupported gate", not a
 # syntax error
@@ -32,7 +33,7 @@ _GATE_KINDS = {
 
 def to_qasm(c: Circuit) -> str:
     """Emit the flattened circuit as deterministic OpenQASM 2.0 text."""
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.width}];"]
+    lines = [*_HEADER, f"qreg q[{c.width}];"]
     for kind, qubits in iter_primitive_ops(c):
         if kind is GateKind.ZCX:
             cq, tq = qubits
@@ -59,11 +60,9 @@ def from_qasm(text: str) -> Circuit:
         line = raw.split("//", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("OPENQASM"):
-            if line != "OPENQASM 2.0;":
-                raise QasmParseError(f"unsupported version line: {line}", lineno)
-            continue
-        if line.startswith("include"):
+        if line.startswith(("OPENQASM", "include")):
+            if line not in _HEADER:
+                raise QasmParseError(f"unsupported header line: {line}", lineno)
             continue
         if line.startswith("qreg"):
             m = _QREG_RE.fullmatch(line)

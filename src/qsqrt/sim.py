@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuit import CLIFFORD_T_KINDS, PERMUTATION_KINDS, Circuit, GateKind
-from .circuit import iter_primitive_ops
+from .circuit import _positive_width, iter_primitive_ops
 from .errors import (
     CapacityError,
     InputRangeError,
@@ -158,11 +158,12 @@ def _check_states(
     Each passes through operator.index, so numpy integers are accepted and
     floats, strings and the like raise InputRangeError.
     """
-    try:
-        checked = list(map(operator.index, states))
-    except TypeError:
-        bad = next(s for s in states if not hasattr(type(s), "__index__"))
-        raise InputRangeError(f"{what} must be an integer, got {bad!r}") from None
+    checked = []
+    for s in states:  # read once, so a generator names its bad state too
+        try:
+            checked.append(operator.index(s))
+        except TypeError:
+            raise InputRangeError(f"{what} must be an integer, got {s!r}") from None
     limit = 1 << width
     if checked and (min(checked) < 0 or max(checked) >= limit):
         bad = int_text(next(s for s in checked if not 0 <= s < limit))
@@ -315,6 +316,7 @@ def _bit_transpose(mat: np.ndarray, nbits: int) -> np.ndarray:
 
 def basis_statevector(width: int, index: int) -> np.ndarray:
     """Unit statevector with amplitude 1 on basis `index`, an integer."""
+    width = _positive_width(width, "statevector")
     (index,) = _check_states((index,), width, "basis index")
     vec = np.zeros(1 << width, dtype=complex)
     vec[index] = 1.0
@@ -509,6 +511,12 @@ def assert_equiv(
             )
         inputs = list(range(1 << width))
     else:
+        try:
+            samples = operator.index(samples)
+        except TypeError:
+            raise ValueError(f"samples must be an integer, got {samples!r}") from None
+        if samples < 1:
+            raise ValueError(f"samples must be >= 1, got {int_text(samples)}")
         rng = random.Random(seed)
         inputs = [rng.randrange(1 << width) for _ in range(samples)]
     if a_perm and b_perm:

@@ -29,7 +29,7 @@ def _check_width(n: int) -> int:
     n = _integer_width(n, "a square root circuit")
     if n < 4 or n % 2:
         raise InvalidWidthError(
-            f"square root circuits need even n >= 4, got {int_text(n)}"
+            f"n must be even and >= 4 for a square root circuit, got {int_text(n)}"
         )
     return n
 

@@ -3,6 +3,7 @@ from hypothesis import strategies as st
 
 from qsqrt import CLIFFORD_T_KINDS, PERMUTATION_KINDS, Circuit, Gate
 from qsqrt.circuit import PRIMITIVE_ARITY
+from qsqrt.errors import InvalidWidthError
 
 
 def _operands(draw, width, k):
@@ -50,3 +51,13 @@ def clifford_t_circuits(draw, width):
         if PRIMITIVE_ARITY[kind] <= width:
             c.append(Gate(kind, tuple(_operands(draw, width, PRIMITIVE_ARITY[kind]))))
     return c
+
+
+def family_widths(family, stop):
+    """Each n < stop that family.build accepts: the builder's own domain."""
+    for n in range(stop):
+        try:
+            family.build(n)
+        except InvalidWidthError:
+            continue
+        yield n

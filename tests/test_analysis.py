@@ -78,14 +78,20 @@ def test_isqrt_t_count_matches_formula(n, expected):
 
 
 def test_expected_t_count_validation():
-    with pytest.raises(InvalidWidthError):
-        expected_t_count_isqrt(7)
-    with pytest.raises(InvalidWidthError):
-        expected_t_count_isqrt(2)
-    with pytest.raises(InvalidWidthError):
-        expected_t_count_adder(0)
-    with pytest.raises(InvalidWidthError):
-        expected_t_count_ctrl_adder(1)
+    # each closed form raises its builder's own message
+    for formula, build, n in [
+        (expected_t_count_isqrt, build_isqrt_circuit, 2),
+        (expected_t_count_isqrt, build_isqrt_circuit, 5),
+        (expected_t_count_isqrt, build_isqrt_circuit, 7),
+        (expected_t_count_adder, build_adder, 0),
+        (expected_t_count_ctrl_adder, build_ctrl_adder, 1),
+    ]:
+        with pytest.raises(InvalidWidthError) as built:
+            build(n)
+        with pytest.raises(InvalidWidthError) as counted:
+            formula(n)
+        assert str(counted.value) == str(built.value)
+        assert str(built.value).startswith("n must be")
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,9 @@ import qsqrt.cli as cli
 from qsqrt import Circuit, count_ops, flatten, from_qasm, isqrt, perm_run
 from qsqrt.arithmetic import build_adder
 from qsqrt.cli import main
+from qsqrt.errors import InvalidWidthError
 from qsqrt.sim import _cached_program
+from strategies import family_widths
 
 
 def test_isqrt_command_exact_output(capsys):
@@ -266,7 +268,7 @@ def test_verify_exhaustive_sweeps(capsys, circuit, n, cases):
 def test_family_input_is_the_case_number_over_a_constant(name):
     # the sliced sweep builds input(k) as k | input(0) from the case counter
     family = cli.FAMILIES[name]
-    for n in range(family.min_n, 9, 2 if family.even_only else 1):
+    for n in family_widths(family, 9):
         bits = family.case_bits(n)
         ks = np.arange(1 << bits, dtype=np.uint64)
         states, _ = family.oracle(n, ks)
@@ -278,10 +280,11 @@ def test_family_input_is_the_case_number_over_a_constant(name):
 def test_every_exhaustive_sweep_fits_uint64_lanes():
     # so verify runs every exhaustive sweep bit-sliced, in uint64 lanes
     for family in cli.FAMILIES.values():
-        step = 2 if family.even_only else 1
-        n = family.min_n
-        while family.case_bits(n + step) <= cli.MAX_EXHAUSTIVE_BITS:
-            n += step
+        # no family sweeps fewer than n - 1 bits, so n stays below bits + 2
+        n = max(
+            n for n in family_widths(family, cli.MAX_EXHAUSTIVE_BITS + 2)
+            if family.case_bits(n) <= cli.MAX_EXHAUSTIVE_BITS
+        )
         assert (family.verify_build or family.build)(n).width < 63
 
 
@@ -463,6 +466,37 @@ def test_export_adder_n2_round_trips(capsys):
 def test_export_rejects_odd_isqrt_width(capsys):
     assert main(["export", "--circuit", "isqrt", "--n", "7"]) == 2
     assert "even" in capsys.readouterr().err
+
+
+def _outside_the_domain():
+    for name, family in sorted(cli.FAMILIES.items()):
+        yield name, min(family_widths(family, 9)) - 1
+    yield "isqrt", 7
+    yield "adder", -3  # a negative n must not reach 1 << case_bits(n)
+
+
+@pytest.mark.parametrize("name, n", list(_outside_the_domain()))
+@pytest.mark.parametrize(
+    "command", [["verify"], ["verify", "--sampled"], ["export"], ["resources"]],
+    ids=" ".join,
+)
+def test_width_errors_are_the_builders_word_for_word(capsys, name, n, command):
+    with pytest.raises(InvalidWidthError) as built:
+        cli.FAMILIES[name].build(n)
+    argv = [*command, "--circuit", name, "--n", str(n)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {built.value}\n"
+
+
+def test_verify_reports_the_exhaustive_limit_before_the_domain(capsys):
+    # isqrt n = 31 is odd and also past the exhaustive limit, which is
+    # checked first because it must fail without building anything
+    assert main(["verify", "--circuit", "isqrt", "--n", "31"]) == 2
+    assert "exceed the exhaustive limit" in capsys.readouterr().err
+    assert main(["verify", "--circuit", "isqrt", "--n", "31", "--sampled"]) == 2
+    assert capsys.readouterr().err.startswith("error: n must be even")
 
 
 def test_export_to_missing_directory_is_an_input_error(tmp_path, capsys):

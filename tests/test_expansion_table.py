@@ -45,7 +45,7 @@ from qsqrt.errors import (
     UnsupportedGateError,
 )
 from qsqrt.lowering import iter_primitive_ops
-from strategies import primitive_circuits
+from strategies import family_widths, primitive_circuits
 
 
 def reference_lower(c, rules=None):
@@ -136,8 +136,7 @@ def _nested_toffoli_rule():
 FAMILY_WIDTHS = [
     (name, n)
     for name, family in FAMILIES.items()
-    for n in range(family.min_n, 17)
-    if not (family.even_only and n % 2)
+    for n in family_widths(family, 17)
 ]
 
 

@@ -144,6 +144,13 @@ def test_unsupported_version_rejected():
         from_qasm("OPENQASM 3.0;\nqreg q[1];\n")
 
 
+@pytest.mark.parametrize("line", ["include_me;", 'include "other.inc";'])
+def test_other_include_lines_rejected(line):
+    with pytest.raises(QasmParseError, match="unsupported header line") as err:
+        from_qasm(f"OPENQASM 2.0;\n{line}\nqreg q[1];\n")
+    assert err.value.line == 2
+
+
 def test_comments_and_blank_lines_ignored():
     text = HEADER + "\n// register\nqreg q[2];\ncx q[0],q[1]; // entangle\n"
     qc = from_qasm(text)

@@ -38,7 +38,12 @@ from qsqrt.errors import (
 from qsqrt import sim
 from qsqrt.cli import FAMILIES
 from qsqrt.sim import _compile, _run
-from strategies import _nested_circuits, clifford_t_circuits, permutation_circuits
+from strategies import (
+    _nested_circuits,
+    clifford_t_circuits,
+    family_widths,
+    permutation_circuits,
+)
 
 
 def test_perm_run_gate_truth_tables():
@@ -73,11 +78,21 @@ def test_basis_statevector_rejects_out_of_range_index(index):
         basis_statevector(2, index)
 
 
-@pytest.mark.parametrize("index", [1.5, 2.0, "3", None])
+@pytest.mark.parametrize("index", [1.5, 2.0, "3", None, np.array([1, 2])])
 def test_basis_statevector_rejects_non_integer_index(index):
     with pytest.raises(InputRangeError, match="basis index must be an integer"):
         basis_statevector(2, index)
     assert basis_statevector(2, np.uint8(3))[3] == 1.0
+
+
+@pytest.mark.parametrize(
+    "width, message",
+    [(-1, "must be >= 1"), (0, "must be >= 1"), (1.5, "needs an integer width")],
+)
+def test_basis_statevector_rejects_invalid_widths(width, message):
+    with pytest.raises(InvalidWidthError, match=message):
+        basis_statevector(width, 0)
+    assert basis_statevector(np.int64(1), 1).tolist() == [0, 1]
 
 
 def test_perm_run_flattens_composites_on_the_fly():
@@ -198,7 +213,7 @@ def test_perm_run_many_rejects_non_permutation_gates_like_perm_run(circuit):
         perm_run_many(wrapped, [5, 6])
 
 
-NON_INTEGERS = [1.5, 2.0, np.float64(2.0), "3", None]
+NON_INTEGERS = [1.5, 2.0, np.float64(2.0), "3", None, np.array([1, 2])]
 
 
 @pytest.mark.parametrize("width", [4, 80])
@@ -209,6 +224,9 @@ def test_perm_run_rejects_non_integer_states(width, bad):
         perm_run(circuit, bad)
     with pytest.raises(InputRangeError, match="basis state must be an integer"):
         perm_run_many(circuit, [0, 3, bad, 1])
+    # a generator is read once, and its bad state is still named
+    with pytest.raises(InputRangeError, match="basis state must be an integer"):
+        perm_run_many(circuit, (s for s in [0, 3, bad, 1]))
 
 
 @pytest.mark.parametrize("width", [4, 80])
@@ -370,6 +388,14 @@ def test_assert_equiv_exhaustive_capacity_limits():
         assert_equiv(wide_sv, wide_sv)
 
 
+@pytest.mark.parametrize("samples", [0, -1, 1.5, "3"], ids=repr)
+def test_assert_equiv_refuses_a_sample_count_that_checks_nothing(samples):
+    # the second circuit differs on every input, so any case tested fails
+    with pytest.raises(ValueError, match="samples must be"):
+        assert_equiv(Circuit(2), Circuit(2).x(0), "sampled", samples)
+    assert assert_equiv(Circuit(2), Circuit(2).x(0), "sampled", np.int64(1)) is not None
+
+
 def test_assert_equiv_sampled_is_deterministic():
     logical = build_isqrt_circuit(6)
     flat = flatten(logical)
@@ -488,7 +514,7 @@ def test_sparse_kernel_runs_python_int_keys_like_uint64_keys(c, data):
 
 def families_up_to_width_8():
     for name, family in FAMILIES.items():
-        for n in range(family.min_n, 9, 2 if family.even_only else 1):
+        for n in family_widths(family, 9):
             yield f"{name}-{n}", family.build(n)
     yield "isqrt-pipeline-16", build_isqrt_pipeline(16)
 
