@@ -35,7 +35,7 @@ from .arithmetic import (
 from .circuit import Circuit
 from .errors import CapacityError, CircuitError, int_text
 from .export import report_rows_to_csv, report_rows_to_json, to_qasm
-from .sim import _cached_program, _run, _run_counter
+from .sim import _cached_program, _lane_dtype, _run
 from .sqrt import build_isqrt_circuit, build_isqrt_pipeline, isqrt, min_width
 
 EXIT_OK = 0
@@ -299,33 +299,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     # the builder checks n, so the sweep below is sized for a valid width
     program = _cached_program(family.verify_build or family.build, n)
-    if mode == "exhaustive":
+    exhaustive = mode == "exhaustive"
+    if exhaustive:
         indices: Sequence[int] = range(1 << bits)
     else:
         rng = random.Random(_SAMPLE_SEED)
         indices = [rng.randrange(1 << bits) for _ in range(SAMPLED_CASES)]
-    width, _ = program
+    dtype = _lane_dtype(program[0])
     started = time.perf_counter()
-    # uint64 lanes while every state fits, Python ints (dtype=object) beyond
-    dtype = np.uint64 if width < 63 else object
-    # Case k's input is k | input(0), so an exhaustive sweep (below 63 qubits
-    # by MAX_EXHAUSTIVE_BITS) runs bit-sliced from counter to output check.
-    sliced = mode == "exhaustive"
-    if sliced:
-        const = int(family.oracle(n, np.zeros(1, dtype))[0][0])
     failed = 0
     first_failure: tuple[int, int, int] | None = None
     for lo in range(0, len(indices), VERIFY_BATCH):
         batch = indices[lo:lo + VERIFY_BATCH]
-        if sliced:
+        if exhaustive:
             cases = np.arange(lo, lo + len(batch), dtype=dtype)
         else:
-            cases = np.fromiter(batch, dtype=dtype, count=len(batch))
+            cases = np.array(batch, dtype)
         states, expected = family.oracle(n, cases)
-        if sliced:
-            outputs = _run_counter(program, lo, len(batch), const)
-        else:
-            outputs = np.array(_run(program, states.tolist()), dtype=expected.dtype)
+        # case k's input is k | input(0): an exhaustive batch's states are a
+        # run, which the kernel reads straight from the counter
+        run = range(int(states[0]), int(states[-1]) + 1) if exhaustive else states
+        outputs = _run(program, run)
         failures = np.flatnonzero(outputs != expected)
         if len(failures) and first_failure is None:
             i = failures[0]

@@ -6,15 +6,13 @@ one pass over the gates. It works on bit-sliced columns: one int per
 qubit, whose bit k is that qubit in case k. It reads one format, a program
 from _compile: the circuit's (opcode, q0, q1, q2) in a flat array. Every
 caller compiles first; isqrt and `qsqrt verify` keep theirs in a bounded
-per-(builder, width) cache. Two callers feed it columns:
-- _run checks and transposes a list of basis states into columns and the
-  output columns back. perm_run_many, perm_run (its one-state case),
-  permutation_matrix, assert_equiv, isqrt and a sampled `qsqrt verify` go
-  through it.
-- _run_counter serves an exhaustive `qsqrt verify`, whose inputs are a
-  run of consecutive case numbers over constant bits. It builds the input
-  columns straight from the counter, with no transpose, and unpacks the
-  output columns into one uint64 array, so no Python int is made per case.
+per-(builder, width) cache. One function feeds it, _run, and hands back
+one format, a numpy array of the output states: uint64 up to 64 qubits,
+Python ints (dtype=object) beyond. A range of consecutive states, such as
+an exhaustive `qsqrt verify` batch or assert_equiv's inputs, gets its
+columns straight from the counter; any other states are transposed in.
+_run checks nothing: perm_run_many (so perm_run) checks outside states,
+and isqrt, verify, permutation_matrix and assert_equiv build their own.
 
 One statevector kernel, _sv_entries, applies a lowered circuit (X, CX, H,
 T, TDG, in composites too) to a batch of sparse columns in one pass over
@@ -68,7 +66,7 @@ def perm_run_many(c: Circuit, states: Sequence[int]) -> list[int]:
     NonPermutationGateError on H, T or TDG, and InputRangeError on a state
     that is not an integer (numpy integers pass) below 2**width.
     """
-    return _run(_compile(c), states)
+    return _run(_compile(c), _check_states(states, c.width)).tolist()
 
 
 def perm_run(c: Circuit, state: int) -> int:
@@ -126,28 +124,27 @@ def _cached_program(builder: Callable[[int], Circuit], n: int) -> tuple[int, arr
     return _compile(builder(n))
 
 
-def _run_counter(
-    program: tuple[int, array], lo: int, count: int, const: int
-) -> np.ndarray:
-    """_run on the states (lo + k) | const for k < count, as uint64.
+def _run(program: tuple[int, array], states: Sequence[int]) -> np.ndarray:
+    """The output states of a program on basis states below 2**width.
 
-    Bit-sliced from input to output: the input columns come straight from
-    the counter (_counter_columns) and the output columns are unpacked by
-    numpy (_lanes), so no Python int is made per state. The program's
-    width must be at most 64, and every state must fit in it.
+    A range of step 1 gets its columns straight from the counter
+    (_counter_column); any other sequence or array of ints is transposed
+    in. The states are not checked. Returns them in one numpy array, of
+    dtype _lane_dtype(width).
     """
     width, code = program
-    cols = _counter_columns(lo, count, width, const)
-    return _lanes(_run_columns(code, cols, count), count)
-
-
-def _run(program: tuple[int, array], states: Sequence[int]) -> list[int]:
-    """_run_columns on basis states: check and transpose them in, run the
-    program, transpose out."""
-    width, code = program
-    states = _check_states(states, width)
     count = len(states)
-    return _transpose(_run_columns(code, _transpose(states, width), count), count)
+    if isinstance(states, range) and states.step == 1:
+        cols = [_counter_column(states.start, count, q) for q in range(width)]
+    else:
+        cols = _transpose(states, width).tolist()
+    return _transpose(_run_columns(code, cols, count), count)
+
+
+def _lane_dtype(width: int) -> np.dtype:
+    """dtype of the states _run returns for `width` qubits, which verify
+    builds its own in: uint64 up to 64, Python ints (dtype=object) beyond."""
+    return np.dtype(np.uint64 if width <= 64 else object)
 
 
 def _check_states(
@@ -193,23 +190,10 @@ def _run_columns(code: array, cols: list[int], lanes: int) -> list[int]:
     return cols
 
 
-def _counter_columns(lo: int, count: int, width: int, const: int) -> list[int]:
-    """The `width` qubit columns of the states (lo + k) | const, k < count.
-
-    A column that `const` sets is all ones. Any other column q is bit q of
-    a binary counter: runs of 2**q zeros and 2**q ones, entered at phase
-    lo mod 2**(q+1). It is built from the runs of ones in its first period
-    and then repeated as bytes, with no transpose.
-    """
-    ones = (1 << count) - 1
-    return [
-        ones if const >> q & 1 else _counter_column(lo, count, q)
-        for q in range(width)
-    ]
-
-
 def _counter_column(lo: int, count: int, q: int) -> int:
-    """Bit k is bit q of lo + k, for k < count."""
+    """Bit k is bit q of lo + k, for k < count: runs of 2**q zeros and 2**q
+    ones, entered at phase lo mod 2**(q+1), built from the runs of ones in
+    its first period and then repeated as bytes, with no transpose."""
     run = 1 << q
     period = 2 * run
     phase = lo % period
@@ -231,22 +215,18 @@ def _counter_column(lo: int, count: int, q: int) -> int:
     return col
 
 
-def _transpose(rows: Sequence[int], width: int) -> list[int]:
+def _transpose(rows: Sequence[int], width: int) -> np.ndarray:
     """Transpose a bit matrix: bit k of out[q] is bit q of rows[k].
 
     `rows` holds ints below 2**width and the result has `width` ints of
-    len(rows) bits each; it turns basis states into bit-sliced qubit
-    columns and back.
+    len(rows) bits each, in an array of dtype _lane_dtype(len(rows)) when
+    rows is not empty; it turns basis states into bit-sliced qubit columns
+    and back.
     """
     cols = _bit_transpose(_bytes_of(rows, width), width)
     if cols.shape[1] == 8:
-        return cols.view("<u8").ravel().tolist()
-    return [int.from_bytes(col.tobytes(), "little") for col in cols]
-
-
-def _lanes(cols: Sequence[int], count: int) -> np.ndarray:
-    """uint64 array of the `count` states held by at most 64 qubit columns."""
-    return _bit_transpose(_bytes_of(cols, count), count).view("<u8").ravel()
+        return cols.view("<u8").ravel()
+    return np.array([int.from_bytes(col.tobytes(), "little") for col in cols], object)
 
 
 def _bytes_of(ints: Sequence[int], nbits: int) -> np.ndarray:
@@ -254,7 +234,7 @@ def _bytes_of(ints: Sequence[int], nbits: int) -> np.ndarray:
     as little-endian bytes."""
     nbytes = (nbits + 7) // 8
     if nbits <= 64:
-        words = np.fromiter(ints, "<u8", count=len(ints))
+        words = np.ascontiguousarray(ints, "<u8")
         return words.view(np.uint8).reshape(len(ints), 8)[:, :nbytes]
     raw = b"".join(i.to_bytes(nbytes, "little") for i in ints)
     return np.frombuffer(raw, np.uint8).reshape(len(ints), nbytes)
@@ -318,7 +298,10 @@ def basis_statevector(width: int, index: int) -> np.ndarray:
     """Unit statevector with amplitude 1 on basis `index`, an integer."""
     width = _positive_width(width, "statevector")
     (index,) = _check_states((index,), width, "basis index")
-    vec = np.zeros(1 << width, dtype=complex)
+    try:
+        vec = np.zeros(1 << width, dtype=complex)
+    except (ValueError, MemoryError):  # numpy refuses the size or the memory
+        raise CapacityError(f"no statevector of width {int_text(width)} fits") from None
     vec[index] = 1.0
     return vec
 
@@ -466,7 +449,7 @@ def permutation_matrix(c: Circuit) -> np.ndarray:
         raise CapacityError(f"permutation matrix capped at {_MATRIX_CAP} qubits")
     dim = 1 << c.width
     mat = np.zeros((dim, dim))
-    mat[perm_run_many(c, range(dim)), np.arange(dim)] = 1.0
+    mat[_run(_compile(c), range(dim)), np.arange(dim)] = 1.0
     return mat
 
 
@@ -486,9 +469,9 @@ def assert_equiv(
 
     Returns None when all tested inputs agree, otherwise the first basis
     index where they differ. A pair of permutation-only circuits is
-    compared with one perm_run_many batch each (exhaustive up to width 20).
-    Otherwise each side runs on its natural backend: a permutation-only
-    circuit through one perm_run_many batch (each output read as one entry
+    compared with one numpy != over a _run batch of each (exhaustive up to
+    width 20). Otherwise each side runs on its natural backend: a
+    permutation-only circuit through _run (each output read as one entry
     of amplitude 1), anything else lowered and through _sv_entries, with
     amplitudes compared to 1e-9 (exhaustive up to width 12). Lowering one
     side therefore never hides a faulty decomposition of the other. The
@@ -509,7 +492,7 @@ def assert_equiv(
             raise CapacityError(
                 f"exhaustive check capped at width {limit}; use sampled mode"
             )
-        inputs = list(range(1 << width))
+        inputs: Sequence[int] = range(1 << width)
     else:
         try:
             samples = operator.index(samples)
@@ -520,8 +503,8 @@ def assert_equiv(
         rng = random.Random(seed)
         inputs = [rng.randrange(1 << width) for _ in range(samples)]
     if a_perm and b_perm:
-        pairs = zip(inputs, perm_run_many(a, inputs), perm_run_many(b, inputs))
-        return next((s for s, x, y in pairs if x != y), None)
+        diff = np.flatnonzero(_run(_compile(a), inputs) != _run(_compile(b), inputs))
+        return inputs[diff[0]] if len(diff) else None
     run_a, run_b = _batch_entries(a, a_perm), _batch_entries(b, b_perm)
     lo, step = 0, min(len(inputs), _SV_MAX_ENTRIES)
     while lo < len(inputs):

@@ -173,7 +173,10 @@ def test_verify_sampled_mode(capsys):
 
 
 @pytest.mark.parametrize(
-    "circuit, n", [("isqrt", 32), ("ctrl-add-sub", 31), ("subtractor", 40)]
+    "circuit, n",
+    # widths 65, 63, 80, and 62, 64, 66, 63, 65 about the uint64 lane bound
+    [("isqrt", 32), ("ctrl-add-sub", 31), ("subtractor", 40), ("adder", 31),
+     ("adder", 32), ("adder", 33), ("ctrl-add", 31), ("ctrl-add", 32)],
 )
 def test_verify_sampled_wide_states(capsys, circuit, n):
     assert main(["verify", "--circuit", circuit, "--n", str(n), "--sampled"]) == 0
@@ -266,7 +269,7 @@ def test_verify_exhaustive_sweeps(capsys, circuit, n, cases):
 
 @pytest.mark.parametrize("name", sorted(cli.FAMILIES))
 def test_family_input_is_the_case_number_over_a_constant(name):
-    # the sliced sweep builds input(k) as k | input(0) from the case counter
+    # so an exhaustive batch's inputs are a run the kernel reads from the counter
     family = cli.FAMILIES[name]
     for n in family_widths(family, 9):
         bits = family.case_bits(n)
@@ -278,7 +281,7 @@ def test_family_input_is_the_case_number_over_a_constant(name):
 
 
 def test_every_exhaustive_sweep_fits_uint64_lanes():
-    # so verify runs every exhaustive sweep bit-sliced, in uint64 lanes
+    # so every exhaustive sweep is checked in uint64 lanes
     for family in cli.FAMILIES.values():
         # no family sweeps fewer than n - 1 bits, so n stays below bits + 2
         n = max(

@@ -85,6 +85,12 @@ def test_basis_statevector_rejects_non_integer_index(index):
     assert basis_statevector(2, np.uint8(3))[3] == 1.0
 
 
+def test_basis_statevector_too_wide_to_allocate_is_a_capacity_error():
+    # numpy refuses 2**70 entries before allocating any of them
+    with pytest.raises(CapacityError, match="width 70"):
+        basis_statevector(70, 0)
+
+
 @pytest.mark.parametrize(
     "width, message",
     [(-1, "must be >= 1"), (0, "must be >= 1"), (1.5, "needs an integer width")],
@@ -159,24 +165,36 @@ def test_transposes_match_a_bit_by_bit_reference(width, count, data):
     cols = [
         sum((row >> q & 1) << k for k, row in enumerate(rows)) for q in range(width)
     ]
-    assert sim._transpose(rows, width) == cols
-    assert sim._transpose(cols, count) == rows
+    assert sim._transpose(rows, width).tolist() == cols
+    states = sim._transpose(cols, count)
+    assert states.tolist() == rows
+    # the output format of _run: uint64 up to 64 qubits, Python ints beyond
     if width <= 64:
-        lanes = sim._lanes(cols, count)
-        assert lanes.dtype == np.uint64 and lanes.tolist() == rows
+        assert states.dtype == np.uint64
+    else:
+        assert states.dtype == object and all(type(s) is int for s in states)
+
+
+@st.composite
+def circuits_and_runs(draw):
+    # widths on either side of 64 bits; a count of 2**16 repeats a column's
+    # period as bytes, and the run starts anywhere that fits the width
+    width = draw(st.integers(1, 70))
+    count = min(draw(st.sampled_from([1, 5, 63, 64, 65, 1 << 16])), 1 << width)
+    top = (1 << width) - count
+    lo = draw(st.integers(0, top) | st.integers(0, top).map(lambda d: top - d))
+    return draw(permutation_circuits(width, depth=1)), range(lo, lo + count)
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    lo=st.integers(0, 1 << 72),
-    count=st.sampled_from([1, 5, 63, 64, 65, 1 << 16]),
-    width=st.sampled_from([1, 2, 9, 17, 63, 64, 65, 70]),
-    const=st.integers(0, (1 << 70) - 1),
-)
-def test_counter_columns_are_the_transposed_counter(lo, count, width, const):
-    mask = (1 << width) - 1
-    rows = [(lo + k | const) & mask for k in range(count)]
-    assert sim._counter_columns(lo, count, width, const) == sim._transpose(rows, width)
+@given(circuits_and_runs())
+def test_a_run_of_states_reads_its_columns_from_the_counter(case):
+    c, states = case
+    program = _compile(c)
+    out = _run(program, states)
+    assert out.dtype == sim._lane_dtype(c.width)  # what verify builds its states in
+    assert out.tolist() == _run(program, list(states)).tolist()
+    assert out.tolist() == [reference_run(c, s) for s in states]
 
 
 def test_compiled_program_takes_wide_entries_beyond_two_byte_qubits():
@@ -185,7 +203,7 @@ def test_compiled_program_takes_wide_entries_beyond_two_byte_qubits():
     program = _compile(c)
     assert program[1].itemsize >= 4
     states = [0, 1 << 69_999, 1 << 65_535 | 1 << 2]
-    assert _run(program, states) == [reference_run(c, s) for s in states]
+    assert _run(program, states).tolist() == [reference_run(c, s) for s in states]
 
 
 @settings(max_examples=60, deadline=None)
@@ -620,7 +638,12 @@ def sampled_inputs(width, samples, seed):
 
 
 _LOGICAL_CCX = Circuit(3).ccx(0, 1, 2)
+# 8 qubits, 256 inputs: the counter's columns span four 64-bit words
+_ADDER4, _GATE_DELETED = build_adder(4), build_adder(4)
+del _GATE_DELETED.gates[len(_GATE_DELETED.gates) // 2]
 _EQUIV_PAIRS = {
+    "adder-vs-gate-deleted": (_ADDER4, _GATE_DELETED),
+    "gate-deleted-vs-adder": (_GATE_DELETED, _ADDER4),
     "ccx-vs-broken": (_LOGICAL_CCX, with_t_flipped(_LOGICAL_CCX)),
     "broken-vs-ccx": (with_t_flipped(_LOGICAL_CCX), _LOGICAL_CCX),
     "lowered-vs-broken": (lower_to_clifford_t(_LOGICAL_CCX), with_t_flipped(_LOGICAL_CCX)),
