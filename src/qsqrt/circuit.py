@@ -5,8 +5,8 @@ operands) live in one place, _gate_errors. Circuit.append raises its first
 error, validate reports them all, and iter_primitive_ops, the one walk
 that every reader of a circuit's gates shares (lowering and its rule
 templates, analyze, counting, export, both simulators, Circuit.inverse),
-raises the error append would on a malformed hand-built gate at any depth,
-and a CircuitError on a composite that contains itself.
+raises its holder's append error on a malformed hand-built gate at any
+depth, and a CircuitError on a composite that contains itself.
 """
 from __future__ import annotations
 
@@ -96,9 +96,10 @@ def _gate_errors(gate: Gate, width: int) -> list[CircuitError]:
     """Every invariant `gate` breaks as an operation of a `width`-qubit circuit.
 
     The one home of the gate checks: Circuit.append raises the first error,
-    validate reports them all, and iter_primitive_ops raises the first
-    error of a malformed gate at any depth. A gate without a body or of an unknown kind
-    gets that error alone, since its operand count is then undefined.
+    validate reports them all, and iter_primitive_ops raises the first on
+    a gate at any depth, checked against the circuit that holds it. A gate
+    without a body or of an unknown kind gets that error alone, since its
+    operand count is then undefined.
     """
     qubits, kind = gate.qubits, gate.kind
     expected = PRIMITIVE_ARITY.get(kind)
@@ -130,12 +131,10 @@ def iter_primitive_ops(c: Circuit) -> Iterator[tuple[GateKind, tuple[int, ...]]]
 
     Composite bodies are walked with an explicit stack of composed operand
     maps, so the qubits are already in `c`'s numbering and no Gate is built
-    for any nesting level. Each gate is checked at the level that holds it,
-    as Circuit.append would check it there, and a malformed one raises that
-    error: each operand must be an int in the holding circuit's range before
-    it is mapped, and the count and distinctness are tested on the mapped
-    operands, so such an error names the gate in `c`'s numbering. A
-    composite whose body is already being walked raises CircuitError.
+    for any nesting level. Each gate is checked as held, against the circuit
+    that holds it, and a malformed one raises the error that circuit's
+    append would, which is also validate's first violation. A composite
+    whose body is already being walked raises CircuitError.
     """
     arity = PRIMITIVE_ARITY.get
     stack = [(iter(c.gates), range(c.width).__getitem__, c)]
@@ -144,14 +143,14 @@ def iter_primitive_ops(c: Circuit) -> Iterator[tuple[GateKind, tuple[int, ...]]]
         gates, qmap, holder = stack[-1]
         width = holder.width
         for g in gates:
-            for q in g.qubits:  # a map would take a bool and wrap a negative
+            held = g.qubits
+            for q in held:  # a map would take a bool and wrap a negative
                 if type(q) is not int or not 0 <= q < width:
                     raise _gate_errors(g, width)[0]
-            qubits = tuple(map(qmap, g.qubits))
             kind = g.kind
-            distinct = len(set(qubits))
-            if distinct == len(qubits) == arity(kind):
-                yield kind, qubits
+            distinct = len(set(held))
+            if distinct == len(held) == arity(kind):
+                yield kind, tuple(map(qmap, held))
                 continue
             # a composite has no primitive arity, so it is checked here;
             # any other gate that got this far is malformed
@@ -159,13 +158,13 @@ def iter_primitive_ops(c: Circuit) -> Iterator[tuple[GateKind, tuple[int, ...]]]
             if (
                 kind is not GateKind.COMPOSITE
                 or body is None
-                or not distinct == len(qubits) == body.width
+                or not distinct == len(held) == body.width
             ):
-                raise _gate_errors(Gate(kind, qubits, g.name, body), c.width)[0]
+                raise _gate_errors(g, width)[0]
             if id(body) in walking:
-                raise CircuitError(f"{_CYCLE} at {g.name}{qubits}")
+                raise CircuitError(f"{_CYCLE} at {g.name}{held}")
             walking.add(id(body))
-            stack.append((iter(body.gates), qubits.__getitem__, body))
+            stack.append((iter(body.gates), tuple(map(qmap, held)).__getitem__, body))
             break
         else:
             walking.discard(id(holder))

@@ -72,15 +72,15 @@ class CircuitFamily:
     (the square root is verified through its readout pipeline).
     registers(n) gives the (name, lowest qubit, width) fields of the swept
     input and of the output; `verify` runs one case per value of the input
-    fields and decodes both in a failure report. oracle(n, ks) maps an
-    array of case numbers to the input basis states and the output states
-    the circuit must produce. Only the builders check n; even_only is the
-    step of a `resources` width range.
+    fields and decodes both in a failure report. The output fields cover
+    every qubit, so their extent is the circuit's width. oracle(n, ks) maps
+    an array of case numbers to the input basis states and the output
+    states the circuit must produce. Only the builders check n; even_only
+    is the step of a `resources` width range.
     """
 
     build: Callable[[int], Circuit]
     even_only: bool
-    width_of: Callable[[int], int]
     expected_t_count: Callable[[int], int]
     oracle: Oracle
     registers: Callable[[int], tuple[Fields, Fields]]
@@ -146,23 +146,23 @@ def _isqrt_fields(n: int) -> tuple[Fields, Fields]:
 
 FAMILIES: dict[str, CircuitFamily] = {
     "adder": CircuitFamily(
-        build_adder, False, lambda n: 2 * n, expected_t_count_adder,
+        build_adder, False, expected_t_count_adder,
         _two_operand(operator.add), _two_operand_fields,
     ),
     "subtractor": CircuitFamily(
-        build_subtractor, False, lambda n: 2 * n, expected_t_count_adder,
+        build_subtractor, False, expected_t_count_adder,
         _two_operand(operator.sub), _two_operand_fields,
     ),
     "ctrl-add-sub": CircuitFamily(
-        build_ctrl_add_sub, False, lambda n: 2 * n + 1, expected_t_count_adder,
+        build_ctrl_add_sub, False, expected_t_count_adder,
         _controlled(lambda z, a, b: np.where(z, a - b, a + b)), _controlled_fields,
     ),
     "ctrl-add": CircuitFamily(
-        build_ctrl_adder, False, lambda n: 2 * n + 1, expected_t_count_ctrl_adder,
+        build_ctrl_adder, False, expected_t_count_ctrl_adder,
         _controlled(lambda z, a, b: np.where(z, a + b, a)), _controlled_fields,
     ),
     "isqrt": CircuitFamily(
-        build_isqrt_circuit, True, lambda n: 2 * n + 1, expected_t_count_isqrt,
+        build_isqrt_circuit, True, expected_t_count_isqrt,
         _isqrt_oracle, _isqrt_fields, verify_build=build_isqrt_pipeline,
     ),
 }
@@ -188,6 +188,17 @@ def _check_cli_n(n: int) -> None:
         raise CapacityError(
             f"n = {int_text(n)} exceeds the command-line limit of {MAX_CLI_N}"
         )
+
+
+def _emit(text: str, output: str | None, note: str = "") -> int:
+    """Write `text` to the -o file and name it, or print it if none is given."""
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {output}{note}")
+    else:
+        print(text, end="")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------- isqrt
@@ -224,7 +235,7 @@ def _resource_row(name: str, n: int) -> dict:
     return {
         "n": n,
         "width": report.width,
-        "width_expected": family.width_of(n),
+        "width_expected": max(lo + w for _, lo, w in family.registers(n)[1]),
         "t_count": report.t_count,
         "t_count_expected": family.expected_t_count(n),
         "t_depth": report.t_depth,
@@ -267,13 +278,7 @@ def cmd_resources(args: argparse.Namespace) -> int:
         text = report_rows_to_json(rows)
     else:
         text = report_rows_to_csv(rows)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text, end="")
-    return EXIT_OK
+    return _emit(text, args.output)
 
 
 # --------------------------------------------------------------- verify
@@ -355,13 +360,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     circuit = family.build(args.n)
     text = to_qasm(circuit)
     gate_total = sum(count_ops(circuit).values())
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.output} ({gate_total} gates)")
-    else:
-        print(text, end="")
-    return EXIT_OK
+    return _emit(text, args.output, f" ({gate_total} gates)")
 
 
 # ----------------------------------------------------------------- main

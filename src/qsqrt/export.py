@@ -11,7 +11,7 @@ import io
 import json
 import re
 
-from .circuit import Circuit, Gate, GateKind, iter_primitive_ops
+from .circuit import PRIMITIVE_ARITY, Circuit, Gate, GateKind, iter_primitive_ops
 from .errors import CircuitError, QasmParseError
 
 _HEADER = ("OPENQASM 2.0;", 'include "qelib1.inc";')
@@ -20,15 +20,8 @@ _QREG_RE = re.compile(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*;")
 # syntax error
 _GATE_RE = re.compile(r"([a-z][a-z0-9_]*)\s*(?:\([^)]*\))?\s+(.+);")
 
-_GATE_KINDS = {
-    "x": GateKind.X,
-    "cx": GateKind.CX,
-    "ccx": GateKind.CCX,
-    "swap": GateKind.SWAP,
-    "h": GateKind.H,
-    "t": GateKind.T,
-    "tdg": GateKind.TDG,
-}
+# a gate's QASM name is its kind's value, as to_qasm writes it
+_GATE_KINDS = {kind.value: kind for kind in PRIMITIVE_ARITY if kind is not GateKind.ZCX}
 
 
 def to_qasm(c: Circuit) -> str:

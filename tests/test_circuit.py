@@ -254,7 +254,7 @@ def test_walk_raises_exactly_when_validate_reports(c):
     violations = validate(c)
     try:
         list(iter_primitive_ops(c))
-    except CircuitError:
-        assert violations
+    except CircuitError as err:
+        assert str(err) == violations[0].message
     else:
         assert violations == []

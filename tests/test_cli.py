@@ -280,6 +280,18 @@ def test_family_input_is_the_case_number_over_a_constant(name):
         assert states.tolist() == [k | const for k in range(1 << bits)]
 
 
+@pytest.mark.parametrize("name", sorted(cli.FAMILIES))
+def test_output_fields_tile_every_qubit(name):
+    # so `resources` reads the width off them and a failure report leaves
+    # no qubit out, the ancilla included
+    family = cli.FAMILIES[name]
+    for n in family_widths(family, 65):
+        qubits = [q for _, lo, w in family.registers(n)[1] for q in range(lo, lo + w)]
+        width = family.build(n).width
+        assert sorted(qubits) == list(range(width))
+        assert (family.verify_build or family.build)(n).width == width
+
+
 def test_every_exhaustive_sweep_fits_uint64_lanes():
     # so every exhaustive sweep is checked in uint64 lanes
     for family in cli.FAMILIES.values():

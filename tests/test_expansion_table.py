@@ -235,29 +235,22 @@ def _nested(body_gate, operands=(0, 2), width=3):
     return c
 
 
-def _nested_collision():
-    # the planted body gate collides once its operands are mapped:
-    # cx(1, 1) -> cx(3, 3), reported in the top circuit's numbering
-    return _nested(Gate(GateKind.CX, (1, 1)), (0, 3), 4), 4, Gate(GateKind.CX, (3, 3))
-
-
 def _deep_collision():
-    # two composite levels: ccx(2, 0, 2) of the inner body is ccx(1, 2, 1)
-    # of the middle one, and ccx(0, 1, 0) of the 5-qubit circuit
+    # two composite levels: the inner body's own ccx(2, 0, 2), named as the
+    # inner body holds it
     inner = _planted(3, Gate(GateKind.CCX, (2, 0, 2)))
     middle = Circuit(3).append_composite("INNER", inner, [2, 0, 1])
     c = Circuit(5).append_composite("MIDDLE", middle, [4, 0, 1])
-    return c, 5, Gate(GateKind.CCX, (0, 1, 0))
+    return c, 3, Gate(GateKind.CCX, (2, 0, 2))
 
 
 def _nested_case(body_gate):
-    # an operand outside the body has no numbering in the top circuit, so
-    # it is reported against the body's own width, as the body's append would
+    # a body gate is named as the body holds it, as the body's append would
     return _nested(body_gate), 2, body_gate
 
 
-# name: (circuit, width its bad gate is checked against, the bad gate in
-# that numbering, error type)
+# name: (circuit, width of the circuit that holds its bad gate, the bad
+# gate as held, error type)
 MALFORMED = {
     "out-of-range": (*_case(3, Gate(GateKind.CX, (0, 3))), QubitIndexError),
     "out-of-range-ccx": (*_case(3, Gate(GateKind.CCX, (0, 1, 5))), QubitIndexError),
@@ -270,15 +263,15 @@ MALFORMED = {
     "body-less": (
         *_case(3, Gate(GateKind.COMPOSITE, (0, 1), "BLOCK", None)), ArityError
     ),
-    "nested-duplicate": (*_nested_collision(), OperandCollisionError),
+    "nested-duplicate": (
+        *_nested_case(Gate(GateKind.CX, (1, 1))), OperandCollisionError
+    ),
     "nested-duplicate-deep": (*_deep_collision(), OperandCollisionError),
     "nested-negative": (*_nested_case(Gate(GateKind.X, (-1,))), QubitIndexError),
     "nested-out-of-range": (
         *_nested_case(Gate(GateKind.CX, (0, 2))), QubitIndexError
     ),
-    "nested-long-x": (
-        _nested(Gate(GateKind.X, (0, 1))), 3, Gate(GateKind.X, (0, 2)), ArityError
-    ),
+    "nested-long-x": (*_nested_case(Gate(GateKind.X, (0, 1))), ArityError),
     # a float or a bool equal to a qubit index is still no operand
     "float": (*_case(3, Gate(GateKind.X, (1.5,))), QubitIndexError),
     "integral-float": (*_case(3, Gate(GateKind.CX, (0, 1.0))), QubitIndexError),
@@ -315,7 +308,7 @@ def test_malformed_circuits_raise_the_append_error(fn, case):
     assert isinstance(got.value, CircuitError)
     with pytest.raises(error) as appended:
         Circuit(width).append(bad)
-    assert str(got.value) == str(appended.value)
+    assert str(got.value) == str(appended.value) == validate(c)[0].message
 
 
 @pytest.mark.parametrize("case", sorted(

@@ -129,6 +129,40 @@ def test_operand_from_wrong_register_rejected():
 
 
 @pytest.mark.parametrize(
+    "line, message",
+    [
+        ("qreg q[3;", "malformed qreg declaration"),
+        ("x q[0]", r"malformed statement: x q\[0\]"),
+        ("cx q[0],q[0];", r"duplicate operands in cx\(0, 0\)"),
+        ("x q[5];", r"operands \[5\] out of range for width 3"),
+        ("ccx q[0],q[1];", "expects 3 operands, got 2"),
+    ],
+)
+def test_rejected_lines_are_parse_errors_naming_the_line(line, message):
+    with pytest.raises(QasmParseError, match=message) as err:
+        from_qasm(HEADER + f"qreg q[3];\n{line}\n")
+    assert type(err.value) is QasmParseError
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize(
+    "name, arity",
+    [("x", 1), ("cx", 2), ("ccx", 3), ("swap", 2), ("h", 1), ("t", 1), ("tdg", 1)],
+)
+def test_every_emitted_gate_name_parses(name, arity):
+    operands = ",".join(f"q[{q}]" for q in range(arity))
+    c = from_qasm(HEADER + f"qreg q[3];\n{name} {operands};\n")
+    assert [(g.kind.value, g.qubits) for g in c.gates] == [(name, tuple(range(arity)))]
+
+
+def test_zcx_is_an_unsupported_gate():
+    # a kind's value is its QASM name, but ZCX is written out as x/cx/x
+    with pytest.raises(QasmParseError, match="unsupported gate 'zcx'") as err:
+        from_qasm(HEADER + "qreg q[2];\nzcx q[0],q[1];\n")
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize(
     "body", ["qreg q[{big}];\n", "qreg q[2];\nx q[{big}];\n"],
     ids=["qreg size", "operand index"],
 )

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -674,6 +675,39 @@ def test_assert_equiv_runs_the_permutation_side_unlowered(monkeypatch):
     assert lower_to_clifford_t(_LOGICAL_CCX).gates == broken.gates
     assert assert_equiv(_LOGICAL_CCX, broken) is not None
     assert assert_equiv(broken, _LOGICAL_CCX) is not None
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_assert_equiv_lowers_a_side_that_is_neither_permutation_nor_clifford_t(
+    monkeypatch, mode
+):
+    mixed = Circuit(3).h(0).ccx(0, 1, 2).h(0)
+    moved = Circuit(3).h(0).ccx(0, 1, 2).h(1)  # differs on every input
+    lowered = []
+    lower = sim.lower_to_clifford_t
+    monkeypatch.setattr(sim, "lower_to_clifford_t", lambda c: lowered.append(c) or lower(c))
+    assert assert_equiv(mixed, lower(mixed), mode) is None
+    assert lowered == [mixed]
+    first = 0 if mode == "exhaustive" else sampled_inputs(3, 100, 0)[0]
+    assert assert_equiv(mixed, moved, mode) == first
+    assert lowered == [mixed, mixed, moved]
+
+
+def test_assert_equiv_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'fast'"):
+        assert_equiv(Circuit(1), Circuit(1), mode="fast")
+
+
+@pytest.mark.parametrize("matrix", [unitary, sim.permutation_matrix])
+def test_dense_matrices_past_the_cap_raise_before_allocating(matrix):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="capped at 10 qubits"):
+            matrix(Circuit(11))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the 2^11 x 2^11 matrix would take 32 MB or more
 
 
 # not 2: the flipped-T pairs leave a template's closing H unrecombined, so
