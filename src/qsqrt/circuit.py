@@ -299,24 +299,31 @@ def validate(c: Circuit) -> list[Violation]:
     """Collect every invariant violation in `c`, recursing through composites.
 
     An empty list means the circuit is well formed. Violations are data, not
-    exceptions, so hand-built or deserialized circuits can be inspected.
+    exceptions, so hand-built or deserialized circuits can be inspected. A
+    body held by several composites is checked once, at the path of the
+    first composite that holds it.
     """
     out: list[Violation] = []
-    _validate_into(c, c.name or "circuit", (id(c),), out)
+    _validate_into(c, c.name or "circuit", (id(c),), set(), out)
     return out
 
 
 def _validate_into(
-    c: Circuit, path: str, stack: tuple[int, ...], out: list[Violation]
+    c: Circuit, path: str, stack: tuple[int, ...], checked: set[int],
+    out: list[Violation],
 ) -> None:
-    if c.width < 1:
-        out.append(Violation(path, -1, f"width must be >= 1, got {c.width}"))
+    try:
+        width = _positive_width(c.width, "circuit")
+    except InvalidWidthError as exc:
+        out.append(Violation(path, -1, str(exc)))
         return
     for i, g in enumerate(c.gates):
-        out.extend(Violation(path, i, str(err)) for err in _gate_errors(g, c.width))
-        if g.kind is GateKind.COMPOSITE and g.body is not None:
+        out.extend(Violation(path, i, str(err)) for err in _gate_errors(g, width))
+        body = g.body
+        if g.kind is GateKind.COMPOSITE and body is not None:
             sub_path = f"{path} > {g.name or 'composite'}"
-            if id(g.body) in stack:
+            if id(body) in stack:
                 out.append(Violation(sub_path, i, _CYCLE))
-                continue
-            _validate_into(g.body, sub_path, stack + (id(g.body),), out)
+            elif id(body) not in checked:
+                _validate_into(body, sub_path, stack + (id(body),), checked, out)
+    checked.add(id(c))

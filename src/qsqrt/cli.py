@@ -1,5 +1,6 @@
 """Command line front end: isqrt, resources, verify and export.
 
+`resources` writes its rows as a table, JSON or CSV from one column list.
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 All output is deterministic for fixed flags; the elapsed-time line printed
 by `verify` is suppressed with --no-timing.
@@ -7,7 +8,10 @@ by `verify` is suppressed with --no-timing.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
+import json
 import math
 import operator
 import random
@@ -34,7 +38,7 @@ from .arithmetic import (
 )
 from .circuit import Circuit
 from .errors import CapacityError, CircuitError, int_text
-from .export import report_rows_to_csv, report_rows_to_json, to_qasm
+from .export import to_qasm
 from .sim import _cached_program, _lane_dtype, _run
 from .sqrt import build_isqrt_circuit, build_isqrt_pipeline, isqrt, min_width
 
@@ -225,14 +229,20 @@ def cmd_isqrt(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------ resources
 
 
-def _resource_row(name: str, n: int) -> dict:
-    family = FAMILIES[name]
+#: The report's columns in output order, as (row key, table heading). A row
+#: holds them in this order, then its histogram; the table adds a match
+#: column, and the CSV leaves out width_expected as well as the histogram.
+_REPORT_COLUMNS = (
+    ("n", "n"), ("width", "qubits"), ("width_expected", "qubits(E)"),
+    ("t_count", "t_count"), ("t_count_expected", "t_count(E)"),
+    ("t_depth", "t_depth"), ("total_depth", "total_depth"),
+)
+_CSV_KEYS = [key for key, _ in _REPORT_COLUMNS if key != "width_expected"]
+
+
+def _resource_row(family: CircuitFamily, n: int) -> dict:
     report = analyze(family.build(n))
-    histogram = {
-        kind.value: count
-        for kind, count in sorted(report.histogram.items(), key=lambda kv: kv[0].value)
-    }
-    return {
+    values = {
         "n": n,
         "width": report.width,
         "width_expected": max(lo + w for _, lo, w in family.registers(n)[1]),
@@ -240,45 +250,45 @@ def _resource_row(name: str, n: int) -> dict:
         "t_count_expected": family.expected_t_count(n),
         "t_depth": report.t_depth,
         "total_depth": report.total_depth,
-        "histogram": histogram,
     }
+    row = {key: values[key] for key, _ in _REPORT_COLUMNS}
+    row["histogram"] = dict(sorted((k.value, c) for k, c in report.histogram.items()))
+    return row
 
 
 def _rows_to_table(name: str, rows: list[dict]) -> str:
-    headers = [
-        "n", "qubits", "qubits(E)", "t_count", "t_count(E)",
-        "t_depth", "total_depth", "match",
-    ]
-    lines = [f"circuit = {name} (t_depth is a scheduled upper bound)"]
-    table = [headers]
+    table = [[heading for _, heading in _REPORT_COLUMNS] + ["match"]]
     for r in rows:
-        match = (
-            r["width"] == r["width_expected"]
-            and r["t_count"] == r["t_count_expected"]
-        )
-        table.append([
-            str(r["n"]), str(r["width"]), str(r["width_expected"]),
-            str(r["t_count"]), str(r["t_count_expected"]),
-            str(r["t_depth"]), str(r["total_depth"]),
-            "yes" if match else "NO",
-        ])
-    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
+        ok = (r["width"], r["t_count"]) == (r["width_expected"], r["t_count_expected"])
+        cells = [str(r[key]) for key, _ in _REPORT_COLUMNS]
+        table.append(cells + ["yes" if ok else "NO"])
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = [f"circuit = {name} (t_depth is a scheduled upper bound)"]
     for row in table:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     return "\n".join(lines) + "\n"
 
 
+def _rows_to_csv(name: str, rows: list[dict]) -> str:
+    out = io.StringIO()
+    writer = csv.DictWriter(out, _CSV_KEYS, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+#: `resources --format` choices: each renders (circuit name, rows) as text.
+_REPORT_WRITERS: dict[str, Callable[[str, list[dict]], str]] = {
+    "table": _rows_to_table,
+    "json": lambda name, rows: json.dumps(rows, indent=2) + "\n",
+    "csv": _rows_to_csv,
+}
+
+
 def cmd_resources(args: argparse.Namespace) -> int:
     family = FAMILIES[args.circuit]
-    values = _parse_n_range(args.n, family)
-    rows = [_resource_row(args.circuit, n) for n in values]
-    if args.format == "table":
-        text = _rows_to_table(args.circuit, rows)
-    elif args.format == "json":
-        text = report_rows_to_json(rows)
-    else:
-        text = report_rows_to_csv(rows)
-    return _emit(text, args.output)
+    rows = [_resource_row(family, n) for n in _parse_n_range(args.n, family)]
+    return _emit(_REPORT_WRITERS[args.format](args.circuit, rows), args.output)
 
 
 # --------------------------------------------------------------- verify
@@ -386,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", choices=sorted(FAMILIES), required=True)
     p.add_argument("--n", required=True, metavar="N[..M]",
                    help="width or inclusive range, e.g. 4 or 6..16")
-    p.add_argument("--format", choices=["table", "json", "csv"], default="table")
+    p.add_argument("--format", choices=list(_REPORT_WRITERS), default="table")
     p.add_argument("-o", "--output", help="write to file instead of stdout")
     p.set_defaults(func=cmd_resources)
 

@@ -1,4 +1,4 @@
-"""OpenQASM 2.0 serialization plus JSON/CSV report formatting.
+"""OpenQASM 2.0 serialization: to_qasm and from_qasm.
 
 Emitted documents use one quantum register and only the gates
 {x, cx, ccx, swap, h, t, tdg}; ZCX has no qelib1 equivalent and is written
@@ -6,9 +6,6 @@ out as x/cx/x so any QASM toolchain can consume the file.
 """
 from __future__ import annotations
 
-import csv
-import io
-import json
 import re
 
 from .circuit import PRIMITIVE_ARITY, Circuit, Gate, GateKind, iter_primitive_ops
@@ -102,18 +99,3 @@ def _decimal(digits: str, what: str, lineno: int) -> int:
             f"{what} of {len(digits)} digits is too large", lineno
         ) from None
 
-
-def report_rows_to_json(rows: list[dict]) -> str:
-    """Resource rows as JSON; histogram keys are gate-name strings."""
-    return json.dumps(rows, indent=2) + "\n"
-
-
-def report_rows_to_csv(rows: list[dict]) -> str:
-    """Resource rows as CSV (histogram omitted)."""
-    columns = ["n", "width", "t_count", "t_count_expected", "t_depth", "total_depth"]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([row[c] for c in columns])
-    return out.getvalue()

@@ -11,7 +11,9 @@ from qsqrt import (
     Gate,
     GateKind,
     build_adder,
+    build_isqrt_circuit,
     peres_circuit,
+    Violation,
     perm_run,
     validate,
 )
@@ -161,6 +163,53 @@ def test_validate_detects_composite_cycle():
     inner.gates.append(outer.gates[0])  # body now contains itself
     assert any("cycle" in v.message for v in validate(inner))
     assert any("cycle" in v.message for v in validate(outer))
+
+
+def _composite_body(c, name, last=False):
+    """The body of `c`'s first (or last) composite called `name`."""
+    bodies = [g.body for g in c.gates if g.name == name]
+    return bodies[-1] if last else bodies[0]
+
+
+def test_validate_reports_a_fault_in_a_shared_body_once():
+    c = build_isqrt_circuit(16)
+    adder = _composite_body(
+        _composite_body(_composite_body(c, "PART 2"), "CTRL ADD/SUB", last=True),
+        "ADD",
+    )
+    # every PERES of this adder holds the same body
+    _composite_body(adder, "PERES").gates.append(Gate(GateKind.CX, (1, 1)))
+    assert validate(c) == [
+        Violation(
+            "ISQRT > PART 2 > CTRL ADD/SUB > ADD > PERES", 2,
+            "duplicate operands in cx(1, 1)",
+        )
+    ]
+
+
+def test_validate_reports_a_body_at_the_first_path_that_holds_it():
+    body = Circuit(2, "B")
+    body.gates.append(Gate(GateKind.CX, (1, 1)))  # bypasses append checks
+    top = Circuit(2, "top")
+    for name in ("P1", "P2"):
+        parent = Circuit(2, name).append_composite("B", body, [1, 0])
+        top.append_composite(name, parent, [0, 1])
+    assert validate(top) == [
+        Violation("top > P1 > B", 0, "duplicate operands in cx(1, 1)")
+    ]
+
+
+@pytest.mark.parametrize("width", [0, -1, 2.5])
+def test_validate_checks_the_width_as_the_constructor_does(width):
+    with pytest.raises(InvalidWidthError) as raised:
+        Circuit(width)
+    c = Circuit(1, "odd")
+    c.width = width  # bypasses the constructor's check
+    assert validate(c) == [Violation("odd", -1, str(raised.value))]
+
+
+def test_circuit_repr_names_the_width_and_gate_count():
+    assert repr(build_adder(2)) == "Circuit('ADD', width=4, gates=5)"
 
 
 def test_circuit_equality_by_value():

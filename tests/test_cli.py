@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -86,8 +87,6 @@ def test_resources_table_has_match_column(capsys):
 
 
 def test_resources_json_carries_histogram(capsys):
-    import json
-
     assert (
         main(["resources", "--circuit", "isqrt", "--n", "6", "--format", "json"]) == 0
     )
@@ -124,6 +123,112 @@ def test_resources_writes_file(tmp_path, capsys):
     )
     assert "wrote" in capsys.readouterr().out
     assert target.read_text().splitlines()[1].split(",")[0] == "2"
+
+
+# `resources --circuit adder --n 1..3` in each format, byte for byte
+RESOURCES_ADDER_1_TO_3 = {
+    "table": """\
+circuit = adder (t_depth is a scheduled upper bound)
+n  qubits  qubits(E)  t_count  t_count(E)  t_depth  total_depth  match
+1  2       2          0        0           0        1            yes
+2  4       4          14       14          12       25           yes
+3  6       6          28       28          22       46           yes
+""",
+    "json": """\
+[
+  {
+    "n": 1,
+    "width": 2,
+    "width_expected": 2,
+    "t_count": 0,
+    "t_count_expected": 0,
+    "t_depth": 0,
+    "total_depth": 1,
+    "histogram": {
+      "cx": 1
+    }
+  },
+  {
+    "n": 2,
+    "width": 4,
+    "width_expected": 4,
+    "t_count": 14,
+    "t_count_expected": 14,
+    "t_depth": 12,
+    "total_depth": 25,
+    "histogram": {
+      "cx": 16,
+      "h": 4,
+      "t": 8,
+      "tdg": 6
+    }
+  },
+  {
+    "n": 3,
+    "width": 6,
+    "width_expected": 6,
+    "t_count": 28,
+    "t_count_expected": 28,
+    "t_depth": 22,
+    "total_depth": 46,
+    "histogram": {
+      "cx": 33,
+      "h": 8,
+      "t": 16,
+      "tdg": 12
+    }
+  }
+]
+""",
+    "csv": """\
+n,width,t_count,t_count_expected,t_depth,total_depth
+1,2,0,0,0,1
+2,4,14,14,12,25
+3,6,28,28,22,46
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(RESOURCES_ADDER_1_TO_3))
+def test_resources_output_is_pinned_in_every_format(capsys, fmt):
+    argv = ["resources", "--circuit", "adder", "--n", "1..3", "--format", fmt]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == RESOURCES_ADDER_1_TO_3[fmt]
+
+
+@pytest.mark.parametrize("name", sorted(cli.FAMILIES))
+def test_row_keys_follow_the_column_list(name):
+    family = cli.FAMILIES[name]
+    row = cli._resource_row(family, 4)
+    assert list(row) == [key for key, _ in cli._REPORT_COLUMNS] + ["histogram"]
+
+
+
+def test_format_choices_are_the_writer_table():
+    command = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    fmt = next(a for a in command.choices["resources"]._actions if a.dest == "format")
+    assert list(fmt.choices) == list(cli._REPORT_WRITERS) == ["table", "json", "csv"]
+
+
+def test_csv_writer_columns():
+    rows = [
+        {
+            "n": 6,
+            "width": 13,
+            "t_count": 224,
+            "t_count_expected": 224,
+            "t_depth": 179,
+            "total_depth": 395,
+        }
+    ]
+    lines = cli._REPORT_WRITERS["csv"]("isqrt", rows).splitlines()
+    assert lines[0] == "n,width,t_count,t_count_expected,t_depth,total_depth"
+    assert lines[1] == "6,13,224,224,179,395"
+
+
+def test_json_writer_round_trips():
+    rows = [{"n": 6, "width": 13, "histogram": {"cx": 2}}]
+    assert json.loads(cli._REPORT_WRITERS["json"]("isqrt", rows)) == rows
 
 
 def test_verify_adder_exhaustive(capsys):

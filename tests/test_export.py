@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -19,7 +18,6 @@ from qsqrt import (
     to_qasm,
 )
 from qsqrt.errors import QasmParseError
-from qsqrt.export import report_rows_to_csv, report_rows_to_json
 from strategies import permutation_circuits
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -190,23 +188,3 @@ def test_comments_and_blank_lines_ignored():
     qc = from_qasm(text)
     assert len(qc.gates) == 1
 
-
-def test_report_rows_to_csv_columns():
-    rows = [
-        {
-            "n": 6,
-            "width": 13,
-            "t_count": 224,
-            "t_count_expected": 224,
-            "t_depth": 179,
-            "total_depth": 395,
-        }
-    ]
-    lines = report_rows_to_csv(rows).splitlines()
-    assert lines[0] == "n,width,t_count,t_count_expected,t_depth,total_depth"
-    assert lines[1] == "6,13,224,224,179,395"
-
-
-def test_report_rows_to_json_round_trips():
-    rows = [{"n": 6, "width": 13, "histogram": {"cx": 2}}]
-    assert json.loads(report_rows_to_json(rows)) == rows

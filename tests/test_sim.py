@@ -325,6 +325,12 @@ def test_sv_norm_preserved_over_long_random_circuit():
     assert abs(np.linalg.norm(vec) - 1.0) <= 1e-10
 
 
+def test_sv_norm_drift_raises(monkeypatch):
+    monkeypatch.setitem(sim._PHASES, GateKind.T, 1.5)  # not a unit phase
+    with pytest.raises(RuntimeError, match="statevector norm drifted"):
+        sv_run(Circuit(1).x(0).t(0), basis_statevector(1, 0))
+
+
 def test_perm_output_matches_single_sv_amplitude():
     add = build_adder(2)
     lowered = lower_to_clifford_t(add)
