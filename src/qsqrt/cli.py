@@ -320,7 +320,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         rng = random.Random(_SAMPLE_SEED)
         indices = [rng.randrange(1 << bits) for _ in range(SAMPLED_CASES)]
-    dtype = _lane_dtype(program[0])
+    dtype = _lane_dtype(program.width)
     started = time.perf_counter()
     failed = 0
     first_failure: tuple[int, int, int] | None = None

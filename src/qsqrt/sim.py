@@ -1,18 +1,26 @@
 """Two simulation backends over the circuit IR.
 
-One permutation kernel, _run_columns, pushes a whole batch of basis
-states through the classical-reversible gates (X, CX, ZCX, CCX, SWAP) in
-one pass over the gates. It works on bit-sliced columns: one int per
-qubit, whose bit k is that qubit in case k. It reads one format, a program
-from _compile: the circuit's (opcode, q0, q1, q2) in a flat array. Every
-caller compiles first; isqrt and `qsqrt verify` keep theirs in a bounded
-per-(builder, width) cache. One function feeds it, _run, and hands back
-one format, a numpy array of the output states: uint64 up to 64 qubits,
-Python ints (dtype=object) beyond. A range of consecutive states, such as
-an exhaustive `qsqrt verify` batch or assert_equiv's inputs, gets its
-columns straight from the counter; any other states are transposed in.
-_run checks nothing: perm_run_many (so perm_run) checks outside states,
-and isqrt, verify, permutation_matrix and assert_equiv build their own.
+One permutation kernel pushes a whole batch of basis states through the
+classical-reversible gates (X, CX, ZCX, CCX, SWAP) in one pass over the
+gates. It works on bit-sliced columns: one int per qubit, whose bit k is
+that qubit in case k. It reads one format, a _Program from _compile: the
+circuit's (opcode, q0, q1, q2) in a flat array. Every caller compiles
+first; isqrt and `qsqrt verify` keep theirs in a bounded per-(builder,
+width) cache. The kernel has two forms of one semantics, both driven by
+the opcodes: the loop _run_columns interprets the array, one `if` chain
+per op, and _generate turns it into straight-line Python, one statement
+per op (`c5 ^= c3 & c4`) from the table _STATEMENTS. A program compiled
+for one call runs on the loop. A cached program runs on the loop once,
+and its second run generates its straight-line form, which serves that
+run and every later one and lives as long as the program stays cached.
+One function feeds the kernel, _run, and hands back one format, a numpy
+array of the output states: uint64 up to 64 qubits, Python ints
+(dtype=object) beyond. A range of consecutive states, such as an
+exhaustive `qsqrt verify` batch or assert_equiv's inputs, gets its columns
+straight from the counter; a single state is split into bits; any other
+states are transposed in. _run checks nothing: perm_run_many (so
+perm_run) checks outside states, and isqrt, verify, permutation_matrix and
+assert_equiv build their own.
 
 One statevector kernel, _sv_entries, applies a lowered circuit (X, CX, H,
 T, TDG, in composites too) to a batch of sparse columns in one pass over
@@ -31,8 +39,10 @@ from __future__ import annotations
 
 import operator
 import random
+import sys
 from array import array
 from functools import lru_cache
+from types import CodeType, FunctionType
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,7 +84,7 @@ def perm_run(c: Circuit, state: int) -> int:
     return perm_run_many(c, (state,))[0]
 
 
-# Opcodes of the permutation kernel, in the order _run tests them.
+# Opcodes of the permutation kernel, in the order _run_columns tests them.
 _CX, _CCX, _ZCX, _X, _SWAP = range(5)
 _OPCODES = {
     GateKind.CX: _CX,
@@ -85,23 +95,71 @@ _OPCODES = {
 }
 _PAD = {1: (0, 0), 2: (0,), 3: ()}
 
+#: Each opcode as one statement of a generated kernel, formatted with its
+#: (q0, q1, q2): the update _run_columns makes on cols[q], made on local c<q>.
+_STATEMENTS = {
+    _CX: "c{1} ^= c{0}",
+    _CCX: "c{2} ^= c{0} & c{1}",
+    _ZCX: "c{1} ^= c{0} ^ ones",
+    _X: "c{0} ^= ones",
+    _SWAP: "c{0}, c{1} = c{1}, c{0}",
+}
+
+#: Ops per generated function. compile() of one function for a whole
+#: program peaks at about 2 KB an op (19.5 MB at isqrt n = 64); in chunks
+#: of this many, generating that program peaks at 1.4 MB.
+_CHUNK_OPS = 512
+
 #: Entries a batch of basis columns may hold (_run_basis). Every column
 #: holds at least one, so it also caps assert_equiv's batches, which halve
 #: until they fit.
 _SV_MAX_ENTRIES = 1 << 20
 
-#: Programs _cached_program keeps: more than the 31 widths (4..64) that
-#: isqrt calls on inputs of up to 63 bits cycle through, so such a mix of
-#: calls never evicts one.
+#: Programs _cached_program keeps, with their generated forms: more than
+#: the 31 widths (4..64) that isqrt calls on inputs of up to 63 bits cycle
+#: through, so such a mix of calls never evicts one.
 _PROGRAM_CACHE_SIZE = 64
 
 
-def _compile(c: Circuit) -> tuple[int, array]:
-    """The program of a permutation circuit: its width and a flat array of
-    (opcode, q0, q1, q2) per primitive gate, zero-padded. Raises
-    NonPermutationGateError on H, T or TDG. Qubit indices below 2**16 fit
-    the two-byte typecode, about 8 bytes a gate; wider circuits take
-    eight-byte entries.
+class _Program:
+    """A compiled permutation circuit: what _run runs.
+
+    `code` holds (opcode, q0, q1, q2) per primitive gate in a flat array,
+    zero-padded, which the loop _run_columns interprets. A `reused`
+    program, one that _cached_program keeps, generates its straight-line
+    form (_generate) on its second run; `chunks` then holds it, it runs
+    that run and every later one, and `code` is dropped. Any other program
+    runs on the loop every time.
+    """
+
+    __slots__ = ("width", "code", "reused", "runs", "chunks")
+
+    def __init__(self, width: int, code: array) -> None:
+        self.width, self.code = width, code
+        self.reused, self.runs = False, 0
+        self.chunks: tuple[Callable, ...] | None = None
+
+    def run(self, cols: list[int], lanes: int) -> list[int]:
+        """The program's output columns on bit-sliced columns (see _run_columns)."""
+        # code is read before chunks, and generating sets chunks before it
+        # drops code, so a run in another thread always finds one of them
+        code, chunks = self.code, self.chunks
+        if chunks is None and self.reused and self.runs:
+            chunks = self.chunks = _generate(self.width, code)
+            self.code = None
+        self.runs += 1
+        if chunks is None:
+            return _run_columns(code, cols, lanes)
+        ones = (1 << lanes) - 1
+        for chunk in chunks:
+            cols = chunk(cols, ones)
+        return cols
+
+
+def _compile(c: Circuit) -> _Program:
+    """The program of a permutation circuit. Raises NonPermutationGateError
+    on H, T or TDG. Qubit indices below 2**16 fit the two-byte typecode,
+    about 8 bytes a gate; wider circuits take eight-byte entries.
     """
     code = array("H" if c.width <= 1 << 16 else "Q")
     for kind, q in iter_primitive_ops(c):
@@ -111,34 +169,53 @@ def _compile(c: Circuit) -> tuple[int, array]:
                 f"{kind.value} is not a basis-state permutation"
             )
         code.extend((op, *q, *_PAD[len(q)]))
-    return c.width, code
+    return _Program(c.width, code)
 
 
 @lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
-def _cached_program(builder: Callable[[int], Circuit], n: int) -> tuple[int, array]:
-    """The program of builder(n), compiled on first use.
+def _cached_program(builder: Callable[[int], Circuit], n: int) -> _Program:
+    """The program of builder(n), compiled on first use and reused.
 
     Only this private form is kept: builder(n) itself stays a fresh,
     mutable Circuit on every public call.
     """
-    return _compile(builder(n))
+    program = _compile(builder(n))
+    program.reused = True
+    return program
 
 
-def _run(program: tuple[int, array], states: Sequence[int]) -> np.ndarray:
+def _run(program: _Program, states: Sequence[int]) -> np.ndarray:
     """The output states of a program on basis states below 2**width.
 
-    A range of step 1 gets its columns straight from the counter
-    (_counter_column); any other sequence or array of ints is transposed
-    in. The states are not checked. Returns them in one numpy array, of
-    dtype _lane_dtype(width).
+    One state is split into its bits and a range of step 1 gets its
+    columns straight from the counter (_counter_column); any other
+    sequence or array of ints is transposed in. The states are not
+    checked. Returns them in one numpy array, of dtype _lane_dtype(width).
     """
-    width, code = program
-    count = len(states)
+    width, count = program.width, len(states)
+    if count == 1:
+        cols = program.run(_bits_of(int(states[0]), width), 1)
+        return np.array([_int_of_bits(cols)], _lane_dtype(width))
     if isinstance(states, range) and states.step == 1:
         cols = [_counter_column(states.start, count, q) for q in range(width)]
     else:
         cols = _transpose(states, width).tolist()
-    return _transpose(_run_columns(code, cols, count), count)
+    return _transpose(program.run(cols, count), count)
+
+
+# One state's bits as the bytes 0 and 1, and back, by way of its binary digits.
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bits_of(state: int, width: int) -> list[int]:
+    """The one-lane columns of `state`: bit q at index q, for q < width."""
+    return list(f"{state:0{width}b}".encode()[::-1].translate(_FROM_DIGITS))
+
+
+def _int_of_bits(cols: list[int]) -> int:
+    """The state whose bit q is cols[q], each 0 or 1: _bits_of inverted."""
+    return int(bytes(cols[::-1]).translate(_TO_DIGITS), 2)
 
 
 def _lane_dtype(width: int) -> np.dtype:
@@ -169,7 +246,7 @@ def _check_states(
 
 
 def _run_columns(code: array, cols: list[int], lanes: int) -> list[int]:
-    """The permutation kernel: run a program's code on bit-sliced columns.
+    """The permutation kernel's loop: run a program's code on bit-sliced columns.
 
     Bit k of cols[q] is qubit q in case k, for `lanes` cases. The columns
     are updated in place and returned.
@@ -188,6 +265,46 @@ def _run_columns(code: array, cols: list[int], lanes: int) -> list[int]:
         else:
             cols[a], cols[b] = cols[b], cols[a]
     return cols
+
+
+def _generate(width: int, code: array) -> tuple[Callable, ...]:
+    """The straight-line form of a program's code: functions that each run
+    _CHUNK_OPS of its ops in order, as _run_columns does, but with one
+    statement per op (_STATEMENTS) on the columns as locals c0, c1, ...
+
+    Each function takes the columns and the lane mask `ones` and returns
+    the new columns. The source holds only the program's integers. Each
+    chunk is built and compiled on its own, and keeps no location table
+    (_without_positions), since no source is kept for it to point into.
+    """
+    names = "".join(f"c{q}, " for q in range(width))
+    step = 4 * _CHUNK_OPS
+    chunks = []
+    for start in range(0, len(code), step):
+        it = iter(code[start : start + step])
+        body = "".join(
+            f"    {_STATEMENTS[op].format(*q)}\n" for op, *q in zip(it, it, it, it)
+        )
+        source = f"def chunk(c, ones):\n    {names}= c\n{body}    return [{names}]\n"
+        module = compile(source, "<generated kernel>", "exec")
+        code_of_chunk = module.co_consts[0]
+        chunks.append(FunctionType(_without_positions(code_of_chunk), {}))
+    return tuple(chunks)
+
+
+def _without_positions(code: CodeType) -> CodeType:
+    """`code` with a location table that gives no instruction a position.
+
+    The table compile() makes costs about 14 bytes an op, more than the
+    bytecode's 12. From Python 3.11 on, each entry byte 0xF8 + k covers k + 1
+    code units with no position; Python 3.10's table has another format,
+    so there the code keeps its own.
+    """
+    if sys.version_info < (3, 11):
+        return code
+    full, rest = divmod(len(code.co_code) // 2, 8)
+    table = b"\xff" * full + (bytes((0xF8 + rest - 1,)) if rest else b"")
+    return code.replace(co_linetable=table)
 
 
 def _counter_column(lo: int, count: int, q: int) -> int:

@@ -1,5 +1,10 @@
+import gc
 import random
+import sys
+import traceback
 import tracemalloc
+import types
+from array import array
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from qsqrt import (
     build_isqrt_circuit,
     build_isqrt_pipeline,
     flatten,
+    isqrt,
     lower_to_clifford_t,
     peres_circuit,
     perm_run,
@@ -37,6 +43,7 @@ from qsqrt.errors import (
     NonPermutationGateError,
 )
 from qsqrt import sim
+from qsqrt.circuit import PRIMITIVE_ARITY
 from qsqrt.cli import FAMILIES
 from qsqrt.sim import _compile, _run
 from strategies import (
@@ -202,9 +209,104 @@ def test_compiled_program_takes_wide_entries_beyond_two_byte_qubits():
     c = Circuit(70_000).x(69_999)
     c.cx(69_999, 65_536).swap(65_536, 3).ccx(3, 69_999, 0).zcx(1, 65_535)
     program = _compile(c)
-    assert program[1].itemsize >= 4
+    assert program.code.itemsize >= 4
     states = [0, 1 << 69_999, 1 << 65_535 | 1 << 2]
     assert _run(program, states).tolist() == [reference_run(c, s) for s in states]
+
+
+_ARITY = {op: PRIMITIVE_ARITY[kind] for kind, op in sim._OPCODES.items()}
+
+
+@st.composite
+def programs_and_columns(draw):
+    # any width up to 130 qubits, one lane or 200; SWAP-only and empty
+    # programs, and programs repeated past one generated chunk
+    width = draw(st.integers(1, 130))
+    lanes = draw(st.sampled_from([1, 200]))
+    opcodes = [op for op, arity in _ARITY.items() if arity <= width]
+    if width > 1 and draw(st.booleans()):
+        opcodes = [sim._SWAP]
+    code = []
+    for _ in range(draw(st.integers(0, 12))):
+        op = draw(st.sampled_from(opcodes))
+        qubits = draw(
+            st.lists(st.integers(0, width - 1), min_size=_ARITY[op],
+                     max_size=_ARITY[op], unique=True)
+        )
+        code += [op, *qubits, *sim._PAD[len(qubits)]]
+    if code and draw(st.booleans()):
+        code *= sim._CHUNK_OPS // (len(code) // 4) + 1
+    rng = draw(st.randoms(use_true_random=False))
+    return width, array("H", code), lanes, [rng.getrandbits(lanes) for _ in range(width)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs_and_columns())
+def test_generated_kernel_matches_the_loop(case):
+    width, code, lanes, cols = case
+    chunks = sim._generate(width, code)
+    assert len(chunks) == -(-len(code) // (4 * sim._CHUNK_OPS))
+    out = list(cols)
+    for chunk in chunks:
+        out = chunk(out, (1 << lanes) - 1)
+    assert out == sim._run_columns(code, list(cols), lanes)
+
+
+def test_generated_tracebacks_render_without_source_positions():
+    program = _compile(build_isqrt_pipeline(8))
+    (chunk,) = sim._generate(program.width, program.code)
+    if sys.version_info >= (3, 11):  # 3.10's table has another format, kept
+        positions = set(chunk.__code__.co_positions())
+        assert positions == {(None, None, None, None)}
+    with pytest.raises(TypeError) as raised:  # a traceback still renders
+        chunk(["not a column"] * program.width, 1)
+    assert "<generated kernel>" in "".join(traceback.format_tb(raised.tb))
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 129])
+def test_one_state_skips_the_transposes_and_answers_alike(width):
+    rng = random.Random(width)
+    c = Circuit(width).x(width - 1)
+    if width > 2:
+        c.ccx(0, width - 1, 1).swap(1, width - 2).cx(width - 2, 0).zcx(0, 2)
+    program = _compile(c)
+    for state in (0, (1 << width) - 1, rng.getrandbits(width)):
+        cols = sim._bits_of(state, width)
+        assert cols == sim._transpose([state], width).tolist()
+        assert sim._int_of_bits(cols) == state
+        assert sim._transpose(cols, 1).tolist() == [state]
+        out = _run(program, [state])
+        assert out.dtype == sim._lane_dtype(width)
+        assert out.tolist() == _run(program, [state, state]).tolist()[:1]
+        assert out.tolist() == [reference_run(c, state)]
+
+
+def test_programs_compiled_for_one_call_never_generate(monkeypatch):
+    generated = []
+    monkeypatch.setattr(sim, "_generate", lambda *args: generated.append(args))
+    adder, states = build_adder(3), [1, 2, 3]
+    for _ in range(3):
+        assert perm_run_many(adder, states) == [reference_run(adder, s) for s in states]
+        sim.permutation_matrix(adder)
+        assert assert_equiv(adder, adder) is None
+    assert generated == []
+
+
+def test_generated_kernels_live_only_while_their_programs_are_cached():
+    def generated_functions():
+        gc.collect()
+        return [
+            f for f in gc.get_objects()
+            if isinstance(f, types.FunctionType)
+            and f.__code__.co_filename == "<generated kernel>"
+        ]
+
+    for a in (5, 6, 7):  # the second call generates
+        isqrt(a, 8)
+    assert sim._cached_program(build_isqrt_pipeline, 8).chunks
+    assert generated_functions()
+    sim._cached_program.cache_clear()
+    assert generated_functions() == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qsqrt import (
     perm_run,
     validate,
 )
+from qsqrt import sim
 from qsqrt.errors import InputRangeError, InvalidWidthError
 
 # roots and remainders for the small inputs that fit width 6
@@ -308,3 +310,52 @@ def test_fresh_import_compiles_nothing():
         check=True,
     )
     assert out.stdout.strip() == "0"
+
+
+def test_a_widths_calls_after_the_first_run_without_the_loop(monkeypatch):
+    sim._cached_program.cache_clear()
+    loop, runs = sim._run_columns, []
+
+    def once(*args):
+        assert not runs, "the loop ran after the first call"
+        runs.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(sim, "_run_columns", once)
+    assert isqrt(200, 10) == (14, 4)
+    assert len(runs) == 1  # the first call at a width runs on the loop
+    assert [isqrt(a, 10) for a in (0, 99, 511)] == [(0, 0), (9, 18), (22, 27)]
+
+
+def test_generated_kernels_answer_every_input_up_to_n14():
+    for n in range(4, 15, 2):
+        isqrt(0, n)  # from here on, every call at n runs the generated kernel
+        for a in range(1 << (n - 1)):
+            root = math.isqrt(a)
+            assert isqrt(a, n) == (root, a - root * root)
+        assert sim._cached_program(build_isqrt_pipeline, n).chunks is not None
+
+
+def test_threads_sharing_a_width_answer_while_it_is_generated():
+    inputs = list(range(0, 1 << 11, 255))
+    expected = [(math.isqrt(a), a - math.isqrt(a) ** 2) for a in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):  # each round generates the width afresh
+            sim._cached_program.cache_clear()
+            start, results = threading.Barrier(4, timeout=60), []
+
+            def calls():
+                start.wait()
+                results.append([isqrt(a, 12) for a in inputs])
+
+            threads = [threading.Thread(target=calls) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert results == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
