@@ -13,9 +13,9 @@ from .errors import CircuitError, QasmParseError
 
 _HEADER = ("OPENQASM 2.0;", 'include "qelib1.inc";')
 _QREG_RE = re.compile(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*;")
-# parameter lists are matched so rz(0.1) reports "unsupported gate", not a
-# syntax error
-_GATE_RE = re.compile(r"([a-z][a-z0-9_]*)\s*(?:\([^)]*\))?\s+(.+);")
+# a parameter list is matched so rz(0.1) reports "unsupported gate", not a
+# syntax error, and x(0.1) reports that x takes none
+_GATE_RE = re.compile(r"([a-z][a-z0-9_]*)\s*(\([^)]*\))?\s+(.+);")
 
 # a gate's QASM name is its kind's value, as to_qasm writes it
 _GATE_KINDS = {kind.value: kind for kind in PRIMITIVE_ARITY if kind is not GateKind.ZCX}
@@ -75,8 +75,10 @@ def from_qasm(text: str) -> Circuit:
         kind = _GATE_KINDS.get(m.group(1))
         if kind is None:
             raise QasmParseError(f"unsupported gate '{m.group(1)}'", lineno)
+        if m.group(2) is not None:
+            raise QasmParseError(f"gate '{m.group(1)}' takes no parameters", lineno)
         qubits = []
-        for token in m.group(2).split(","):
+        for token in m.group(3).split(","):
             om = operand_re.fullmatch(token.strip())
             if not om:
                 raise QasmParseError(f"malformed operand '{token.strip()}'", lineno)

@@ -1,36 +1,46 @@
 """Two simulation backends over the circuit IR.
 
-One permutation kernel pushes a whole batch of basis states through the
-classical-reversible gates (X, CX, ZCX, CCX, SWAP) in one pass over the
-gates. It works on bit-sliced columns: one int per qubit, whose bit k is
-that qubit in case k. It reads one format, a _Program from _compile: the
-circuit's (opcode, q0, q1, q2) in a flat array. Every caller compiles
-first; isqrt and `qsqrt verify` keep theirs in a bounded per-(builder,
-width) cache. The kernel has two forms of one semantics, both driven by
-the opcodes: the loop _run_columns interprets the array, one `if` chain
-per op, and _generate turns it into straight-line Python, one statement
-per op (`c5 ^= c3 & c4`) from the table _STATEMENTS. A program compiled
-for one call runs on the loop. A cached program runs on the loop once,
-and its second run generates its straight-line form, which serves that
-run and every later one and lives as long as the program stays cached.
-One function feeds the kernel, _run, and hands back one format, a numpy
-array of the output states: uint64 up to 64 qubits, Python ints
-(dtype=object) beyond. A range of consecutive states, such as an
-exhaustive `qsqrt verify` batch or assert_equiv's inputs, gets its columns
-straight from the counter; a single state is split into bits; any other
-states are transposed in. _run checks nothing: perm_run_many (so
-perm_run) checks outside states, and isqrt, verify, permutation_matrix and
-assert_equiv build their own.
+One bit-sliced kernel pushes a whole batch of basis states through a
+circuit in one pass over the gates (Biham, FSE 1997). It works on columns:
+one int per qubit, whose bit k is that qubit in case k. It reads one
+format, a _Program: the circuit's (opcode, q0, q1, q2) in a flat array.
+_compile makes one for a circuit of classical-reversible gates (X, CX,
+ZCX, CCX, SWAP); isqrt and `qsqrt verify` keep theirs in a bounded per-(builder,
+width) cache. _compile_path_sum also takes H, T and TDG when at most one H
+is open at a time, as in every Toffoli template: a path sum with one path
+variable live at a time (Amy, arXiv:1805.06908). Its phase opcodes keep
+each case's two branches as one basis state, the qubits on which they
+differ (known when compiling), two 3-bit phase counters and two flags, all
+as more columns of the same program, and use only ^, & and the lane mask.
+The kernel has two forms of one semantics, both driven by the opcodes: the
+loop _run_columns interprets the array, one `if` chain per op, and
+_generate turns it into straight-line Python, one statement per op (`c5 ^=
+c3 & c4`) from the table _STATEMENTS. A program compiled for one call runs
+on the loop. A cached program runs on the loop once, and its second run
+generates its straight-line form, which serves that run and every later
+one and lives as long as the program stays cached. _columns feeds the
+kernel: a range of consecutive states, such as an exhaustive `qsqrt
+verify` batch or assert_equiv's inputs, gets its columns straight from the
+counter; a single state is split into bits; any other states are
+transposed in. _run hands back one format, a numpy array of the output
+states: uint64 up to 64 qubits, Python ints (dtype=object) beyond. Neither
+checks the states: perm_run_many (so perm_run) checks outside states, and
+isqrt, verify, permutation_matrix and assert_equiv build their own.
 
-One statevector kernel, _sv_entries, applies a lowered circuit (X, CX, H,
-T, TDG, in composites too) to a batch of sparse columns in one pass over
-the gates; it is reserved for verifying decompositions, where phases
-matter. Dense columns exist only at the API: sv_run_many and sv_run
-convert them to entries and back, so the caller's array bounds their
-entries. unitary and assert_equiv start from basis entries, which the
-kernel bounds itself: an H that spreads such a batch past _SV_MAX_ENTRIES
-entries raises CapacityError (assert_equiv then halves its batch). Both
-kernels read the gates, checks included, through iter_primitive_ops.
+assert_equiv runs a permutation circuit against another, or against a
+circuit whose Clifford+T form compiles to a path-sum program, bit-sliced:
+both programs from the same columns, compared lane by lane without
+transposing out. One statevector kernel, _sv_entries, runs everything else
+that has phases: a lowered circuit (X, CX, H, T, TDG, in composites too)
+on a batch of sparse columns in one pass over the gates, for sv_run_many,
+unitary, any other assert_equiv pair and the cases a path-sum program
+leaves undecided. Dense columns exist only at the API: sv_run_many and
+sv_run convert them to entries and back, so the caller's array bounds
+their entries. unitary and assert_equiv start from basis entries, which
+the kernel bounds itself: an H that spreads such a batch past
+_SV_MAX_ENTRIES entries raises CapacityError (assert_equiv then halves its
+batch). Both kernels read the gates, checks included, through
+iter_primitive_ops.
 
 Basis convention everywhere: bit i of an integer state or of a statevector
 index is qubit i, and qubit 0 is the LSB of its register.
@@ -95,14 +105,52 @@ _OPCODES = {
 }
 _PAD = {1: (0, 0), 2: (0,), 3: ()}
 
+# The phase opcodes follow, which only _compile_path_sum emits. A T or TDG
+# acts on branch A alone when no H is open; while one is, it acts on both
+# branches, and on branch B's bit of its qubit flipped (X) when its qubit is
+# in the mask. An H opens or closes the one superposition.
+_T_A, _TDG_A, _T_AB, _TDG_AB, _T_AX, _TDG_AX, _H_OPEN, _H_CLOSE = range(5, 13)
+_PHASE_OPCODES = {
+    GateKind.T: (_T_A, _T_AB, _T_AX),
+    GateKind.TDG: (_TDG_A, _TDG_AB, _TDG_AX),
+}
+#: Opcodes that lowering rewrites: a path-sum program holding them beside
+#: H, T or TDG ran them exactly, not through their rules' templates.
+_LOGICAL_OPS = frozenset({_CCX, _ZCX, _SWAP})
+
+#: The columns a path-sum program keeps after its qubits' ones, in order:
+#: branch A's and branch B's phase in eighth turns (3-bit counters, low bit
+#: first), and two flags, set in a case whose closing H left a superposition
+#: once (f1) and twice (f2).
+_PHASE_NAMES = ("a0", "a1", "a2", "b0", "b1", "b2", "f1", "f2")
+_PHASE_COLUMNS = len(_PHASE_NAMES)
+
 #: Each opcode as one statement of a generated kernel, formatted with its
-#: (q0, q1, q2): the update _run_columns makes on cols[q], made on local c<q>.
+#: (q0, q1, q2) and the names of the phase columns: the update _run_columns
+#: makes on cols[q], made on local c<q>. A T adds its qubit's column to a
+#: phase counter, carrying through t; a TDG subtracts it, borrowing; a
+#: closing H's phase difference d = A - B is 0 or 4 where the branches
+#: recombine into the basis state whose qubit is bit 2 of d.
 _STATEMENTS = {
     _CX: "c{1} ^= c{0}",
     _CCX: "c{2} ^= c{0} & c{1}",
     _ZCX: "c{1} ^= c{0} ^ ones",
     _X: "c{0} ^= ones",
     _SWAP: "c{0}, c{1} = c{1}, c{0}",
+    _T_A: "t = {a0} & c{0}; {a0} ^= c{0}; {a2} ^= {a1} & t; {a1} ^= t",
+    _TDG_A: "{a0} ^= c{0}; t = {a0} & c{0}; {a1} ^= t; {a2} ^= {a1} & t",
+    _T_AB: "t = {a0} & c{0}; {a0} ^= c{0}; {a2} ^= {a1} & t; {a1} ^= t; "
+    "t = {b0} & c{0}; {b0} ^= c{0}; {b2} ^= {b1} & t; {b1} ^= t",
+    _TDG_AB: "{a0} ^= c{0}; t = {a0} & c{0}; {a1} ^= t; {a2} ^= {a1} & t; "
+    "{b0} ^= c{0}; t = {b0} & c{0}; {b1} ^= t; {b2} ^= {b1} & t",
+    _T_AX: "t = {a0} & c{0}; {a0} ^= c{0}; {a2} ^= {a1} & t; {a1} ^= t; "
+    "u = c{0} ^ ones; t = {b0} & u; {b0} ^= u; {b2} ^= {b1} & t; {b1} ^= t",
+    _TDG_AX: "{a0} ^= c{0}; t = {a0} & c{0}; {a1} ^= t; {a2} ^= {a1} & t; "
+    "u = c{0} ^ ones; {b0} ^= u; t = {b0} & u; {b1} ^= t; {b2} ^= {b1} & t",
+    _H_OPEN: "{b0} = {a0}; {b1} = {a1}; {b2} = {a2} ^ c{0}; c{0} ^= c{0}",
+    _H_CLOSE: "t = {a0} ^ {b0}; u = {a1} ^ {b1}; t ^= u ^ t & u; "
+    "u = {f1} & t; {f2} ^= u ^ {f2} & u; {f1} ^= t ^ {f1} & t; "
+    "t = {a2} ^ {b2}; {a2} ^= c{0} & t; c{0} = t",
 }
 
 #: Ops per generated function. compile() of one function for a whole
@@ -122,10 +170,12 @@ _PROGRAM_CACHE_SIZE = 64
 
 
 class _Program:
-    """A compiled permutation circuit: what _run runs.
+    """A compiled circuit: what _run runs.
 
     `code` holds (opcode, q0, q1, q2) per primitive gate in a flat array,
-    zero-padded, which the loop _run_columns interprets. A `reused`
+    zero-padded, which the loop _run_columns interprets. `width` counts
+    its columns: the qubits', and a path-sum program's _PHASE_COLUMNS
+    after them. A `reused`
     program, one that _cached_program keeps, generates its straight-line
     form (_generate) on its second run; `chunks` then holds it, it runs
     that run and every later one, and `code` is dropped. Any other program
@@ -172,6 +222,57 @@ def _compile(c: Circuit) -> _Program:
     return _Program(c.width, code)
 
 
+class _PathSumError(Exception):
+    """A circuit whose superpositions the phase opcodes cannot follow."""
+
+
+def _compile_path_sum(c: Circuit) -> _Program:
+    """The path-sum program of a circuit with at most one H open at a time.
+
+    A case is its qubits' columns plus _PHASE_COLUMNS more: while an H is
+    open, its two branches differ on the qubits of `mask`, which the walk
+    tracks. An H opens on qubit s with mask {s}; a CX or ZCX (X CX X) whose
+    control is in the mask adds its target to it, or takes it out; a SWAP
+    exchanges its qubits' bits; an H on the mask's one qubit closes it.
+    Other gates compile as in _compile, T and TDG to _PHASE_OPCODES (a path
+    sum with one path variable live at a time, Amy, arXiv:1805.06908).
+    Raises _PathSumError on an H while one is open that does not close
+    it, on a CCX whose control is in the mask, and on an H left open.
+    """
+    code = array("H" if c.width <= 1 << 16 else "Q")
+    extend, opcode, mask = code.extend, _OPCODES.get, 0
+    for kind, q in iter_primitive_ops(c):
+        op = opcode(kind)
+        if op is None:  # H, T or TDG on qubit s
+            s = q[0]
+            if kind is not GateKind.H:
+                op = _PHASE_OPCODES[kind][0 if not mask else 2 if mask >> s & 1 else 1]
+            elif not mask:
+                op, mask = _H_OPEN, 1 << s
+            elif mask == 1 << s:
+                op, mask = _H_CLOSE, 0
+            elif mask >> s & 1:
+                raise _PathSumError(
+                    f"the H on qubit {s} closes an H whose branches also differ "
+                    "on other qubits"
+                )
+            else:
+                raise _PathSumError(f"the H on qubit {s} opens a second H")
+            extend((op, s, 0, 0))
+            continue
+        if mask:
+            if (op == _CX or op == _ZCX) and mask >> q[0] & 1:
+                mask ^= 1 << q[1]
+            elif op == _SWAP and (mask >> q[0] ^ mask >> q[1]) & 1:
+                mask ^= 1 << q[0] | 1 << q[1]
+            elif op == _CCX and (mask >> q[0] | mask >> q[1]) & 1:
+                raise _PathSumError("a CCX control differs between an H's branches")
+        extend((op, *q, *_PAD[len(q)]))
+    if mask:
+        raise _PathSumError("an H is left open")
+    return _Program(c.width + _PHASE_COLUMNS, code)
+
+
 @lru_cache(maxsize=_PROGRAM_CACHE_SIZE)
 def _cached_program(builder: Callable[[int], Circuit], n: int) -> _Program:
     """The program of builder(n), compiled on first use and reused.
@@ -187,20 +288,30 @@ def _cached_program(builder: Callable[[int], Circuit], n: int) -> _Program:
 def _run(program: _Program, states: Sequence[int]) -> np.ndarray:
     """The output states of a program on basis states below 2**width.
 
-    One state is split into its bits and a range of step 1 gets its
-    columns straight from the counter (_counter_column); any other
-    sequence or array of ints is transposed in. The states are not
-    checked. Returns them in one numpy array, of dtype _lane_dtype(width).
+    The states are not checked. Returns them in one numpy array, of dtype
+    _lane_dtype(width): a single state is reassembled from its bits, and any
+    other batch is transposed out.
     """
     width, count = program.width, len(states)
+    cols = program.run(_columns(states, width), count)
     if count == 1:
-        cols = program.run(_bits_of(int(states[0]), width), 1)
         return np.array([_int_of_bits(cols)], _lane_dtype(width))
+    return _transpose(cols, count)
+
+
+def _columns(states: Sequence[int], width: int) -> list[int]:
+    """The bit-sliced columns of basis states below 2**width, one per qubit.
+
+    One state is split into its bits and a range of step 1 gets its columns
+    straight from the counter (_counter_column); any other sequence or
+    array of ints is transposed in.
+    """
+    count = len(states)
+    if count == 1:
+        return _bits_of(int(states[0]), width)
     if isinstance(states, range) and states.step == 1:
-        cols = [_counter_column(states.start, count, q) for q in range(width)]
-    else:
-        cols = _transpose(states, width).tolist()
-    return _transpose(program.run(cols, count), count)
+        return [_counter_column(states.start, count, q) for q in range(width)]
+    return _transpose(states, width).tolist()
 
 
 # One state's bits as the bytes 0 and 1, and back, by way of its binary digits.
@@ -246,12 +357,16 @@ def _check_states(
 
 
 def _run_columns(code: array, cols: list[int], lanes: int) -> list[int]:
-    """The permutation kernel's loop: run a program's code on bit-sliced columns.
+    """The kernel's loop: run a program's code on bit-sliced columns.
 
-    Bit k of cols[q] is qubit q in case k, for `lanes` cases. The columns
-    are updated in place and returned.
+    Bit k of cols[q] is qubit q in case k, for `lanes` cases; a path-sum
+    program's phase columns (_PHASE_NAMES) follow its qubits'. Like the
+    statements, each op uses only ^, & and the lane mask. The columns are
+    updated in place and returned.
     """
     ones = (1 << lanes) - 1
+    # unused by a permutation program, which has no phase columns
+    a0, a1, a2, b0, b1, b2, f1, f2 = range(len(cols) - _PHASE_COLUMNS, len(cols))
     it = iter(code)
     for op, a, b, t in zip(it, it, it, it):
         if op == _CX:
@@ -262,9 +377,55 @@ def _run_columns(code: array, cols: list[int], lanes: int) -> list[int]:
             cols[b] ^= cols[a] ^ ones
         elif op == _X:
             cols[a] ^= ones
-        else:
+        elif op == _SWAP:
             cols[a], cols[b] = cols[b], cols[a]
+        elif op == _T_A:
+            _add_eighths(cols, a0, cols[a])
+        elif op == _TDG_A:
+            _sub_eighths(cols, a0, cols[a])
+        elif op == _T_AB:
+            _add_eighths(cols, a0, cols[a])
+            _add_eighths(cols, b0, cols[a])
+        elif op == _TDG_AB:
+            _sub_eighths(cols, a0, cols[a])
+            _sub_eighths(cols, b0, cols[a])
+        elif op == _T_AX:
+            _add_eighths(cols, a0, cols[a])
+            _add_eighths(cols, b0, cols[a] ^ ones)
+        elif op == _TDG_AX:
+            _sub_eighths(cols, a0, cols[a])
+            _sub_eighths(cols, b0, cols[a] ^ ones)
+        elif op == _H_OPEN:  # B's phase is A's + 4 x, and A's bit x becomes 0
+            cols[b0], cols[b1], cols[b2] = cols[a0], cols[a1], cols[a2] ^ cols[a]
+            cols[a] ^= cols[a]
+        else:  # _H_CLOSE: flag d = A - B not 0 or 4, else the bit is bit 2 of d
+            low = cols[a0] ^ cols[b0]
+            mid = cols[a1] ^ cols[b1]
+            low ^= mid ^ low & mid
+            again = cols[f1] & low
+            cols[f2] ^= again ^ cols[f2] & again
+            cols[f1] ^= low ^ cols[f1] & low
+            high = cols[a2] ^ cols[b2]
+            cols[a2] ^= cols[a] & high
+            cols[a] = high
     return cols
+
+
+def _add_eighths(cols: list[int], lo: int, x: int) -> None:
+    """Add lane bits x, one eighth turn each, to the counter cols[lo : lo + 3]."""
+    carry = cols[lo] & x
+    cols[lo] ^= x
+    cols[lo + 2] ^= cols[lo + 1] & carry
+    cols[lo + 1] ^= carry
+
+
+def _sub_eighths(cols: list[int], lo: int, x: int) -> None:
+    """Subtract lane bits x from the counter cols[lo : lo + 3]: _add_eighths
+    undone."""
+    cols[lo] ^= x
+    borrow = cols[lo] & x
+    cols[lo + 1] ^= borrow
+    cols[lo + 2] ^= cols[lo + 1] & borrow
 
 
 def _generate(width: int, code: array) -> tuple[Callable, ...]:
@@ -278,12 +439,18 @@ def _generate(width: int, code: array) -> tuple[Callable, ...]:
     (_without_positions), since no source is kept for it to point into.
     """
     names = "".join(f"c{q}, " for q in range(width))
+    # the last columns' names, which only a path-sum program's statements use
+    phase = {
+        name: f"c{q}"
+        for name, q in zip(_PHASE_NAMES, range(width - _PHASE_COLUMNS, width))
+    }
     step = 4 * _CHUNK_OPS
     chunks = []
     for start in range(0, len(code), step):
         it = iter(code[start : start + step])
         body = "".join(
-            f"    {_STATEMENTS[op].format(*q)}\n" for op, *q in zip(it, it, it, it)
+            f"    {_STATEMENTS[op].format(*q, **phase)}\n"
+            for op, *q in zip(it, it, it, it)
         )
         source = f"def chunk(c, ones):\n    {names}= c\n{body}    return [{names}]\n"
         module = compile(source, "<generated kernel>", "exec")
@@ -585,26 +752,34 @@ def assert_equiv(
     """Compare two circuits on basis inputs.
 
     Returns None when all tested inputs agree, otherwise the first basis
-    index where they differ. A pair of permutation-only circuits is
-    compared with one numpy != over a _run batch of each (exhaustive up to
-    width 20). Otherwise each side runs on its natural backend: a
-    permutation-only circuit through _run (each output read as one entry
-    of amplitude 1), anything else lowered and through _sv_entries, with
-    amplitudes compared to 1e-9 (exhaustive up to width 12). Lowering one
-    side therefore never hides a faulty decomposition of the other. The
+    index where they differ. A permutation-only circuit is compiled. Against
+    another one, or against a circuit whose Clifford+T form (itself, or its
+    lowering) compiles to a path-sum program, both sides run bit-sliced from
+    the same input columns and are compared lane by lane (_first_difference;
+    exhaustive up to width 20). Any other pair runs on each side's natural
+    backend (exhaustive up to width 12): a permutation-only circuit through
+    _run (each output read as one entry of amplitude 1), anything else
+    lowered and through _sv_entries, with amplitudes compared to 1e-9, as
+    are the few cases a path-sum program cannot decide. Lowering one side
+    therefore never hides a faulty decomposition of the other. The sparse
     inputs run in order, in batches of at most _SV_MAX_ENTRIES columns; a
-    batch that would spread past _SV_MAX_ENTRIES entries (CapacityError)
-    is halved and rerun, and later batches keep its size, so the batch
-    size never changes the answer. One column that does not fit raises.
+    batch that would spread past _SV_MAX_ENTRIES entries (CapacityError) is
+    halved and rerun, and later batches keep its size, so the batch size
+    never changes the answer. One column that does not fit raises.
     """
     if a.width != b.width:
         raise InvalidWidthError(f"width mismatch: {a.width} != {b.width}")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     width = a.width
-    a_perm, b_perm = is_permutation_circuit(a), is_permutation_circuit(b)
+    circuits = [a, b]
+    perms = [_compile(c) if is_permutation_circuit(c) else None for c in circuits]
+    programs = list(perms)
+    if perms.count(None) == 1:
+        lone = perms.index(None)
+        circuits[lone], programs[lone] = _path_sum_form(circuits[lone])
     if mode == "exhaustive":
-        limit = 20 if a_perm and b_perm else 12
+        limit = 20 if None not in programs else 12
         if width > limit:
             raise CapacityError(
                 f"exhaustive check capped at width {limit}; use sampled mode"
@@ -619,10 +794,82 @@ def assert_equiv(
             raise ValueError(f"samples must be >= 1, got {int_text(samples)}")
         rng = random.Random(seed)
         inputs = [rng.randrange(1 << width) for _ in range(samples)]
-    if a_perm and b_perm:
-        diff = np.flatnonzero(_run(_compile(a), inputs) != _run(_compile(b), inputs))
-        return inputs[diff[0]] if len(diff) else None
-    run_a, run_b = _batch_entries(a, a_perm), _batch_entries(b, b_perm)
+    if None in programs:
+        return _sparse_difference(circuits, perms, inputs)
+    first, unsure = _first_difference(programs, width, inputs)
+    if unsure:
+        diff = _sparse_difference(circuits, perms, unsure)
+        if diff is not None:
+            return diff
+    return first
+
+
+def _path_sum_form(c: Circuit) -> tuple[Circuit, _Program | None]:
+    """c's Clifford+T form, as _lowered gives it, and the form's path-sum
+    program, or None if _compile_path_sum refuses it.
+
+    One walk compiles c itself. Only a c holding CCX, ZCX or SWAP beside H,
+    T or TDG is lowered and compiled again, so its rules' templates run.
+    """
+    try:
+        program = _compile_path_sum(c)
+        if _LOGICAL_OPS.isdisjoint(program.code[::4]):
+            return c, program
+        c = lower_to_clifford_t(c)
+        return c, _compile_path_sum(c)
+    except _PathSumError:
+        return _lowered(c), None
+
+
+def _first_difference(
+    programs: Sequence[_Program], width: int, inputs: Sequence[int]
+) -> tuple[int | None, list[int]]:
+    """Run two programs of a `width`-qubit pair on the same columns of
+    `inputs` and compare them lane by lane, with big-int XOR and OR.
+
+    A case differs where the output qubits differ, or where a path-sum
+    program leaves a phase or flags it once. Flagged once, its closing H
+    left weight on two orthogonal states: the rest of the circuit, which
+    the kernel followed exactly from one of them, is unitary and keeps them
+    orthogonal, so no basis state comes out. A case flagged twice may have
+    recombined and is not decided. Returns the first input that differs
+    (None if none) and, in order, the undecided inputs before it.
+    """
+    count = len(inputs)
+    cols = _columns(inputs, width)
+    outs = [
+        program.run(cols + [0] * (program.width - width), count)
+        for program in programs
+    ]
+    differ = unsure = 0
+    for x, y in zip(outs[0][:width], outs[1][:width]):
+        differ |= x ^ y
+    for out in outs:
+        if len(out) > width:
+            a0, a1, a2, _, _, _, f1, f2 = out[width:]
+            differ |= a0 | a1 | a2 | f1
+            unsure |= f2
+    differ &= ~unsure
+    stop = (differ & -differ).bit_length() - 1 if differ else count
+    unsure &= (1 << stop) - 1
+    lanes = np.unpackbits(
+        np.frombuffer(unsure.to_bytes(-(-count // 8), "little"), np.uint8),
+        bitorder="little",
+    )
+    first = inputs[stop] if differ else None
+    return first, [inputs[k] for k in np.flatnonzero(lanes).tolist()]
+
+
+def _sparse_difference(
+    circuits: Sequence[Circuit],
+    perms: Sequence[_Program | None],
+    inputs: Sequence[int],
+) -> int | None:
+    """The first of `inputs` on which two circuits differ, by statevector
+    entries: a side with a permutation program runs it, the other its
+    lowering on _sv_entries, in batches as assert_equiv describes."""
+    width = circuits[0].width
+    run_a, run_b = (_batch_entries(c, p) for c, p in zip(circuits, perms))
     lo, step = 0, min(len(inputs), _SV_MAX_ENTRIES)
     while lo < len(inputs):
         batch = inputs[lo : lo + step]
@@ -643,12 +890,11 @@ def assert_equiv(
     return None
 
 
-def _batch_entries(c: Circuit, perm: bool) -> Callable:
+def _batch_entries(c: Circuit, program: _Program | None) -> Callable:
     """Map a batch of basis states to the output entries of `c` on them:
-    its program's states (compiled once) as entries of amplitude 1 if
-    `perm`, else the statevector kernel's on `c` lowered (once)."""
-    if perm:
-        program = _compile(c)
+    its permutation program's states as entries of amplitude 1, or without
+    one, the statevector kernel's on `c` lowered (once)."""
+    if program is not None:
         return lambda batch: _basis(_run(program, batch), c.width)
     lowered = _lowered(c)
     return lambda batch: _run_basis(lowered, batch)

@@ -153,6 +153,22 @@ def test_every_emitted_gate_name_parses(name, arity):
     assert [(g.kind.value, g.qubits) for g in c.gates] == [(name, tuple(range(arity)))]
 
 
+@pytest.mark.parametrize(
+    "line, name",
+    [("x(0.1) q[0];", "x"), ("cx() q[0],q[1];", "cx"), ("h (pi) q[1];", "h"),
+     ("ccx(1,2) q[0],q[1],q[2];", "ccx"), ("tdg(-pi/4) q[2];", "tdg")],
+)
+def test_a_parameter_list_on_a_supported_gate_is_a_parse_error(line, name):
+    with pytest.raises(QasmParseError, match=f"gate '{name}' takes no parameters") as err:
+        from_qasm(HEADER + f"qreg q[3];\n{line}\n")
+    assert err.value.line == 4
+
+
+def test_a_parameterised_gate_outside_the_subset_stays_unsupported():
+    with pytest.raises(QasmParseError, match="unsupported gate 'rz'"):
+        from_qasm(HEADER + "qreg q[1];\nrz(0.1) q[0];\n")
+
+
 def test_zcx_is_an_unsupported_gate():
     # a kind's value is its QASM name, but ZCX is written out as x/cx/x
     with pytest.raises(QasmParseError, match="unsupported gate 'zcx'") as err:

@@ -127,17 +127,18 @@ def test_lowering_preserves_permutation_semantics(c):
 
 @pytest.mark.parametrize(
     "build, n",
-    [(build_adder, n) for n in range(1, 7)]
-    + [(build_subtractor, n) for n in range(1, 7)]
-    + [(build_ctrl_add_sub, n) for n in range(1, 6)]
-    + [(build_ctrl_adder, n) for n in range(2, 6)]
-    + [(build_isqrt_pipeline, 4)],
+    [(build_adder, n) for n in range(1, 11)]
+    + [(build_subtractor, n) for n in range(1, 11)]
+    + [(build_ctrl_add_sub, n) for n in range(1, 10)]
+    + [(build_ctrl_adder, n) for n in range(2, 10)]
+    + [(build_isqrt_pipeline, n) for n in (4, 6, 8)],
     ids=lambda v: getattr(v, "__name__", str(v)),
 )
 def test_lowered_family_matches_its_circuit_on_every_basis_state(build, n):
-    # up to width 12, the exhaustive cap: every input column, phases
-    # included, to 1e-9
+    # up to width 20, the exhaustive cap of a permutation circuit against a
+    # path-sum program: every input, phases included, bit-sliced
     c = build(n)
+    assert c.width <= 20
     assert assert_equiv(c, lower_to_clifford_t(c)) is None
 
 

@@ -22,6 +22,7 @@ from qsqrt import (
     assert_equiv,
     basis_statevector,
     build_adder,
+    build_ctrl_add_sub,
     build_ctrl_adder,
     build_isqrt_circuit,
     build_isqrt_pipeline,
@@ -201,8 +202,14 @@ def test_a_run_of_states_reads_its_columns_from_the_counter(case):
     program = _compile(c)
     out = _run(program, states)
     assert out.dtype == sim._lane_dtype(c.width)  # what verify builds its states in
-    assert out.tolist() == _run(program, list(states)).tolist()
-    assert out.tolist() == [reference_run(c, s) for s in states]
+    got = out.tolist()
+    assert got == _run(program, list(states)).tolist()
+    # the reference walks one state at a time: every lane of a short run, and
+    # of a long one its ends and a seeded sample
+    lanes = range(len(states))
+    if len(lanes) > 66:
+        lanes = [0, *random.Random(states.start).sample(lanes, 64), len(lanes) - 1]
+    assert [got[k] for k in lanes] == [reference_run(c, states[k]) for k in lanes]
 
 
 def test_compiled_program_takes_wide_entries_beyond_two_byte_qubits():
@@ -215,16 +222,30 @@ def test_compiled_program_takes_wide_entries_beyond_two_byte_qubits():
 
 
 _ARITY = {op: PRIMITIVE_ARITY[kind] for kind, op in sim._OPCODES.items()}
+# every phase opcode acts on one qubit's column and the phase columns
+_PHASE_OPS = sorted(set(sim._STATEMENTS) - set(_ARITY))
+_ARITY.update(dict.fromkeys(_PHASE_OPS, 1))
+
+
+def test_every_opcode_has_one_statement():
+    assert sorted(sim._STATEMENTS) == list(range(len(sim._STATEMENTS)))
+    assert _PHASE_OPS == list(range(sim._T_A, sim._H_CLOSE + 1))
+    assert all("\n" not in statement for statement in sim._STATEMENTS.values())
 
 
 @st.composite
 def programs_and_columns(draw):
     # any width up to 130 qubits, one lane or 200; SWAP-only and empty
-    # programs, and programs repeated past one generated chunk
+    # programs, programs repeated past one generated chunk, and path-sum
+    # programs, whose phase columns follow the qubits' and start anywhere
     width = draw(st.integers(1, 130))
     lanes = draw(st.sampled_from([1, 200]))
-    opcodes = [op for op, arity in _ARITY.items() if arity <= width]
-    if width > 1 and draw(st.booleans()):
+    opcodes = [op for op in sim._OPCODES.values() if _ARITY[op] <= width]
+    columns = width
+    if draw(st.booleans()):
+        opcodes += _PHASE_OPS
+        columns += sim._PHASE_COLUMNS
+    elif width > 1 and draw(st.booleans()):
         opcodes = [sim._SWAP]
     code = []
     for _ in range(draw(st.integers(0, 12))):
@@ -237,7 +258,7 @@ def programs_and_columns(draw):
     if code and draw(st.booleans()):
         code *= sim._CHUNK_OPS // (len(code) // 4) + 1
     rng = draw(st.randoms(use_true_random=False))
-    return width, array("H", code), lanes, [rng.getrandbits(lanes) for _ in range(width)]
+    return columns, array("H", code), lanes, [rng.getrandbits(lanes) for _ in range(columns)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -730,13 +751,15 @@ def with_t_flipped(c, count=1):
 def first_difference_input_by_input(a, b, inputs):
     """assert_equiv's answer, one input at a time through perm_run/sv_run."""
 
-    def output(c, s):
+    def output(c):
         if all(g.kind in PERMUTATION_KINDS for g in flatten(c).gates):
-            return basis_statevector(c.width, perm_run(c, s))
-        return sv_run(lower_to_clifford_t(c), basis_statevector(c.width, s))
+            return lambda s: basis_statevector(c.width, perm_run(c, s))
+        lowered = lower_to_clifford_t(c)
+        return lambda s: sv_run(lowered, basis_statevector(c.width, s))
 
+    run_a, run_b = output(a), output(b)
     for s in inputs:
-        if np.max(np.abs(output(a, s) - output(b, s))) > 1e-9:
+        if np.max(np.abs(run_a(s) - run_b(s))) > 1e-9:
             return s
     return None
 
@@ -783,6 +806,21 @@ def test_assert_equiv_runs_the_permutation_side_unlowered(monkeypatch):
     assert lower_to_clifford_t(_LOGICAL_CCX).gates == broken.gates
     assert assert_equiv(_LOGICAL_CCX, broken) is not None
     assert assert_equiv(broken, _LOGICAL_CCX) is not None
+
+
+def test_a_mixed_side_runs_its_rules_templates_bit_sliced(monkeypatch):
+    # the path sum would follow this CCX as it is, but its rule's template
+    # is what the mixed side means, so a faulty rule must still be found
+    logical = Circuit(4).ccx(0, 1, 2)
+    mixed = Circuit(4).h(3).t(3).tdg(3).h(3).ccx(0, 1, 2)
+    assert sim._compile_path_sum(mixed).code[-4] == sim._CCX
+    assert assert_equiv(logical, mixed) is None
+    broken = with_t_flipped(_LOGICAL_CCX)
+    monkeypatch.setitem(DEFAULT_RULES, GateKind.CCX, DecompositionRule(GateKind.CCX, broken))
+    expected = first_difference_input_by_input(logical, mixed, range(16))
+    assert expected is not None
+    monkeypatch.setattr(sim, "_sv_entries", None)  # bit-sliced throughout
+    assert assert_equiv(logical, mixed) == assert_equiv(mixed, logical) == expected
 
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
@@ -864,8 +902,9 @@ def test_batches_halve_until_they_fit_the_entry_bound(monkeypatch):
 
 @pytest.mark.parametrize("perm_first", [True, False], ids=["perm-first", "perm-second"])
 def test_halved_batches_compile_the_permutation_side_once(monkeypatch, perm_first):
-    adder = build_adder(3)
-    pair = (adder, lower_to_clifford_t(adder))
+    # a second H opens while one is open, so the pair runs on the sparse kernel
+    adder = build_adder(2)
+    pair = (adder, lower_to_clifford_t(adder).h(0).h(1).h(1).h(0))
     compiled = []
     compile_ = sim._compile
     monkeypatch.setattr(sim, "_compile", lambda c: compiled.append(c) or compile_(c))
@@ -880,8 +919,8 @@ def test_halved_batches_compile_the_permutation_side_once(monkeypatch, perm_firs
             raise
 
     monkeypatch.setattr(sim, "_run_basis", counting_run_basis)
-    # 64 inputs of two entries each: 16 columns per batch do not fit, 8 do
-    monkeypatch.setattr(sim, "_SV_MAX_ENTRIES", 16)
+    # 16 inputs of four entries at most: 16 columns per batch do not fit, 8 do
+    monkeypatch.setattr(sim, "_SV_MAX_ENTRIES", 32)
     assert assert_equiv(*(pair if perm_first else pair[::-1])) is None
     assert halved == [16]
     assert compiled == [adder]
@@ -896,3 +935,226 @@ def test_entry_bound_holds_basis_batches_alone(monkeypatch):
         unitary(all_h(4))
     # a dense batch is bounded by the caller's own array
     assert np.allclose(sv_run(all_h(4), basis_statevector(4, 0)), 0.25)
+
+
+def phase_columns(lanes, rng):
+    """Random columns of one qubit and the phase columns after it."""
+    return [rng.getrandbits(lanes) for _ in range(1 + sim._PHASE_COLUMNS)]
+
+
+def lane_values(cols, k):
+    """Lane k of one-qubit path-sum columns: (x, A, B, f1, f2)."""
+    x, a0, a1, a2, b0, b1, b2, f1, f2 = (col >> k & 1 for col in cols)
+    return x, a0 | a1 << 1 | a2 << 2, b0 | b1 << 1 | b2 << 2, f1, f2
+
+
+_TURNS = {  # eighth turns each T or TDG opcode adds to branch A, and to B
+    sim._T_A: (1, None), sim._TDG_A: (-1, None),
+    sim._T_AB: (1, 0), sim._TDG_AB: (-1, 0),
+    sim._T_AX: (1, 1), sim._TDG_AX: (-1, 1),
+}
+
+
+@pytest.mark.parametrize("op", _PHASE_OPS)
+def test_phase_opcodes_do_their_arithmetic_lane_by_lane(op):
+    rng, lanes = random.Random(op), 256
+    cols = phase_columns(lanes, rng)
+    code = array("H", [op, 0, 0, 0])
+    looped = sim._run_columns(code, list(cols), lanes)
+    (chunk,) = sim._generate(len(cols), code)
+    assert chunk(list(cols), (1 << lanes) - 1) == looped
+    for k in range(lanes):
+        x, a, b, f1, f2 = lane_values(cols, k)
+        got = lane_values(looped, k)
+        if op in _TURNS:  # the branch bit of B is x, flipped where x is in the mask
+            sign, flip = _TURNS[op]
+            b_out = b if flip is None else (b + sign * (x ^ flip)) % 8
+            assert got == (x, (a + sign * x) % 8, b_out, f1, f2)
+        elif op == sim._H_OPEN:  # branch A takes x = 0, B x = 1 with phase 4 x
+            assert got == (0, a, (a + 4 * x) % 8, f1, f2)
+        else:  # recombined where d = A - B is 0 or 4, else flagged
+            d = (a - b) % 8
+            if d % 4:
+                assert got[3:] == (1, f1 | f2)
+            else:
+                assert got == (d >> 2, (a + 4 * (x & d >> 2)) % 8, b, f1, f2)
+
+
+_REJECTED = {  # each equal to the identity, which a permutation circuit is
+    "second-open-h": (Circuit(2).h(0).h(1).h(1).h(0), "opens a second H"),
+    "closing-h-mask": (
+        Circuit(2).h(0).cx(0, 1).h(0).h(0).cx(0, 1).h(0), "also differ on other"
+    ),
+    "left-open": (Circuit(1).h(0), "left open"),
+    "ccx-control": (Circuit(3).h(0).ccx(0, 1, 2).ccx(0, 1, 2).h(0), "CCX control"),
+}
+
+
+@pytest.mark.parametrize("case", _REJECTED)
+def test_circuits_the_path_sum_cannot_follow_fall_back_alike(monkeypatch, case):
+    circuit, message = _REJECTED[case]
+    with pytest.raises(sim._PathSumError, match=message):
+        sim._compile_path_sum(circuit)
+    identity = Circuit(circuit.width)
+    inputs = range(1 << circuit.width)
+    expected = first_difference_input_by_input(identity, circuit, inputs)
+    assert (expected is None) == (case != "left-open")
+    sparse = []
+    entries = sim._sv_entries
+    monkeypatch.setattr(sim, "_sv_entries", lambda *args: sparse.append(1) or entries(*args))
+    assert assert_equiv(identity, circuit) == expected
+    assert assert_equiv(circuit, identity) == expected
+    assert sparse
+
+
+def test_the_mask_follows_cx_zcx_and_swap():
+    # each H closes on the mask's one qubit after the branches spread and
+    # gather again; a ZCX, being X CX X, moves the mask as a CX does
+    # masks {0}, {0, 1}, {0, 1, 2}, {0, 1, 2}, {1, 2}, {2}
+    closed = Circuit(3).h(0).cx(0, 1).zcx(1, 2).swap(0, 2).cx(2, 0).zcx(2, 1).h(2)
+    program = sim._compile_path_sum(closed)
+    assert program.code[-4:].tolist() == [sim._H_CLOSE, 2, 0, 0]
+    with pytest.raises(sim._PathSumError, match="opens a second H"):
+        sim._compile_path_sum(Circuit(3).h(0).cx(0, 1).cx(1, 0).h(0))
+    for c in (Circuit(2).h(0).swap(0, 1).h(1), Circuit(2).h(1).zcx(1, 0).zcx(1, 0).h(1)):
+        sim._compile_path_sum(c)
+    identity = Circuit(3)
+    mirrored = Circuit(3)
+    mirrored.gates.extend(closed.gates + closed.inverse().gates)
+    assert assert_equiv(identity, mirrored) is None
+
+
+def planted_faults(c):
+    """c lowered with one fault planted, in each way and at each place: a T
+    turned into TDG or back, a CX dropped, an H moved past the next CX."""
+    gates = lower_to_clifford_t(c).gates
+    swap = {GateKind.T: GateKind.TDG, GateKind.TDG: GateKind.T}
+    for i, g in enumerate(gates):
+        if g.kind in swap:
+            yield gates[:i] + [Gate(swap[g.kind], g.qubits)] + gates[i + 1 :]
+        elif g.kind is GateKind.CX:
+            yield gates[:i] + gates[i + 1 :]
+        elif g.kind is GateKind.H:
+            j = next(j for j in range(i + 1, len(gates)) if gates[j].kind is GateKind.CX)
+            yield gates[:i] + gates[i + 1 : j + 1] + [g] + gates[j + 1 :]
+
+
+def first_differing_column(a, b):
+    """first_difference_input_by_input on every input in order, with each
+    input's output read as a column of one dense matrix per circuit."""
+    dense = [
+        sim.permutation_matrix(c) if sim.is_permutation_circuit(c) else unitary(c)
+        for c in (a, b)
+    ]
+    differ = np.flatnonzero(np.max(np.abs(dense[0] - dense[1]), axis=0) > 1e-9)
+    return int(differ[0]) if len(differ) else None
+
+
+@pytest.mark.parametrize("build, n", [(build_adder, 4), (build_ctrl_add_sub, 3)])
+def test_planted_faults_are_found_bit_sliced_as_input_by_input(monkeypatch, build, n):
+    block, inputs = build(n), range(1 << build(n).width)
+    mutants = []
+    for gates in planted_faults(block):
+        mutant = Circuit(block.width)
+        mutant.gates.extend(gates)
+        mutants.append((mutant, first_differing_column(block, mutant)))
+    assert len(mutants) == {8: 104, 7: 75}[block.width]
+    for mutant, first in mutants[::16]:
+        assert first_difference_input_by_input(block, mutant, inputs) == first
+
+    def refuse(*args):
+        raise AssertionError("the sparse kernel ran")
+
+    monkeypatch.setattr(sim, "_sv_entries", refuse)
+    assert [assert_equiv(block, mutant) for mutant, _ in mutants] == [
+        first for _, first in mutants
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(permutation_circuits))
+def test_permutation_circuits_match_their_lowering_on_both_kernels(c):
+    lowered, states = lower_to_clifford_t(c), range(1 << c.width)
+    want = _run(_compile(c), states)
+    program = sim._compile_path_sum(lowered)
+    cols = program.run(sim._columns(states, program.width), len(states))
+    assert sim._transpose(cols[: c.width], len(states)).tolist() == want.tolist()
+    a0, a1, a2, _, _, _, f1, f2 = cols[c.width :]  # B's phase is left as it was
+    assert a0 == a1 == a2 == f1 == f2 == 0
+    keys, amps = sim._run_basis(lowered, states)
+    assert np.max(np.abs(amps - 1.0)) < 1e-9
+    assert keys.tolist() == sim._basis(want, c.width)[0].tolist()
+    assert assert_equiv(c, lowered) is None
+
+
+@st.composite
+def followed_circuits(draw):
+    """A permutation circuit's lowering with a few random X, CX, H, T and TDG
+    gates inserted or gates dropped, if the path-sum kernel follows it."""
+    width = draw(st.integers(1, 5))
+    gates = lower_to_clifford_t(draw(permutation_circuits(width, depth=1))).gates
+    for extra in draw(st.lists(clifford_t_circuits(width), max_size=3)):
+        at = draw(st.integers(0, len(gates)))
+        gates = gates[:at] + extra.gates[:2] + gates[at:]
+    for _ in range(draw(st.integers(0, 2))):
+        if gates:
+            del gates[draw(st.integers(0, len(gates) - 1))]
+    c = Circuit(width)
+    c.gates.extend(gates)
+    return c
+
+
+@settings(max_examples=80, deadline=None)
+@given(followed_circuits())
+def test_path_sum_cases_are_what_the_sparse_kernel_makes_them(c):
+    # unflagged: the one basis state, with phase A; flagged once: no basis
+    # state at all; flagged twice: undecided
+    try:
+        program = sim._compile_path_sum(c)
+    except sim._PathSumError:
+        return
+    states = range(1 << c.width)
+    cols = program.run(sim._columns(states, program.width), len(states))
+    keys, amps = sim._run_basis(c, states)
+    cases = (keys >> np.uint64(c.width)).astype(np.intp)
+    for k in states:
+        out = sum((cols[q] >> k & 1) << q for q in range(c.width))
+        x, a, _, f1, f2 = lane_values([0] + cols[c.width :], k)
+        mine = keys[cases == k] & np.uint64((1 << c.width) - 1), amps[cases == k]
+        if not f1:
+            assert mine[0].tolist() == [out]
+            assert abs(mine[1][0] - np.exp(1j * np.pi * a / 4)) < 1e-9
+        elif not f2:
+            assert len(mine[0]) > 1 or abs(abs(mine[1][0]) - 1) > 1e-9
+
+
+def test_path_sum_pairs_check_every_input_up_to_width_20():
+    assert assert_equiv(Circuit(20).x(0), Circuit(20).t(1).x(0).tdg(1)) is None
+    with pytest.raises(CapacityError, match="capped at width 20"):
+        assert_equiv(Circuit(21).x(0), Circuit(21).t(1).x(0).tdg(1))
+    with pytest.raises(CapacityError, match="capped at width 12"):
+        assert_equiv(Circuit(13), Circuit(13).h(0))  # left open: sparse
+
+
+def test_a_case_flagged_twice_is_decided_on_the_sparse_kernel(monkeypatch):
+    # H T H leaves a superposition, flagged once; H TDG H undoes it, so the
+    # second flag marks a case that recombined into the identity's output
+    undone = Circuit(1).h(0).t(0).h(0).h(0).tdg(0).h(0)
+    programs = [_compile(Circuit(1)), sim._compile_path_sum(undone)]
+    assert sim._first_difference(programs, 1, range(2)) == (None, [0, 1])
+    sparse = []
+    run_basis = sim._run_basis
+    monkeypatch.setattr(sim, "_run_basis", lambda c, s: sparse.append(s) or run_basis(c, s))
+    assert assert_equiv(Circuit(1), undone) is None
+    assert sparse == [[0, 1]]
+    # where qubit 1 is set, a flagged H pair and its inverse recombine; a T
+    # on qubit 2 then differs for certain from input 4 on, and only the
+    # undecided inputs 2 and 3 before it run on the sparse kernel
+    pair = Circuit(3).h(0).t(0).cx(1, 0).tdg(0).cx(1, 0).h(0)
+    both = Circuit(3)
+    both.gates.extend(pair.gates + pair.inverse().gates)
+    both.t(2)
+    sparse.clear()
+    assert assert_equiv(Circuit(3), both) == 4
+    assert first_difference_input_by_input(Circuit(3), both, range(8)) == 4
+    assert sparse == [[2, 3]]
