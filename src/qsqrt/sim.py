@@ -12,13 +12,14 @@ variable live at a time (Amy, arXiv:1805.06908). Its phase opcodes keep
 each case's two branches as one basis state, the qubits on which they
 differ (known when compiling), two 3-bit phase counters and two flags, all
 as more columns of the same program, and use only ^, & and the lane mask.
-The kernel has two forms of one semantics, both driven by the opcodes: the
-loop _run_columns interprets the array, one `if` chain per op, and
-_generate turns it into straight-line Python, one statement per op (`c5 ^=
-c3 & c4`) from the table _STATEMENTS. A program compiled for one call runs
-on the loop. A cached program runs on the loop once, and its second run
-generates its straight-line form, which serves that run and every later
-one and lives as long as the program stays cached. _columns feeds the
+The kernel has two forms, both built from one table, _STATEMENTS, that
+writes each opcode once as a statement: the loop _run_columns, built at
+import with one `if` branch per opcode on cols[...], interprets the array,
+and _generate turns it into straight-line Python, one statement per op on
+locals (`c5 ^= c3 & c4`). A program compiled for one call runs on the
+loop. A cached program runs on the loop once, and its second run generates
+its straight-line form, which serves that run and every later one and
+lives as long as the program stays cached. _columns feeds the
 kernel: a range of consecutive states, such as an exhaustive `qsqrt
 verify` batch or assert_equiv's inputs, gets its columns straight from the
 counter; a single state is split into bits; any other states are
@@ -125,38 +126,44 @@ _LOGICAL_OPS = frozenset({_CCX, _ZCX, _SWAP})
 _PHASE_NAMES = ("a0", "a1", "a2", "b0", "b1", "b2", "f1", "f2")
 _PHASE_COLUMNS = len(_PHASE_NAMES)
 
-#: Each opcode as one statement of a generated kernel, formatted with its
-#: (q0, q1, q2) and the names of the phase columns: the update _run_columns
-#: makes on cols[q], made on local c<q>. A T adds its qubit's column to a
-#: phase counter, carrying through t; a TDG subtracts it, borrowing; a
-#: closing H's phase difference d = A - B is 0 or 4 where the branches
-#: recombine into the basis state whose qubit is bit 2 of d.
+#: Each opcode as one statement, the one place its semantics is written:
+#: formatted with its operands' columns ({0}, {1}, {2} for q0, q1, q2) and
+#: the phase columns ({a0} ... {f2}), as cols[...] in the loop _run_columns
+#: and as locals c<q> in _generate. A T adds its qubit's column to a phase
+#: counter, carrying through t; a TDG subtracts it, borrowing. An opening
+#: H gives B A's phase plus 4 x, and A's bit x becomes 0. A closing H's
+#: phase difference d = A - B is 0 or 4 where the branches recombine into
+#: the basis state whose qubit is bit 2 of d; elsewhere it sets a flag.
 _STATEMENTS = {
-    _CX: "c{1} ^= c{0}",
-    _CCX: "c{2} ^= c{0} & c{1}",
-    _ZCX: "c{1} ^= c{0} ^ ones",
-    _X: "c{0} ^= ones",
-    _SWAP: "c{0}, c{1} = c{1}, c{0}",
-    _T_A: "t = {a0} & c{0}; {a0} ^= c{0}; {a2} ^= {a1} & t; {a1} ^= t",
-    _TDG_A: "{a0} ^= c{0}; t = {a0} & c{0}; {a1} ^= t; {a2} ^= {a1} & t",
-    _T_AB: "t = {a0} & c{0}; {a0} ^= c{0}; {a2} ^= {a1} & t; {a1} ^= t; "
-    "t = {b0} & c{0}; {b0} ^= c{0}; {b2} ^= {b1} & t; {b1} ^= t",
-    _TDG_AB: "{a0} ^= c{0}; t = {a0} & c{0}; {a1} ^= t; {a2} ^= {a1} & t; "
-    "{b0} ^= c{0}; t = {b0} & c{0}; {b1} ^= t; {b2} ^= {b1} & t",
-    _T_AX: "t = {a0} & c{0}; {a0} ^= c{0}; {a2} ^= {a1} & t; {a1} ^= t; "
-    "u = c{0} ^ ones; t = {b0} & u; {b0} ^= u; {b2} ^= {b1} & t; {b1} ^= t",
-    _TDG_AX: "{a0} ^= c{0}; t = {a0} & c{0}; {a1} ^= t; {a2} ^= {a1} & t; "
-    "u = c{0} ^ ones; {b0} ^= u; t = {b0} & u; {b1} ^= t; {b2} ^= {b1} & t",
-    _H_OPEN: "{b0} = {a0}; {b1} = {a1}; {b2} = {a2} ^ c{0}; c{0} ^= c{0}",
+    _CX: "{1} ^= {0}",
+    _CCX: "{2} ^= {0} & {1}",
+    _ZCX: "{1} ^= {0} ^ ones",
+    _X: "{0} ^= ones",
+    _SWAP: "{0}, {1} = {1}, {0}",
+    _T_A: "t = {a0} & {0}; {a0} ^= {0}; {a2} ^= {a1} & t; {a1} ^= t",
+    _TDG_A: "{a0} ^= {0}; t = {a0} & {0}; {a1} ^= t; {a2} ^= {a1} & t",
+    _T_AB: "t = {a0} & {0}; {a0} ^= {0}; {a2} ^= {a1} & t; {a1} ^= t; "
+    "t = {b0} & {0}; {b0} ^= {0}; {b2} ^= {b1} & t; {b1} ^= t",
+    _TDG_AB: "{a0} ^= {0}; t = {a0} & {0}; {a1} ^= t; {a2} ^= {a1} & t; "
+    "{b0} ^= {0}; t = {b0} & {0}; {b1} ^= t; {b2} ^= {b1} & t",
+    _T_AX: "t = {a0} & {0}; {a0} ^= {0}; {a2} ^= {a1} & t; {a1} ^= t; "
+    "u = {0} ^ ones; t = {b0} & u; {b0} ^= u; {b2} ^= {b1} & t; {b1} ^= t",
+    _TDG_AX: "{a0} ^= {0}; t = {a0} & {0}; {a1} ^= t; {a2} ^= {a1} & t; "
+    "u = {0} ^ ones; {b0} ^= u; t = {b0} & u; {b1} ^= t; {b2} ^= {b1} & t",
+    _H_OPEN: "{b0} = {a0}; {b1} = {a1}; {b2} = {a2} ^ {0}; {0} ^= {0}",
     _H_CLOSE: "t = {a0} ^ {b0}; u = {a1} ^ {b1}; t ^= u ^ t & u; "
     "u = {f1} & t; {f2} ^= u ^ {f2} & u; {f1} ^= t ^ {f1} & t; "
-    "t = {a2} ^ {b2}; {a2} ^= c{0} & t; c{0} = t",
+    "t = {a2} ^ {b2}; {a2} ^= {0} & t; {0} = t",
 }
 
 #: Ops per generated function. compile() of one function for a whole
 #: program peaks at about 2 KB an op (19.5 MB at isqrt n = 64); in chunks
 #: of this many, generating that program peaks at 1.4 MB.
 _CHUNK_OPS = 512
+
+#: Widest pair assert_equiv checks exhaustively bit-sliced; 2**this also
+#: caps its sampled inputs.
+_BIT_SLICED_CAP = 20
 
 #: Entries a batch of basis columns may hold (_run_basis). Every column
 #: holds at least one, so it also caps assert_equiv's batches, which halve
@@ -175,11 +182,10 @@ class _Program:
     `code` holds (opcode, q0, q1, q2) per primitive gate in a flat array,
     zero-padded, which the loop _run_columns interprets. `width` counts
     its columns: the qubits', and a path-sum program's _PHASE_COLUMNS
-    after them. A `reused`
-    program, one that _cached_program keeps, generates its straight-line
-    form (_generate) on its second run; `chunks` then holds it, it runs
-    that run and every later one, and `code` is dropped. Any other program
-    runs on the loop every time.
+    after them. A `reused` program, one that _cached_program keeps,
+    generates its straight-line form (_generate) on its second run;
+    `chunks` then holds it, it runs that run and every later one, and
+    `code` is dropped. Any other program runs on the loop every time.
     """
 
     __slots__ = ("width", "code", "reused", "runs", "chunks")
@@ -356,76 +362,38 @@ def _check_states(
     return checked
 
 
-def _run_columns(code: array, cols: list[int], lanes: int) -> list[int]:
-    """The kernel's loop: run a program's code on bit-sliced columns.
-
-    Bit k of cols[q] is qubit q in case k, for `lanes` cases; a path-sum
-    program's phase columns (_PHASE_NAMES) follow its qubits'. Like the
-    statements, each op uses only ^, & and the lane mask. The columns are
-    updated in place and returned.
-    """
-    ones = (1 << lanes) - 1
-    # unused by a permutation program, which has no phase columns
-    a0, a1, a2, b0, b1, b2, f1, f2 = range(len(cols) - _PHASE_COLUMNS, len(cols))
-    it = iter(code)
-    for op, a, b, t in zip(it, it, it, it):
-        if op == _CX:
-            cols[b] ^= cols[a]
-        elif op == _CCX:
-            cols[t] ^= cols[a] & cols[b]
-        elif op == _ZCX:
-            cols[b] ^= cols[a] ^ ones
-        elif op == _X:
-            cols[a] ^= ones
-        elif op == _SWAP:
-            cols[a], cols[b] = cols[b], cols[a]
-        elif op == _T_A:
-            _add_eighths(cols, a0, cols[a])
-        elif op == _TDG_A:
-            _sub_eighths(cols, a0, cols[a])
-        elif op == _T_AB:
-            _add_eighths(cols, a0, cols[a])
-            _add_eighths(cols, b0, cols[a])
-        elif op == _TDG_AB:
-            _sub_eighths(cols, a0, cols[a])
-            _sub_eighths(cols, b0, cols[a])
-        elif op == _T_AX:
-            _add_eighths(cols, a0, cols[a])
-            _add_eighths(cols, b0, cols[a] ^ ones)
-        elif op == _TDG_AX:
-            _sub_eighths(cols, a0, cols[a])
-            _sub_eighths(cols, b0, cols[a] ^ ones)
-        elif op == _H_OPEN:  # B's phase is A's + 4 x, and A's bit x becomes 0
-            cols[b0], cols[b1], cols[b2] = cols[a0], cols[a1], cols[a2] ^ cols[a]
-            cols[a] ^= cols[a]
-        else:  # _H_CLOSE: flag d = A - B not 0 or 4, else the bit is bit 2 of d
-            low = cols[a0] ^ cols[b0]
-            mid = cols[a1] ^ cols[b1]
-            low ^= mid ^ low & mid
-            again = cols[f1] & low
-            cols[f2] ^= again ^ cols[f2] & again
-            cols[f1] ^= low ^ cols[f1] & low
-            high = cols[a2] ^ cols[b2]
-            cols[a2] ^= cols[a] & high
-            cols[a] = high
-    return cols
+def _build_loop() -> Callable[[array, list[int], int], list[int]]:
+    """The kernel's loop, built from _STATEMENTS: one `if op == k:` branch
+    per opcode, holding its statement on cols[p], cols[q], cols[r] and the
+    phase columns cols[a0] ... cols[f2]."""
+    operands = ("cols[p]", "cols[q]", "cols[r]")
+    phase = {name: f"cols[{name}]" for name in _PHASE_NAMES}
+    branches = "".join(
+        f"        {'el' if op else ''}if op == {op}:\n"
+        f"            {statement.format(*operands, **phase)}\n"
+        for op, statement in sorted(_STATEMENTS.items())
+    )
+    names = ", ".join(_PHASE_NAMES)
+    source = (
+        "def _run_columns(code, cols, lanes):\n"
+        "    ones = (1 << lanes) - 1\n"
+        f"    {names} = range(len(cols) - {_PHASE_COLUMNS}, len(cols))\n"
+        "    it = iter(code)\n"
+        "    for op, p, q, r in zip(it, it, it, it):\n"
+        f"{branches}"
+        "    return cols\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, "<kernel loop>", "exec"), namespace)
+    return namespace["_run_columns"]
 
 
-def _add_eighths(cols: list[int], lo: int, x: int) -> None:
-    """Add lane bits x, one eighth turn each, to the counter cols[lo : lo + 3]."""
-    carry = cols[lo] & x
-    cols[lo] ^= x
-    cols[lo + 2] ^= cols[lo + 1] & carry
-    cols[lo + 1] ^= carry
-
-
-def _sub_eighths(cols: list[int], lo: int, x: int) -> None:
-    """Subtract lane bits x from the counter cols[lo : lo + 3]: _add_eighths
-    undone."""
-    cols[lo] ^= x
-    borrow = cols[lo] & x
-    cols[lo + 1] ^= borrow
-    cols[lo + 2] ^= cols[lo + 1] & borrow
+#: The kernel's loop: _run_columns(code, cols, lanes) runs a program's code
+#: on bit-sliced columns and returns them, updated in place. Bit k of
+#: cols[q] is qubit q in case k, for `lanes` cases; a path-sum program's
+#: phase columns (_PHASE_NAMES) follow its qubits' and a permutation
+#: program leaves the names unused. _Program.run looks it up per call.
+_run_columns = _build_loop()
 
 
 def _generate(width: int, code: array) -> tuple[Callable, ...]:
@@ -438,7 +406,8 @@ def _generate(width: int, code: array) -> tuple[Callable, ...]:
     chunk is built and compiled on its own, and keeps no location table
     (_without_positions), since no source is kept for it to point into.
     """
-    names = "".join(f"c{q}, " for q in range(width))
+    local = [f"c{q}" for q in range(width)]
+    names = "".join(f"{name}, " for name in local)
     # the last columns' names, which only a path-sum program's statements use
     phase = {
         name: f"c{q}"
@@ -449,8 +418,8 @@ def _generate(width: int, code: array) -> tuple[Callable, ...]:
     for start in range(0, len(code), step):
         it = iter(code[start : start + step])
         body = "".join(
-            f"    {_STATEMENTS[op].format(*q, **phase)}\n"
-            for op, *q in zip(it, it, it, it)
+            f"    {_STATEMENTS[op].format(local[p], local[q], local[r], **phase)}\n"
+            for op, p, q, r in zip(it, it, it, it)
         )
         source = f"def chunk(c, ones):\n    {names}= c\n{body}    return [{names}]\n"
         module = compile(source, "<generated kernel>", "exec")
@@ -765,33 +734,40 @@ def assert_equiv(
     inputs run in order, in batches of at most _SV_MAX_ENTRIES columns; a
     batch that would spread past _SV_MAX_ENTRIES entries (CapacityError) is
     halved and rerun, and later batches keep its size, so the batch size
-    never changes the answer. One column that does not fit raises.
+    never changes the answer. One column that does not fit raises, as does
+    a sampled check of more than 2**20 inputs, before drawing any.
     """
     if a.width != b.width:
         raise InvalidWidthError(f"width mismatch: {a.width} != {b.width}")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
-    width = a.width
-    circuits = [a, b]
-    perms = [_compile(c) if is_permutation_circuit(c) else None for c in circuits]
-    programs = list(perms)
-    if perms.count(None) == 1:
-        lone = perms.index(None)
-        circuits[lone], programs[lone] = _path_sum_form(circuits[lone])
-    if mode == "exhaustive":
-        limit = 20 if None not in programs else 12
-        if width > limit:
-            raise CapacityError(
-                f"exhaustive check capped at width {limit}; use sampled mode"
-            )
-        inputs: Sequence[int] = range(1 << width)
-    else:
+    if mode == "sampled":  # checked before either side is walked
         try:
             samples = operator.index(samples)
         except TypeError:
             raise ValueError(f"samples must be an integer, got {samples!r}") from None
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {int_text(samples)}")
+        if samples > 1 << _BIT_SLICED_CAP:
+            raise CapacityError(
+                f"sampled check capped at {1 << _BIT_SLICED_CAP} inputs, the "
+                f"most an exhaustive one runs; got {int_text(samples)}"
+            )
+    width = a.width
+    circuits = [a, b]
+    perms = [_permutation_program(c) for c in circuits]
+    programs = list(perms)
+    if perms.count(None) == 1:
+        lone = perms.index(None)
+        circuits[lone], programs[lone] = _path_sum_form(circuits[lone])
+    if mode == "exhaustive":
+        limit = _BIT_SLICED_CAP if None not in programs else 12
+        if width > limit:
+            raise CapacityError(
+                f"exhaustive check capped at width {limit}; use sampled mode"
+            )
+        inputs: Sequence[int] = range(1 << width)
+    else:
         rng = random.Random(seed)
         inputs = [rng.randrange(1 << width) for _ in range(samples)]
     if None in programs:
@@ -802,6 +778,15 @@ def assert_equiv(
         if diff is not None:
             return diff
     return first
+
+
+def _permutation_program(c: Circuit) -> _Program | None:
+    """c's program if c is a permutation circuit, else None: one walk
+    classifies and compiles it."""
+    try:
+        return _compile(c)
+    except NonPermutationGateError:
+        return None
 
 
 def _path_sum_form(c: Circuit) -> tuple[Circuit, _Program | None]:

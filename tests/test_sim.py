@@ -544,6 +544,12 @@ def test_assert_equiv_refuses_a_sample_count_that_checks_nothing(samples):
     assert assert_equiv(Circuit(2), Circuit(2).x(0), "sampled", np.int64(1)) is not None
 
 
+def test_assert_equiv_caps_sampled_inputs_at_the_exhaustive_maximum():
+    # refused before any input is drawn, so a huge count cannot hang
+    with pytest.raises(CapacityError, match="capped at 1048576 inputs"):
+        assert_equiv(Circuit(2), Circuit(2), "sampled", (1 << 20) + 1)
+
+
 def test_assert_equiv_sampled_is_deterministic():
     logical = build_isqrt_circuit(6)
     flat = flatten(logical)
@@ -921,9 +927,11 @@ def test_halved_batches_compile_the_permutation_side_once(monkeypatch, perm_firs
     monkeypatch.setattr(sim, "_run_basis", counting_run_basis)
     # 16 inputs of four entries at most: 16 columns per batch do not fit, 8 do
     monkeypatch.setattr(sim, "_SV_MAX_ENTRIES", 32)
-    assert assert_equiv(*(pair if perm_first else pair[::-1])) is None
+    args = pair if perm_first else pair[::-1]
+    assert assert_equiv(*args) is None
     assert halved == [16]
-    assert compiled == [adder]
+    # compiling a side is what classifies it: each once, in argument order
+    assert compiled == list(args)
 
 
 def test_entry_bound_holds_basis_batches_alone(monkeypatch):
