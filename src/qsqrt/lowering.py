@@ -5,13 +5,15 @@ rewritten through a registry of decomposition rules so alternative
 realizations (for example a different Toffoli network) can be plugged in
 without touching the circuit generators.
 
-Both consumers of the rules go through one expansion table, built per call
-from the rules mapping: for each gate kind, its fully lowered template over
-operand positions, with nested rules resolved. lower_to_clifford_t
-instantiates it onto each source gate in one loop, and analyze streams it
-without building the lowered circuit.
+Every consumer of the rules goes through one expansion table, built per
+call from the rules mapping: for each gate kind, its fully lowered
+template over operand positions, with nested rules resolved.
+iter_lowered_ops instantiates it onto each source gate as one stream of
+lowered gates, which lower_to_clifford_t collects and sim's path-sum
+compiler reads without building the lowered circuit; analyze reads the
+table directly.
 
-Neither checks a gate itself: both read their source gates, as flatten
+None checks a gate itself: all read their source gates, as flatten
 does, through circuit.iter_primitive_ops, which raises Circuit.append's
 error on a malformed hand-built gate at any depth and a CircuitError on a
 composite cycle. A rule whose template width is not its kind's arity
@@ -21,7 +23,7 @@ itself raise UnsupportedGateError when the table resolves them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .circuit import (
     CLIFFORD_T_KINDS,
@@ -153,21 +155,35 @@ class _ExpansionTable(dict):
         return template
 
 
+def iter_lowered_ops(
+    c: Circuit, rules: Mapping[GateKind, DecompositionRule] | None = None
+) -> Iterator[tuple[GateKind, tuple[int, ...]]]:
+    """Yield (kind, qubits) for each gate of c's Clifford+T lowering, in order.
+
+    The expansion table laid onto the walk: a gate already in
+    CLIFFORD_T_KINDS passes through, any other becomes its kind's template
+    on its operands, and a kind with no rule raises UnsupportedGateError.
+    The walk checks each source gate and a template's positions are
+    distinct operands, so each gate yielded would pass Circuit.append.
+    """
+    table = _ExpansionTable(rules)
+    for kind, qubits in iter_primitive_ops(c):
+        if kind in CLIFFORD_T_KINDS:
+            yield kind, qubits
+            continue
+        for lowered, positions in table[kind]:
+            yield lowered, tuple(map(qubits.__getitem__, positions))
+
+
 def lower_to_clifford_t(
     c: Circuit, rules: Mapping[GateKind, DecompositionRule] | None = None
 ) -> Circuit:
-    """Flatten and rewrite until only {X, CX, H, T, TDG} remain.
+    """Flatten and rewrite until only {X, CX, H, T, TDG} remain: the
+    circuit of iter_lowered_ops, built without going through append.
 
     Idempotent: running it on an already lowered circuit returns an equal
-    circuit. Gate kinds outside the primitive set with no rule raise
-    UnsupportedGateError. Each source gate is checked by the walk, and
-    template positions are distinct operands of the gate, so every lowered
-    gate passes Circuit.append's check without going through it.
+    circuit.
     """
-    table = _ExpansionTable(rules)
     out = Circuit(c.width, c.name)
-    emit = out.gates.append
-    for kind, qubits in iter_primitive_ops(c):
-        for lowered, positions in table[kind]:
-            emit(Gate(lowered, tuple(map(qubits.__getitem__, positions))))
+    out.gates.extend(Gate(kind, qubits) for kind, qubits in iter_lowered_ops(c, rules))
     return out

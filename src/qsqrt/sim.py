@@ -5,8 +5,9 @@ circuit in one pass over the gates (Biham, FSE 1997). It works on columns:
 one int per qubit, whose bit k is that qubit in case k. It reads one
 format, a _Program: the circuit's (opcode, q0, q1, q2) in a flat array.
 _compile makes one for a circuit of classical-reversible gates (X, CX,
-ZCX, CCX, SWAP); isqrt and `qsqrt verify` keep theirs in a bounded per-(builder,
-width) cache. _compile_path_sum also takes H, T and TDG when at most one H
+ZCX, CCX, SWAP); isqrt and `qsqrt verify` keep theirs in a bounded
+per-(builder, width) cache. _compile_path_sum compiles any circuit's
+lowering, read as its gate stream (iter_lowered_ops), when at most one H
 is open at a time, as in every Toffoli template: a path sum with one path
 variable live at a time (Amy, arXiv:1805.06908). Its phase opcodes keep
 each case's two branches as one basis state, the qubits on which they
@@ -29,7 +30,7 @@ checks the states: perm_run_many (so perm_run) checks outside states, and
 isqrt, verify, permutation_matrix and assert_equiv build their own.
 
 assert_equiv runs a permutation circuit against another, or against a
-circuit whose Clifford+T form compiles to a path-sum program, bit-sliced:
+circuit whose lowering compiles to a path-sum program, bit-sliced:
 both programs from the same columns, compared lane by lane without
 transposing out. One statevector kernel, _sv_entries, runs everything else
 that has phases: a lowered circuit (X, CX, H, T, TDG, in composites too)
@@ -41,7 +42,7 @@ their entries. unitary and assert_equiv start from basis entries, which
 the kernel bounds itself: an H that spreads such a batch past
 _SV_MAX_ENTRIES entries raises CapacityError (assert_equiv then halves its
 batch). Both kernels read the gates, checks included, through
-iter_primitive_ops.
+iter_primitive_ops, the path-sum compiler by way of iter_lowered_ops.
 
 Basis convention everywhere: bit i of an integer state or of a statevector
 index is qubit i, and qubit 0 is the LSB of its register.
@@ -58,7 +59,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuit import CLIFFORD_T_KINDS, PERMUTATION_KINDS, Circuit, GateKind
+from .circuit import PERMUTATION_KINDS, Circuit, GateKind
 from .circuit import _positive_width, iter_primitive_ops
 from .errors import (
     CapacityError,
@@ -68,7 +69,7 @@ from .errors import (
     NonPermutationGateError,
     int_text,
 )
-from .lowering import lower_to_clifford_t
+from .lowering import iter_lowered_ops, lower_to_clifford_t
 
 #: Widest circuit unitary and permutation_matrix build a dense matrix of.
 _MATRIX_CAP = 10
@@ -115,10 +116,6 @@ _PHASE_OPCODES = {
     GateKind.T: (_T_A, _T_AB, _T_AX),
     GateKind.TDG: (_TDG_A, _TDG_AB, _TDG_AX),
 }
-#: Opcodes that lowering rewrites: a path-sum program holding them beside
-#: H, T or TDG ran them exactly, not through their rules' templates.
-_LOGICAL_OPS = frozenset({_CCX, _ZCX, _SWAP})
-
 #: The columns a path-sum program keeps after its qubits' ones, in order:
 #: branch A's and branch B's phase in eighth turns (3-bit counters, low bit
 #: first), and two flags, set in a case whose closing H left a superposition
@@ -233,47 +230,44 @@ class _PathSumError(Exception):
 
 
 def _compile_path_sum(c: Circuit) -> _Program:
-    """The path-sum program of a circuit with at most one H open at a time.
+    """The path-sum program of c's Clifford+T lowering, read as its gate
+    stream (iter_lowered_ops): X, CX, H, T and TDG, with no circuit built.
 
     A case is its qubits' columns plus _PHASE_COLUMNS more: while an H is
     open, its two branches differ on the qubits of `mask`, which the walk
-    tracks. An H opens on qubit s with mask {s}; a CX or ZCX (X CX X) whose
-    control is in the mask adds its target to it, or takes it out; a SWAP
-    exchanges its qubits' bits; an H on the mask's one qubit closes it.
-    Other gates compile as in _compile, T and TDG to _PHASE_OPCODES (a path
-    sum with one path variable live at a time, Amy, arXiv:1805.06908).
-    Raises _PathSumError on an H while one is open that does not close
-    it, on a CCX whose control is in the mask, and on an H left open.
+    tracks. An H opens on qubit s with mask {s}; a CX whose control is in
+    the mask adds its target to it, or takes it out; an H on the mask's one
+    qubit closes it. X and CX compile as in _compile, T and TDG to
+    _PHASE_OPCODES (a path sum with one path variable live at a time, Amy,
+    arXiv:1805.06908). Raises _PathSumError on an H while one is open that
+    does not close it, and on an H left open.
     """
     code = array("H" if c.width <= 1 << 16 else "Q")
-    extend, opcode, mask = code.extend, _OPCODES.get, 0
-    for kind, q in iter_primitive_ops(c):
-        op = opcode(kind)
-        if op is None:  # H, T or TDG on qubit s
-            s = q[0]
-            if kind is not GateKind.H:
-                op = _PHASE_OPCODES[kind][0 if not mask else 2 if mask >> s & 1 else 1]
-            elif not mask:
-                op, mask = _H_OPEN, 1 << s
-            elif mask == 1 << s:
-                op, mask = _H_CLOSE, 0
-            elif mask >> s & 1:
-                raise _PathSumError(
-                    f"the H on qubit {s} closes an H whose branches also differ "
-                    "on other qubits"
-                )
-            else:
-                raise _PathSumError(f"the H on qubit {s} opens a second H")
-            extend((op, s, 0, 0))
-            continue
-        if mask:
-            if (op == _CX or op == _ZCX) and mask >> q[0] & 1:
+    extend, mask = code.extend, 0
+    cx, x, h = GateKind.CX, GateKind.X, GateKind.H
+    for kind, q in iter_lowered_ops(c):
+        if kind is cx:
+            if mask >> q[0] & 1:
                 mask ^= 1 << q[1]
-            elif op == _SWAP and (mask >> q[0] ^ mask >> q[1]) & 1:
-                mask ^= 1 << q[0] | 1 << q[1]
-            elif op == _CCX and (mask >> q[0] | mask >> q[1]) & 1:
-                raise _PathSumError("a CCX control differs between an H's branches")
-        extend((op, *q, *_PAD[len(q)]))
+            extend((_CX, *q, 0))
+            continue
+        s = q[0]
+        if kind is x:
+            op = _X
+        elif kind is not h:  # T or TDG
+            op = _PHASE_OPCODES[kind][0 if not mask else 2 if mask >> s & 1 else 1]
+        elif not mask:
+            op, mask = _H_OPEN, 1 << s
+        elif mask == 1 << s:
+            op, mask = _H_CLOSE, 0
+        elif mask >> s & 1:
+            raise _PathSumError(
+                f"the H on qubit {s} closes an H whose branches also differ "
+                "on other qubits"
+            )
+        else:
+            raise _PathSumError(f"the H on qubit {s} opens a second H")
+        extend((op, s, 0, 0))
     if mask:
         raise _PathSumError("an H is left open")
     return _Program(c.width + _PHASE_COLUMNS, code)
@@ -722,8 +716,8 @@ def assert_equiv(
 
     Returns None when all tested inputs agree, otherwise the first basis
     index where they differ. A permutation-only circuit is compiled. Against
-    another one, or against a circuit whose Clifford+T form (itself, or its
-    lowering) compiles to a path-sum program, both sides run bit-sliced from
+    another one, or against a circuit whose lowering, its rules' templates
+    and all, compiles to a path-sum program, both sides run bit-sliced from
     the same input columns and are compared lane by lane (_first_difference;
     exhaustive up to width 20). Any other pair runs on each side's natural
     backend (exhaustive up to width 12): a permutation-only circuit through
@@ -754,12 +748,10 @@ def assert_equiv(
                 f"most an exhaustive one runs; got {int_text(samples)}"
             )
     width = a.width
-    circuits = [a, b]
-    perms = [_permutation_program(c) for c in circuits]
-    programs = list(perms)
+    circuits = (a, b)
+    perms = programs = [_permutation_program(c) for c in circuits]
     if perms.count(None) == 1:
-        lone = perms.index(None)
-        circuits[lone], programs[lone] = _path_sum_form(circuits[lone])
+        programs = [p or _path_sum_program(c) for c, p in zip(circuits, perms)]
     if mode == "exhaustive":
         limit = _BIT_SLICED_CAP if None not in programs else 12
         if width > limit:
@@ -789,21 +781,13 @@ def _permutation_program(c: Circuit) -> _Program | None:
         return None
 
 
-def _path_sum_form(c: Circuit) -> tuple[Circuit, _Program | None]:
-    """c's Clifford+T form, as _lowered gives it, and the form's path-sum
-    program, or None if _compile_path_sum refuses it.
-
-    One walk compiles c itself. Only a c holding CCX, ZCX or SWAP beside H,
-    T or TDG is lowered and compiled again, so its rules' templates run.
-    """
+def _path_sum_program(c: Circuit) -> _Program | None:
+    """The path-sum program of c's lowering, or None if _compile_path_sum
+    refuses it."""
     try:
-        program = _compile_path_sum(c)
-        if _LOGICAL_OPS.isdisjoint(program.code[::4]):
-            return c, program
-        c = lower_to_clifford_t(c)
-        return c, _compile_path_sum(c)
+        return _compile_path_sum(c)
     except _PathSumError:
-        return _lowered(c), None
+        return None
 
 
 def _first_difference(
@@ -878,15 +862,9 @@ def _sparse_difference(
 def _batch_entries(c: Circuit, program: _Program | None) -> Callable:
     """Map a batch of basis states to the output entries of `c` on them:
     its permutation program's states as entries of amplitude 1, or without
-    one, the statevector kernel's on `c` lowered (once)."""
+    one, the statevector kernel's on `c` lowered (once): the one place sim
+    lowers a circuit."""
     if program is not None:
         return lambda batch: _basis(_run(program, batch), c.width)
-    lowered = _lowered(c)
+    lowered = lower_to_clifford_t(c)
     return lambda batch: _run_basis(lowered, batch)
-
-
-def _lowered(c: Circuit) -> Circuit:
-    """`c` itself if it is already Clifford+T, else its lowering."""
-    if all(kind in CLIFFORD_T_KINDS for kind, _ in iter_primitive_ops(c)):
-        return c
-    return lower_to_clifford_t(c)

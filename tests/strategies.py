@@ -1,7 +1,7 @@
 """Hypothesis strategies shared by the test modules."""
 from hypothesis import strategies as st
 
-from qsqrt import CLIFFORD_T_KINDS, PERMUTATION_KINDS, Circuit, Gate
+from qsqrt import CLIFFORD_T_KINDS, PERMUTATION_KINDS, Circuit, Gate, GateKind
 from qsqrt.circuit import PRIMITIVE_ARITY
 from qsqrt.errors import InvalidWidthError
 
@@ -50,6 +50,29 @@ def clifford_t_circuits(draw, width):
         kind = draw(_by_value(CLIFFORD_T_KINDS))
         if PRIMITIVE_ARITY[kind] <= width:
             c.append(Gate(kind, tuple(_operands(draw, width, PRIMITIVE_ARITY[kind]))))
+    return c
+
+
+@st.composite
+def mixed_circuits(draw, width):
+    """Permutation blocks, nested composites included, with H, T and TDG
+    between them: after each block, a T or TDG, or an H on some qubit s, the
+    first gates of a flat permutation or X/CX/H/T/TDG run, and an H on s or
+    on any qubit. A path sum follows some; others open a second H (a CCX's
+    template opens its own), leave one open, or close one whose branches
+    also differ on other qubits."""
+    qubit = st.integers(0, width - 1)
+    c = Circuit(width)
+    for _ in range(draw(st.integers(1, 3))):
+        c.append_composite("BLOCK", draw(permutation_circuits(width, 1)), range(width))
+        if draw(st.booleans()):
+            c.append(Gate(draw(st.sampled_from([GateKind.T, GateKind.TDG])), (draw(qubit),)))
+            continue
+        s = draw(qubit)
+        run = draw(st.one_of(permutation_circuits(width, 0), clifford_t_circuits(width)))
+        c.h(s)
+        c.gates.extend(run.gates[:3])
+        c.h(draw(st.one_of(st.just(s), qubit)))
     return c
 
 

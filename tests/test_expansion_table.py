@@ -1,6 +1,7 @@
-"""The one expansion table behind analyze and lower_to_clifford_t.
+"""The one expansion table behind analyze, iter_lowered_ops and
+lower_to_clifford_t, which collects iter_lowered_ops's stream.
 
-Both are checked against references written here the way they used to be
+They are checked against references written here the way they used to be
 composed: a recursive rule-by-rule lowering that instantiates each rule's
 template onto the gate's operands through Circuit.append, then schedule_layers and count_ops on its output.
 """
@@ -36,6 +37,7 @@ from qsqrt import (
     unitary,
     validate,
 )
+from qsqrt import sim
 from qsqrt.cli import FAMILIES
 from qsqrt.errors import (
     ArityError,
@@ -44,7 +46,7 @@ from qsqrt.errors import (
     QubitIndexError,
     UnsupportedGateError,
 )
-from qsqrt.lowering import iter_primitive_ops
+from qsqrt.lowering import iter_lowered_ops, iter_primitive_ops
 from strategies import family_widths, primitive_circuits
 
 
@@ -84,9 +86,16 @@ def reference_analyze(c):
     )
 
 
+def assert_stream_is_the_lowering(c, rules=None):
+    """iter_lowered_ops yields lower_to_clifford_t's gates, in order."""
+    gates = lower_to_clifford_t(c, rules).gates
+    assert list(iter_lowered_ops(c, rules)) == [(g.kind, g.qubits) for g in gates]
+
+
 def assert_streams_like_reference(c):
     lowered = lower_to_clifford_t(c)
     assert lowered == reference_lower(c)  # width, name and every gate
+    assert_stream_is_the_lowering(c)
     report = analyze(c)
     expected = reference_analyze(c)
     assert report == expected
@@ -159,6 +168,7 @@ def test_nested_toffoli_rule_is_a_toffoli():
     logical = Circuit(3).ccx(0, 1, 2)
     rules = {**DEFAULT_RULES, GateKind.CCX: _nested_toffoli_rule()}
     lowered = lower_to_clifford_t(logical, rules)
+    assert_stream_is_the_lowering(logical, rules)
     kinds = [g.kind for g in lowered.gates]
     assert (kinds.count(GateKind.CX), kinds.count(GateKind.X)) == (5 + 1 + 3 + 3, 3)
     assert np.max(np.abs(unitary(lowered) - permutation_matrix(logical))) < 1e-12
@@ -207,15 +217,19 @@ def test_patched_rule_changes_the_report(monkeypatch):
 def test_missing_rule_raises_only_for_a_used_kind():
     rules = {GateKind.SWAP: DEFAULT_RULES[GateKind.SWAP]}
     assert len(lower_to_clifford_t(Circuit(2).swap(0, 1), rules).gates) == 3
-    with pytest.raises(UnsupportedGateError, match="no decomposition rule for zcx"):
-        lower_to_clifford_t(Circuit(2).zcx(0, 1), rules)
+    assert_stream_is_the_lowering(Circuit(2).swap(0, 1), rules)
     nested = {**DEFAULT_RULES, GateKind.CCX: _nested_toffoli_rule()}
     del nested[GateKind.ZCX]
-    with pytest.raises(UnsupportedGateError, match="no decomposition rule for zcx"):
-        lower_to_clifford_t(Circuit(3).ccx(0, 1, 2), nested)
     misfiled = {GateKind.SWAP: DEFAULT_RULES[GateKind.ZCX]}  # no SWAP rule
-    with pytest.raises(UnsupportedGateError, match="no decomposition rule for swap"):
-        lower_to_clifford_t(Circuit(2).swap(0, 1), misfiled)
+    for c, bad_rules, kind in [
+        (Circuit(2).zcx(0, 1), rules, "zcx"),
+        (Circuit(3).ccx(0, 1, 2), nested, "zcx"),
+        (Circuit(2).swap(0, 1), misfiled, "swap"),
+    ]:
+        message = f"no decomposition rule for {kind}"
+        for fn in (lower_to_clifford_t, lambda c, r: list(iter_lowered_ops(c, r))):
+            with pytest.raises(UnsupportedGateError, match=message):
+                fn(c, bad_rules)
 
 
 def _planted(width, *gates):
@@ -293,9 +307,11 @@ def sv_run_0(c):
 WALK_CONSUMERS = pytest.mark.parametrize(
     "fn",
     [analyze, lower_to_clifford_t, to_qasm, count_ops, flatten, perm_run_0,
-     is_permutation_circuit, sv_run_0, unitary, Circuit.inverse],
+     is_permutation_circuit, sv_run_0, unitary, Circuit.inverse,
+     sim._compile_path_sum],
     ids=["analyze", "lower_to_clifford_t", "to_qasm", "count_ops", "flatten",
-         "perm_run", "is_permutation_circuit", "sv_run", "unitary", "inverse"],
+         "perm_run", "is_permutation_circuit", "sv_run", "unitary", "inverse",
+         "compile_path_sum"],
 )
 
 
@@ -367,7 +383,7 @@ def test_rule_template_must_match_the_kinds_arity():
 def test_self_referencing_rules_raise(monkeypatch, templates):
     for kind, template in templates.items():
         monkeypatch.setitem(DEFAULT_RULES, kind, DecompositionRule(kind, template))
-    for fn in (lower_to_clifford_t, analyze):
+    for fn in (lower_to_clifford_t, analyze, sim._compile_path_sum):
         with pytest.raises(UnsupportedGateError, match="rules for swap expand to swap"):
             fn(Circuit(2).swap(0, 1))
 

@@ -51,6 +51,7 @@ from strategies import (
     _nested_circuits,
     clifford_t_circuits,
     family_widths,
+    mixed_circuits,
     permutation_circuits,
 )
 
@@ -815,11 +816,12 @@ def test_assert_equiv_runs_the_permutation_side_unlowered(monkeypatch):
 
 
 def test_a_mixed_side_runs_its_rules_templates_bit_sliced(monkeypatch):
-    # the path sum would follow this CCX as it is, but its rule's template
-    # is what the mixed side means, so a faulty rule must still be found
+    # the path sum compiles the lowering's gate stream, so this CCX runs as
+    # its rule's template, and a faulty rule must still be found
     logical = Circuit(4).ccx(0, 1, 2)
     mixed = Circuit(4).h(3).t(3).tdg(3).h(3).ccx(0, 1, 2)
-    assert sim._compile_path_sum(mixed).code[-4] == sim._CCX
+    lowered = sim._compile_path_sum(lower_to_clifford_t(mixed))
+    assert sim._compile_path_sum(mixed).code == lowered.code
     assert assert_equiv(logical, mixed) is None
     broken = with_t_flipped(_LOGICAL_CCX)
     monkeypatch.setitem(DEFAULT_RULES, GateKind.CCX, DecompositionRule(GateKind.CCX, broken))
@@ -838,11 +840,12 @@ def test_assert_equiv_lowers_a_side_that_is_neither_permutation_nor_clifford_t(
     lowered = []
     lower = sim.lower_to_clifford_t
     monkeypatch.setattr(sim, "lower_to_clifford_t", lambda c: lowered.append(c) or lower(c))
+    # the sparse kernel lowers every side it runs, the Clifford+T one too
     assert assert_equiv(mixed, lower(mixed), mode) is None
-    assert lowered == [mixed]
+    assert lowered == [mixed, lower(mixed)]
     first = 0 if mode == "exhaustive" else sampled_inputs(3, 100, 0)[0]
     assert assert_equiv(mixed, moved, mode) == first
-    assert lowered == [mixed, mixed, moved]
+    assert lowered == [mixed, lower(mixed), mixed, moved]
 
 
 def test_assert_equiv_refuses_an_unknown_mode():
@@ -994,7 +997,8 @@ _REJECTED = {  # each equal to the identity, which a permutation circuit is
         Circuit(2).h(0).cx(0, 1).h(0).h(0).cx(0, 1).h(0), "also differ on other"
     ),
     "left-open": (Circuit(1).h(0), "left open"),
-    "ccx-control": (Circuit(3).h(0).ccx(0, 1, 2).ccx(0, 1, 2).h(0), "CCX control"),
+    # the CCX template opens its own H while qubit 0's is open
+    "ccx-control": (Circuit(3).h(0).ccx(0, 1, 2).ccx(0, 1, 2).h(0), "opens a second H"),
 }
 
 
@@ -1093,6 +1097,40 @@ def test_permutation_circuits_match_their_lowering_on_both_kernels(c):
     assert np.max(np.abs(amps - 1.0)) < 1e-9
     assert keys.tolist() == sim._basis(want, c.width)[0].tolist()
     assert assert_equiv(c, lowered) is None
+
+
+def assert_compiles_as_its_lowering(c):
+    """_compile_path_sum gives c and its lowering the same program, or
+    refuses both with the same message."""
+    lowered = lower_to_clifford_t(c)
+    try:
+        program = sim._compile_path_sum(c)
+    except sim._PathSumError as refused:
+        with pytest.raises(sim._PathSumError) as also:
+            sim._compile_path_sum(lowered)
+        assert str(also.value) == str(refused)
+        return None
+    expected = sim._compile_path_sum(lowered)
+    assert (program.code, program.width) == (expected.code, expected.width)
+    return program
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 5).flatmap(mixed_circuits))
+def test_path_sum_programs_compile_the_lowering(c):
+    assert_compiles_as_its_lowering(c)
+
+
+@pytest.mark.parametrize(
+    "name, n", [(name, n) for name, f in FAMILIES.items() for n in family_widths(f, 9)]
+)
+def test_every_family_compiles_as_its_lowering(name, n):
+    assert assert_compiles_as_its_lowering(FAMILIES[name].build(n)) is not None
+
+
+def test_the_logical_isqrt_pipeline_compiles_as_its_lowering():
+    program = assert_compiles_as_its_lowering(build_isqrt_pipeline(16))
+    assert program is not None and len(program.code) == 4 * 3283
 
 
 @st.composite
