@@ -29,14 +29,14 @@ states: uint64 up to 64 qubits, Python ints (dtype=object) beyond. Neither
 checks the states: perm_run_many (so perm_run) checks outside states, and
 isqrt, verify, permutation_matrix and assert_equiv build their own.
 
-assert_equiv runs a permutation circuit against another, or against a
-circuit whose lowering compiles to a path-sum program, bit-sliced:
-both programs from the same columns, compared lane by lane without
-transposing out. One statevector kernel, _sv_entries, runs everything else
-that has phases: a lowered circuit (X, CX, H, T, TDG, in composites too)
-on a batch of sparse columns in one pass over the gates, for sv_run_many,
-unitary, any other assert_equiv pair and the cases a path-sum program
-leaves undecided. Dense columns exist only at the API: sv_run_many and
+assert_equiv compiles each side to its permutation program, else to its
+path-sum program, and runs any two programs bit-sliced: both from the
+same columns, compared lane by lane without transposing out. One
+statevector kernel, _sv_entries, runs everything else that has phases: a
+lowered circuit (X, CX, H, T, TDG, in composites too) on a batch of
+sparse columns in one pass over the gates, for sv_run_many, unitary, a
+pair with a side the path sum refuses and the cases two programs leave
+undecided. Dense columns exist only at the API: sv_run_many and
 sv_run convert them to entries and back, so the caller's array bounds
 their entries. unitary and assert_equiv start from basis entries, which
 the kernel bounds itself: an H that spreads such a batch past
@@ -715,15 +715,16 @@ def assert_equiv(
     """Compare two circuits on basis inputs.
 
     Returns None when all tested inputs agree, otherwise the first basis
-    index where they differ. A permutation-only circuit is compiled. Against
-    another one, or against a circuit whose lowering, its rules' templates
-    and all, compiles to a path-sum program, both sides run bit-sliced from
-    the same input columns and are compared lane by lane (_first_difference;
-    exhaustive up to width 20). Any other pair runs on each side's natural
+    index where they differ. Each side compiles to its permutation program
+    if it is a permutation circuit, else to the path-sum program of its
+    lowering, its rules' templates and all, whatever the other side is. Any
+    two programs run bit-sliced from the same input columns and are
+    compared lane by lane (_first_difference; exhaustive up to width 20).
+    A pair with a side the path sum refuses runs on each side's natural
     backend (exhaustive up to width 12): a permutation-only circuit through
     _run (each output read as one entry of amplitude 1), anything else
     lowered and through _sv_entries, with amplitudes compared to 1e-9, as
-    are the few cases a path-sum program cannot decide. Lowering one side
+    are the few cases the programs leave undecided. Lowering one side
     therefore never hides a faulty decomposition of the other. The sparse
     inputs run in order, in batches of at most _SV_MAX_ENTRIES columns; a
     batch that would spread past _SV_MAX_ENTRIES entries (CapacityError) is
@@ -749,9 +750,8 @@ def assert_equiv(
             )
     width = a.width
     circuits = (a, b)
-    perms = programs = [_permutation_program(c) for c in circuits]
-    if perms.count(None) == 1:
-        programs = [p or _path_sum_program(c) for c, p in zip(circuits, perms)]
+    perms = [_permutation_program(c) for c in circuits]
+    programs = [p or _path_sum_program(c) for c, p in zip(circuits, perms)]
     if mode == "exhaustive":
         limit = _BIT_SLICED_CAP if None not in programs else 12
         if width > limit:
@@ -796,28 +796,27 @@ def _first_difference(
     """Run two programs of a `width`-qubit pair on the same columns of
     `inputs` and compare them lane by lane, with big-int XOR and OR.
 
-    A case differs where the output qubits differ, or where a path-sum
-    program leaves a phase or flags it once. Flagged once, its closing H
-    left weight on two orthogonal states: the rest of the circuit, which
-    the kernel followed exactly from one of them, is unitary and keeps them
-    orthogonal, so no basis state comes out. A case flagged twice may have
-    recombined and is not decided. Returns the first input that differs
-    (None if none) and, in order, the undecided inputs before it.
+    A case differs where the qubits, A's phase or f1 differ, a permutation
+    program's phase and flag columns counting as zero. Flagged once, a
+    closing H left weight on two orthogonal states: the rest of the
+    circuit, which the kernel followed exactly from one of them, is unitary
+    and keeps them orthogonal, so that side puts out no basis state. A case
+    flagged once on one side only therefore differs; one flagged once on
+    both, or twice on either (it may have recombined), is not decided.
+    Returns the first input that differs (None if none) and, in order, the
+    undecided inputs before it.
     """
-    count = len(inputs)
+    count, zeros = len(inputs), [0] * _PHASE_COLUMNS
     cols = _columns(inputs, width)
-    outs = [
-        program.run(cols + [0] * (program.width - width), count)
+    x, y = (
+        program.run(cols + zeros[: program.width - width], count) + zeros
         for program in programs
-    ]
-    differ = unsure = 0
-    for x, y in zip(outs[0][:width], outs[1][:width]):
-        differ |= x ^ y
-    for out in outs:
-        if len(out) > width:
-            a0, a1, a2, _, _, _, f1, f2 = out[width:]
-            differ |= a0 | a1 | a2 | f1
-            unsure |= f2
+    )
+    f1, f2 = width + 6, width + 7  # the flags end _PHASE_NAMES
+    differ = 0
+    for q in (*range(width + 3), f1):  # the qubits, A's phase and f1
+        differ |= x[q] ^ y[q]
+    unsure = x[f2] | y[f2] | x[f1] & y[f1]
     differ &= ~unsure
     stop = (differ & -differ).bit_length() - 1 if differ else count
     unsure &= (1 << stop) - 1

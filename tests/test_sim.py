@@ -787,6 +787,14 @@ _EQUIV_PAIRS = {
     "broken-vs-ccx": (with_t_flipped(_LOGICAL_CCX), _LOGICAL_CCX),
     "lowered-vs-broken": (lower_to_clifford_t(_LOGICAL_CCX), with_t_flipped(_LOGICAL_CCX)),
     "adder-vs-broken": (build_adder(3), with_t_flipped(build_adder(3), 2)),
+    # two lowerings: both sides compile to path-sum programs
+    "lowered-adder-vs-broken": (
+        lower_to_clifford_t(build_adder(3)), with_t_flipped(build_adder(3), 2)
+    ),
+    "broken-vs-lowered-adder": (
+        with_t_flipped(build_adder(3), 2), lower_to_clifford_t(build_adder(3))
+    ),
+    "lowered-vs-itself": (lower_to_clifford_t(_LOGICAL_CCX),) * 2,
     "h-vs-ht": (Circuit(2).h(1), Circuit(2).h(1).t(1)),
     "ccx-vs-lowered": (_LOGICAL_CCX, lower_to_clifford_t(_LOGICAL_CCX)),
 }
@@ -798,7 +806,7 @@ def test_assert_equiv_returns_the_first_difference_of_an_input_loop(pair):
     inputs = range(1 << a.width)
     expected = first_difference_input_by_input(a, b, inputs)
     assert assert_equiv(a, b) == expected
-    assert (expected is None) == (pair == "ccx-vs-lowered")
+    assert (expected is None) == (pair in {"ccx-vs-lowered", "lowered-vs-itself"})
     for seed in range(6):
         # 20 samples of at most 64 basis states: most seeds repeat some
         inputs = sampled_inputs(a.width, 20, seed)
@@ -1078,9 +1086,12 @@ def test_planted_faults_are_found_bit_sliced_as_input_by_input(monkeypatch, buil
         raise AssertionError("the sparse kernel ran")
 
     monkeypatch.setattr(sim, "_sv_entries", refuse)
-    assert [assert_equiv(block, mutant) for mutant, _ in mutants] == [
-        first for _, first in mutants
-    ]
+    firsts = [first for _, first in mutants]
+    assert [assert_equiv(block, mutant) for mutant, _ in mutants] == firsts
+    # against the unplanted lowering: two path-sum programs, in both orders
+    lowered = lower_to_clifford_t(block)
+    assert [assert_equiv(lowered, mutant) for mutant, _ in mutants] == firsts
+    assert [assert_equiv(mutant, lowered) for mutant, _ in mutants] == firsts
 
 
 @settings(max_examples=60, deadline=None)
@@ -1180,6 +1191,11 @@ def test_path_sum_pairs_check_every_input_up_to_width_20():
         assert_equiv(Circuit(21).x(0), Circuit(21).t(1).x(0).tdg(1))
     with pytest.raises(CapacityError, match="capped at width 12"):
         assert_equiv(Circuit(13), Circuit(13).h(0))  # left open: sparse
+    adder = lower_to_clifford_t(build_adder(8))  # 16 qubits, two lowerings
+    assert assert_equiv(adder, adder) is None
+    block = lower_to_clifford_t(build_ctrl_add_sub(10))  # 21 qubits
+    with pytest.raises(CapacityError, match="capped at width 20"):
+        assert_equiv(block, block)
 
 
 def test_a_case_flagged_twice_is_decided_on_the_sparse_kernel(monkeypatch):
@@ -1204,3 +1220,22 @@ def test_a_case_flagged_twice_is_decided_on_the_sparse_kernel(monkeypatch):
     assert assert_equiv(Circuit(3), both) == 4
     assert first_difference_input_by_input(Circuit(3), both, range(8)) == 4
     assert sparse == [[2, 3]]
+
+
+def test_a_case_flagged_once_on_both_sides_is_decided_on_the_sparse_kernel(
+    monkeypatch,
+):
+    # H T H leaves every input in a superposition, flagged once; on both
+    # sides, neither puts out a basis state, so the programs cannot tell
+    # whether the two superpositions are equal
+    once = Circuit(2).h(0).t(0).h(0)
+    programs = [sim._compile_path_sum(once)] * 2
+    assert sim._first_difference(programs, 2, range(4)) == (None, [0, 1, 2, 3])
+    sparse = []
+    run_basis = sim._run_basis
+    monkeypatch.setattr(sim, "_run_basis", lambda c, s: sparse.append(s) or run_basis(c, s))
+    assert assert_equiv(once, once) is None
+    assert sparse == [[0, 1, 2, 3]] * 2
+    sparse.clear()
+    assert assert_equiv(once, Circuit(2).h(0).tdg(0).h(0)) == 0
+    assert sparse == [[0, 1, 2, 3]] * 2
