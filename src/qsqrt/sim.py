@@ -6,8 +6,8 @@ one int per qubit, whose bit k is that qubit in case k. It reads one
 format, a _Program: the circuit's (opcode, q0, q1, q2) in a flat array.
 _compile makes one for a circuit of classical-reversible gates (X, CX,
 ZCX, CCX, SWAP); isqrt and `qsqrt verify` keep theirs in a bounded
-per-(builder, width) cache. _compile_path_sum compiles any circuit's
-lowering, read as its gate stream (iter_lowered_ops), when at most one H
+per-(builder, width) cache. _compile_path_sum compiles a gate stream,
+by default a circuit's lowering (iter_lowered_ops), when at most one H
 is open at a time, as in every Toffoli template: a path sum with one path
 variable live at a time (Amy, arXiv:1805.06908). Its phase opcodes keep
 each case's two branches as one basis state, the qubits on which they
@@ -31,18 +31,24 @@ isqrt, verify, permutation_matrix and assert_equiv build their own.
 
 assert_equiv compiles each side to its permutation program, else to its
 path-sum program, and runs any two programs bit-sliced: both from the
-same columns, compared lane by lane without transposing out. One
-statevector kernel, _sv_entries, runs everything else that has phases: a
-lowered circuit (X, CX, H, T, TDG, in composites too) on a batch of
-sparse columns in one pass over the gates, for sv_run_many, unitary, a
-pair with a side the path sum refuses and the cases two programs leave
+same columns, compared lane by lane without transposing out. unitary
+runs the path-sum program of its circuit's own gates on every basis
+column as one batch and reads each unflagged column off its output state
+and A's phase. One statevector kernel, _sv_entries, runs everything else
+that has phases: a stream of X, CX, H and T/TDG gates on a batch of
+sparse columns in one pass, for sv_run_many, the columns unitary's
+program flags (every column of a circuit the path sum refuses), a pair
+with a side the path sum refuses and the cases two programs leave
 undecided. Dense columns exist only at the API: sv_run_many and
 sv_run convert them to entries and back, so the caller's array bounds
 their entries. unitary and assert_equiv start from basis entries, which
 the kernel bounds itself: an H that spreads such a batch past
 _SV_MAX_ENTRIES entries raises CapacityError (assert_equiv then halves its
 batch). Both kernels read the gates, checks included, through
-iter_primitive_ops, the path-sum compiler by way of iter_lowered_ops.
+iter_primitive_ops: sv_run_many and unitary c's own gates, so a CCX, SWAP
+or ZCX raises MustLowerError; assert_equiv's path-sum programs and sparse
+sides c's lowering, by way of iter_lowered_ops, with no lowered circuit
+built.
 
 Basis convention everywhere: bit i of an integer state or of a statevector
 index is qubit i, and qubit 0 is the LSB of its register.
@@ -69,7 +75,8 @@ from .errors import (
     NonPermutationGateError,
     int_text,
 )
-from .lowering import iter_lowered_ops, lower_to_clifford_t
+from .lowering import iter_lowered_ops
+from .lowering import lower_to_clifford_t  # noqa: F401 (bench/workloads.py patches it)
 
 #: Widest circuit unitary and permutation_matrix build a dense matrix of.
 _MATRIX_CAP = 10
@@ -226,12 +233,16 @@ def _compile(c: Circuit) -> _Program:
 
 
 class _PathSumError(Exception):
-    """A circuit whose superpositions the phase opcodes cannot follow."""
+    """A gate stream the phase opcodes cannot follow: a superposition they
+    cannot track, or a gate that is not lowered."""
 
 
-def _compile_path_sum(c: Circuit) -> _Program:
-    """The path-sum program of c's Clifford+T lowering, read as its gate
-    stream (iter_lowered_ops): X, CX, H, T and TDG, with no circuit built.
+def _compile_path_sum(c: Circuit, walk: Callable = iter_lowered_ops) -> _Program:
+    """The path-sum program of the gate stream walk(c): by default c's
+    Clifford+T lowering (iter_lowered_ops), X, CX, H, T and TDG with no
+    circuit built. unitary passes iter_primitive_ops, c's own gates, whose
+    CCX, SWAP or ZCX it refuses, leaving it to the sparse kernel to raise
+    MustLowerError.
 
     A case is its qubits' columns plus _PHASE_COLUMNS more: while an H is
     open, its two branches differ on the qubits of `mask`, which the walk
@@ -245,7 +256,7 @@ def _compile_path_sum(c: Circuit) -> _Program:
     code = array("H" if c.width <= 1 << 16 else "Q")
     extend, mask = code.extend, 0
     cx, x, h = GateKind.CX, GateKind.X, GateKind.H
-    for kind, q in iter_lowered_ops(c):
+    for kind, q in walk(c):
         if kind is cx:
             if mask >> q[0] & 1:
                 mask ^= 1 << q[1]
@@ -254,8 +265,11 @@ def _compile_path_sum(c: Circuit) -> _Program:
         s = q[0]
         if kind is x:
             op = _X
-        elif kind is not h:  # T or TDG
-            op = _PHASE_OPCODES[kind][0 if not mask else 2 if mask >> s & 1 else 1]
+        elif kind is not h:
+            ops = _PHASE_OPCODES.get(kind)  # T or TDG
+            if ops is None:
+                raise _PathSumError(f"{kind.value} is not lowered")
+            op = ops[0 if not mask else 2 if mask >> s & 1 else 1]
         elif not mask:
             op, mask = _H_OPEN, 1 << s
         elif mask == 1 << s:
@@ -591,14 +605,23 @@ def _basis(states: Sequence[int], width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_basis(c: Circuit, states: Sequence[int]):
-    """The output entries of the basis columns `states`, with no dense array."""
-    return _sv_entries(c, *_basis(states, c.width), len(states), _SV_MAX_ENTRIES)
+    """The output entries of the basis columns `states` through c's
+    lowering, read as its gate stream, with no dense array."""
+    return _sv_entries(
+        c, *_basis(states, c.width), len(states), _SV_MAX_ENTRIES, iter_lowered_ops
+    )
 
 
 def _sv_entries(
-    c: Circuit, keys: np.ndarray, amps: np.ndarray, count: int, limit: int | None = None
+    c: Circuit,
+    keys: np.ndarray,
+    amps: np.ndarray,
+    count: int,
+    limit: int | None = None,
+    walk: Callable = iter_primitive_ops,
 ):
-    """The statevector kernel: run a lowered circuit on sparse columns.
+    """The statevector kernel: run the gate stream walk(c), by default c's
+    own gates, on sparse columns.
 
     A batch of `count` columns is held as its nonzero entries, keys from
     _pack and amplitudes `amps`. X, CX, T and TDG update them in place; H
@@ -610,7 +633,7 @@ def _sv_entries(
     """
     word = keys.dtype.type
     bits = [word(1 << q) for q in range(c.width)]
-    for kind, q in iter_primitive_ops(c):
+    for kind, q in walk(c):
         bit = bits[q[-1]]
         if kind is GateKind.X:
             keys ^= bit
@@ -682,12 +705,30 @@ def sv_run(c: Circuit, state: np.ndarray) -> np.ndarray:
 
 
 def unitary(c: Circuit) -> np.ndarray:
-    """Dense unitary of a lowered circuit, up to _MATRIX_CAP qubits: the
-    identity's columns run as one batch of basis entries."""
-    if c.width > _MATRIX_CAP:
+    """Dense unitary of a lowered circuit, up to _MATRIX_CAP qubits.
+
+    The identity's columns run as one bit-sliced batch of the path-sum
+    program of c's own gates: an unflagged case is one basis state with
+    amplitude e^(i pi A / 4). Only the flagged columns, or every column of
+    a circuit the path sum refuses, run on the sparse kernel. A CCX, SWAP
+    or ZCX, in a composite too, raises MustLowerError.
+    """
+    width = c.width
+    if width > _MATRIX_CAP:
         raise CapacityError(f"unitary construction capped at {_MATRIX_CAP} qubits")
-    dim = 1 << c.width
-    return _dense(*_run_basis(c, np.arange(dim)), c.width, dim)
+    dim = 1 << width
+    try:
+        program = _compile_path_sum(c, iter_primitive_ops)
+    except _PathSumError:  # every column on the sparse kernel, on c's own gates
+        entries = _sv_entries(c, *_basis(range(dim), width), dim, _SV_MAX_ENTRIES)
+        return _dense(*entries, width, dim)
+    lanes = _run(program, range(dim))  # each its state, then _PHASE_NAMES
+    u = np.zeros((dim, dim), complex)
+    u[lanes & (dim - 1), np.arange(dim)] = np.exp(1j * np.pi / 4 * (lanes >> width & 7))
+    flagged = np.flatnonzero(lanes >> width + 6)  # f1 or f2
+    if len(flagged):  # c is Clifford+T, so its lowering is c
+        u[:, flagged] = _dense(*_run_basis(c, flagged), width, len(flagged))
+    return u
 
 
 def permutation_matrix(c: Circuit) -> np.ndarray:
@@ -834,15 +875,19 @@ def _sparse_difference(
     inputs: Sequence[int],
 ) -> int | None:
     """The first of `inputs` on which two circuits differ, by statevector
-    entries: a side with a permutation program runs it, the other its
-    lowering on _sv_entries, in batches as assert_equiv describes."""
+    entries, in batches as assert_equiv describes: a side with a permutation
+    program runs it, its states read as entries of amplitude 1; the other
+    runs its lowering on _sv_entries, read as a gate stream for each batch
+    (_run_basis), so no lowered circuit is built."""
     width = circuits[0].width
-    run_a, run_b = (_batch_entries(c, p) for c, p in zip(circuits, perms))
     lo, step = 0, min(len(inputs), _SV_MAX_ENTRIES)
     while lo < len(inputs):
         batch = inputs[lo : lo + step]
         try:
-            (keys, amps), (other, other_amps) = run_a(batch), run_b(batch)
+            (keys, amps), (other, other_amps) = (
+                _basis(_run(p, batch), width) if p else _run_basis(c, batch)
+                for c, p in zip(circuits, perms)
+            )
         except CapacityError:
             if len(batch) == 1:
                 raise
@@ -856,14 +901,3 @@ def _sparse_difference(
             return batch[int(bad.min() >> bad.dtype.type(width))]
         lo += step
     return None
-
-
-def _batch_entries(c: Circuit, program: _Program | None) -> Callable:
-    """Map a batch of basis states to the output entries of `c` on them:
-    its permutation program's states as entries of amplitude 1, or without
-    one, the statevector kernel's on `c` lowered (once): the one place sim
-    lowers a circuit."""
-    if program is not None:
-        return lambda batch: _basis(_run(program, batch), c.width)
-    lowered = lower_to_clifford_t(c)
-    return lambda batch: _run_basis(lowered, batch)

@@ -44,7 +44,7 @@ from qsqrt.errors import (
     NonPermutationGateError,
 )
 from qsqrt import sim
-from qsqrt.circuit import PRIMITIVE_ARITY
+from qsqrt.circuit import PRIMITIVE_ARITY, iter_primitive_ops
 from qsqrt.cli import FAMILIES
 from qsqrt.sim import _compile, _run
 from strategies import (
@@ -845,15 +845,23 @@ def test_assert_equiv_lowers_a_side_that_is_neither_permutation_nor_clifford_t(
 ):
     mixed = Circuit(3).h(0).ccx(0, 1, 2).h(0)
     moved = Circuit(3).h(0).ccx(0, 1, 2).h(1)  # differs on every input
-    lowered = []
-    lower = sim.lower_to_clifford_t
-    monkeypatch.setattr(sim, "lower_to_clifford_t", lambda c: lowered.append(c) or lower(c))
-    # the sparse kernel lowers every side it runs, the Clifford+T one too
-    assert assert_equiv(mixed, lower(mixed), mode) is None
-    assert lowered == [mixed, lower(mixed)]
+    lowered = lower_to_clifford_t(mixed)
+    ran = []
+    run_basis = sim._run_basis
+    monkeypatch.setattr(sim, "_run_basis", lambda c, s: ran.append(c) or run_basis(c, s))
+
+    def refuse(*args):
+        raise AssertionError("a circuit was built")
+
+    # the sparse kernel reads the lowering of every side it runs, the
+    # Clifford+T one too, as a gate stream: the CCX runs as its template,
+    # and no lowered circuit is built
+    monkeypatch.setattr(Circuit, "__init__", refuse)
+    assert assert_equiv(mixed, lowered, mode) is None
+    assert ran == [mixed, lowered]
     first = 0 if mode == "exhaustive" else sampled_inputs(3, 100, 0)[0]
     assert assert_equiv(mixed, moved, mode) == first
-    assert lowered == [mixed, lower(mixed), mixed, moved]
+    assert ran == [mixed, lowered, mixed, moved]
 
 
 def test_assert_equiv_refuses_an_unknown_mode():
@@ -1061,9 +1069,12 @@ def planted_faults(c):
 
 def first_differing_column(a, b):
     """first_difference_input_by_input on every input in order, with each
-    input's output read as a column of one dense matrix per circuit."""
+    input's output read as a column of one dense matrix per circuit. The
+    columns come from the sparse kernel, not from unitary, which runs the
+    bit-sliced kernel under test."""
     dense = [
-        sim.permutation_matrix(c) if sim.is_permutation_circuit(c) else unitary(c)
+        sim.permutation_matrix(c) if sim.is_permutation_circuit(c)
+        else sv_run_many(c, np.eye(1 << c.width))
         for c in (a, b)
     ]
     differ = np.flatnonzero(np.max(np.abs(dense[0] - dense[1]), axis=0) > 1e-9)
@@ -1092,6 +1103,99 @@ def test_planted_faults_are_found_bit_sliced_as_input_by_input(monkeypatch, buil
     lowered = lower_to_clifford_t(block)
     assert [assert_equiv(lowered, mutant) for mutant, _ in mutants] == firsts
     assert [assert_equiv(mutant, lowered) for mutant, _ in mutants] == firsts
+
+
+def assert_unitary_is_the_sparse_kernels(c):
+    """unitary(c) equals the sparse kernel's columns of c to 1e-12."""
+    sparse = sv_run_many(c, np.eye(1 << c.width))
+    assert np.max(np.abs(unitary(c) - sparse)) < 1e-12
+
+
+def path_sum_route(c):
+    """How unitary runs c: "refused" by the path sum, "flagged" where some
+    column goes to the sparse kernel, else "clean"."""
+    try:
+        program = sim._compile_path_sum(c, iter_primitive_ops)
+    except sim._PathSumError:
+        return "refused"
+    states = range(1 << c.width)
+    cols = program.run(sim._columns(states, program.width), len(states))
+    return "flagged" if cols[c.width + 6] | cols[c.width + 7] else "clean"
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name, f in FAMILIES.items() for n in family_widths(f, 6)
+     if (f.verify_build or f.build)(n).width <= 10],
+)
+def test_unitary_runs_a_lowering_bit_sliced_as_the_sparse_kernel_does(
+    monkeypatch, name, n
+):
+    # every family up to the 10-qubit cap; isqrt is its pipeline
+    family = FAMILIES[name]
+    block = (family.verify_build or family.build)(n)
+    lowered = lower_to_clifford_t(block)
+    assert path_sum_route(lowered) == "clean"
+    sparse = sv_run_many(lowered, np.eye(1 << block.width))
+
+    def refuse(*args):
+        raise AssertionError("the sparse kernel ran")
+
+    monkeypatch.setattr(sim, "_sv_entries", refuse)
+    u = unitary(lowered)
+    assert np.max(np.abs(u - sparse)) < 1e-12
+    assert np.max(np.abs(u - sim.permutation_matrix(block))) < 1e-12
+
+
+def test_unitary_agrees_with_the_sparse_kernel_on_every_route():
+    routes = []
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6).flatmap(clifford_t_circuits))
+    def check(c):
+        routes.append(path_sum_route(c))
+        assert_unitary_is_the_sparse_kernels(c)
+
+    check()
+    assert {"refused", "flagged", "clean"} <= set(routes)
+
+
+def test_unitary_agrees_with_the_sparse_kernel_on_planted_faults():
+    count = 0
+    for block in (build_adder(4), build_ctrl_add_sub(3)):
+        for gates in planted_faults(block):
+            mutant = Circuit(block.width)
+            mutant.gates.extend(gates)
+            assert_unitary_is_the_sparse_kernels(mutant)
+            count += 1
+    assert count == 179
+
+
+def test_unitary_sends_only_its_flagged_columns_to_the_sparse_kernel(monkeypatch):
+    # the H pair recombines where qubit 1 is 0; where it is 1, the
+    # controlled phase between them leaves a superposition, flagged
+    c = Circuit(2).h(0).cx(1, 0).t(0).cx(1, 0).tdg(0).h(0)
+    assert path_sum_route(c) == "flagged"
+    sparse = []
+    run_basis = sim._run_basis
+    monkeypatch.setattr(
+        sim, "_run_basis", lambda c, s: sparse.append(list(s)) or run_basis(c, s)
+    )
+    assert_unitary_is_the_sparse_kernels(c)
+    assert sparse == [[2, 3]]
+    h = np.sqrt(0.5)
+    assert np.allclose(unitary(c)[2:, 2:], [[h, 1j * h], [1j * h, h]], atol=1e-12)
+
+
+def test_unitary_rejects_unlowered_gates():
+    message = "ccx must be lowered before statevector simulation"
+    with pytest.raises(MustLowerError, match=message):
+        unitary(Circuit(3).ccx(0, 1, 2))
+    # a composite holding a CCX, alone and after H gates the path sum refuses
+    for qc in (Circuit(3), Circuit(3).h(0).h(1).h(1).h(0)):
+        qc.append_composite("PERES", peres_circuit(), [0, 1, 2])
+        with pytest.raises(MustLowerError, match=message):
+            unitary(qc)
 
 
 @settings(max_examples=60, deadline=None)
