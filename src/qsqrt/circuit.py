@@ -1,20 +1,25 @@
 """Gate set and circuit IR with validation and composite gates.
 
-The gate invariants (operand count, int operands in range, distinct
-operands) live in one place, _gate_errors. Circuit.append raises its first
-error, validate reports them all, and iter_primitive_ops, the one walk
+A Gate is an immutable named tuple, so it compares equal to the plain
+tuple of its four fields and Gate._replace makes a changed copy;
+Circuit.append stores its operands as a tuple. The gate invariants
+(operand count, int operands in range, distinct operands) live in one
+place, _gate_errors. Circuit.append raises its first error, validate
+reports them all, and iter_primitive_ops, the one walk
 that every reader of a circuit's gates shares (lowering and its rule
 templates, analyze, counting, export, both simulators, Circuit.inverse),
 raises its holder's append error on a malformed hand-built gate at any
-depth, and a CircuitError on a composite that contains itself.
+depth, and a CircuitError on a composite that contains itself. A
+well-formed gate passes _gate_errors on an early test and gets a shared
+empty tuple; only a malformed one reaches the code that words the errors.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     ArityError,
@@ -67,8 +72,7 @@ CLIFFORD_T_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     """One operation: a primitive gate, or a composite holding a sub-circuit.
 
     Controls come first: CX/ZCX are (control, target), CCX is
@@ -92,7 +96,7 @@ _INVERSE_KIND = {GateKind.T: GateKind.TDG, GateKind.TDG: GateKind.T}
 _CYCLE = "composite cycle detected"
 
 
-def _gate_errors(gate: Gate, width: int) -> list[CircuitError]:
+def _gate_errors(gate: Gate, width: int) -> Sequence[CircuitError]:
     """Every invariant `gate` breaks as an operation of a `width`-qubit circuit.
 
     The one home of the gate checks: Circuit.append raises the first error,
@@ -109,8 +113,14 @@ def _gate_errors(gate: Gate, width: int) -> list[CircuitError]:
         if gate.body is None:
             return [ArityError(_NO_BODY)]
         expected = gate.body.width
-    errors: list[CircuitError] = []
     count = len(qubits)
+    if count == expected == len(set(qubits)):  # the well-formed gate, early
+        for q in qubits:
+            if type(q) is not int or not 0 <= q < width:
+                break
+        else:
+            return ()  # the one empty tuple, shared
+    errors: list[CircuitError] = []
     if count != expected:
         errors.append(ArityError(f"{gate!r} expects {expected} operands, got {count}"))
     for q in qubits:
@@ -137,7 +147,8 @@ def iter_primitive_ops(c: Circuit) -> Iterator[tuple[GateKind, tuple[int, ...]]]
     whose body is already being walked raises CircuitError.
     """
     arity = PRIMITIVE_ARITY.get
-    stack = [(iter(c.gates), range(c.width).__getitem__, c)]
+    root = range(c.width).__getitem__
+    stack = [(iter(c.gates), root, c)]
     walking = {id(c)}  # the bodies on the stack
     while stack:
         gates, qmap, holder = stack[-1]
@@ -150,7 +161,9 @@ def iter_primitive_ops(c: Circuit) -> Iterator[tuple[GateKind, tuple[int, ...]]]
             kind = g.kind
             distinct = len(set(held))
             if distinct == len(held) == arity(kind):
-                yield kind, tuple(map(qmap, held))
+                # a checked root-level tuple is already in c's numbering
+                yield kind, (held if qmap is root and type(held) is tuple
+                             else tuple(map(qmap, held)))
                 continue
             # a composite has no primitive arity, so it is checked here;
             # any other gate that got this far is malformed
@@ -205,10 +218,12 @@ class Circuit:
     def append(self, gate: Gate) -> "Circuit":
         """Append one gate after checking arity, index range and distinctness.
 
-        Integer operands of another type (numpy's) are stored as int."""
+        Operands are stored as a tuple, and integer operands of another type
+        (numpy's) as int."""
         errors = _gate_errors(gate, self.width)
-        if errors:  # a bool is an Integral, but no more a qubit than a float
-            gate = replace(gate, qubits=tuple(
+        if errors or type(gate.qubits) is not tuple:
+            # a bool is an Integral, but no more a qubit than a float
+            gate = gate._replace(qubits=tuple(
                 int(q) if isinstance(q, Integral) and type(q) is not bool else q
                 for q in gate.qubits
             ))
@@ -318,7 +333,9 @@ def _validate_into(
         out.append(Violation(path, -1, str(exc)))
         return
     for i, g in enumerate(c.gates):
-        out.extend(Violation(path, i, str(err)) for err in _gate_errors(g, width))
+        errors = _gate_errors(g, width)
+        if errors:
+            out.extend(Violation(path, i, str(err)) for err in errors)
         body = g.body
         if g.kind is GateKind.COMPOSITE and body is not None:
             sub_path = f"{path} > {g.name or 'composite'}"

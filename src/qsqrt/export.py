@@ -2,7 +2,10 @@
 
 Emitted documents use one quantum register and only the gates
 {x, cx, ccx, swap, h, t, tdg}; ZCX has no qelib1 equivalent and is written
-out as x/cx/x so any QASM toolchain can consume the file.
+out as x/cx/x so any QASM toolchain can consume the file. from_qasm reads
+a gate line in the exact form to_qasm writes with one regex; every other
+line goes through the general parser, the one place a QasmParseError is
+worded.
 """
 from __future__ import annotations
 
@@ -19,20 +22,20 @@ _GATE_RE = re.compile(r"([a-z][a-z0-9_]*)\s*(\([^)]*\))?\s+(.+);")
 
 # a gate's QASM name is its kind's value, as to_qasm writes it
 _GATE_KINDS = {kind.value: kind for kind in PRIMITIVE_ARITY if kind is not GateKind.ZCX}
+_PREFIX = {kind: f"{name} " for name, kind in _GATE_KINDS.items()}
 
 
 def to_qasm(c: Circuit) -> str:
     """Emit the flattened circuit as deterministic OpenQASM 2.0 text."""
     lines = [*_HEADER, f"qreg q[{c.width}];"]
+    ref = [f"q[{q}]" for q in range(c.width)]
     for kind, qubits in iter_primitive_ops(c):
         if kind is GateKind.ZCX:
             cq, tq = qubits
-            lines.append(f"x q[{cq}];")
-            lines.append(f"cx q[{cq}],q[{tq}];")
-            lines.append(f"x q[{cq}];")
+            flip = f"x {ref[cq]};"
+            lines += (flip, f"cx {ref[cq]},{ref[tq]};", flip)
         else:
-            operands = ",".join(f"q[{q}]" for q in qubits)
-            lines.append(f"{kind.value} {operands};")
+            lines.append(_PREFIX[kind] + ",".join([ref[q] for q in qubits]) + ";")
     return "\n".join(lines) + "\n"
 
 
@@ -45,8 +48,20 @@ def from_qasm(text: str) -> Circuit:
     """
     circuit: Circuit | None = None
     operand_re = None  # compiled once the qreg line names the register
+    canonical = None  # to_qasm's gate line, matched once the register is named
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if canonical is not None and (m := canonical(raw)):
+            kind = _GATE_KINDS.get(m[1])
+            qubits = tuple(map(int, m.groups()[1:m.lastindex]))
+            if (
+                kind is not None
+                and len(qubits) == PRIMITIVE_ARITY[kind] == len(set(qubits))
+                and max(qubits) < width
+            ):
+                gates.append(Gate(kind, qubits))
+                continue
+            # otherwise the general parse below words the error
         line = raw.split("//", 1)[0].strip()
         if not line:
             continue
@@ -65,7 +80,13 @@ def from_qasm(text: str) -> Circuit:
                 circuit = Circuit(_decimal(m.group(2), "qreg size", lineno), reg_name)
             except CircuitError as exc:
                 raise QasmParseError(str(exc), lineno) from exc
-            operand_re = re.compile(rf"{re.escape(reg_name)}\[(\d+)\]")
+            reg = re.escape(reg_name)
+            operand_re = re.compile(rf"{reg}\[(\d+)\]")
+            index = rf"{reg}\[(\d{{1,9}})\]"
+            canonical = re.compile(
+                rf"([a-z]+) {index}(?:,{index}(?:,{index})?)?;"
+            ).fullmatch
+            gates, width = circuit.gates, circuit.width
             continue
         m = _GATE_RE.fullmatch(line)
         if not m:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -12,12 +13,13 @@ from qsqrt import (
     GateKind,
     build_adder,
     build_isqrt_circuit,
+    flatten,
     peres_circuit,
     Violation,
     perm_run,
     validate,
 )
-from qsqrt.circuit import PRIMITIVE_ARITY, iter_primitive_ops
+from qsqrt.circuit import PRIMITIVE_ARITY, _gate_errors, iter_primitive_ops
 from qsqrt.errors import (
     ArityError,
     CircuitError,
@@ -131,6 +133,40 @@ def test_append_composite_duplicate_mapping():
 def test_append_composite_out_of_range_mapping():
     with pytest.raises(QubitIndexError):
         Circuit(3).append_composite("PERES", peres_circuit(), [0, 1, 3])
+
+
+def test_append_stores_a_list_of_operands_as_a_tuple():
+    qc = Circuit(3).append(Gate(GateKind.CX, [0, 1]))
+    gate = qc.gates[0]
+    assert type(gate.qubits) is tuple
+    assert hash(gate) == hash(Gate(GateKind.CX, (0, 1)))
+    assert qc == flatten(qc)
+
+
+def test_the_walk_yields_tuples_for_hand_built_list_operands():
+    qc = Circuit(3)
+    qc.gates.append(Gate(GateKind.CX, [2, 0]))  # bypasses append
+    assert list(iter_primitive_ops(qc)) == [(GateKind.CX, (2, 0))]
+    assert flatten(qc).gates == [Gate(GateKind.CX, (2, 0))]
+
+
+def test_gate_is_an_immutable_record_of_its_fields():
+    gate = Gate(GateKind.CX, (0, 1))
+    for field, value in [("kind", GateKind.X), ("qubits", (1, 0)), ("name", "N")]:
+        with pytest.raises(AttributeError):
+            setattr(gate, field, value)
+    assert (gate.name, gate.body) == (None, None)
+    assert gate == Gate(GateKind.CX, (0, 1)) == (GateKind.CX, (0, 1), None, None)
+    assert hash(gate) == hash(Gate(GateKind.CX, (0, 1)))
+    assert len({gate, Gate(GateKind.CX, (0, 1)), Gate(GateKind.CX, (1, 0))}) == 2
+    assert gate != Gate(GateKind.CX, (0, 1), name="N")
+    assert gate._replace(qubits=(1, 0)) == Gate(GateKind.CX, (1, 0))
+    with pytest.raises(TypeError):
+        dataclasses.replace(gate, qubits=(1, 0))
+    assert repr(gate) == "cx(0, 1)"
+    assert repr(Gate(GateKind.CCX, (1 << 200, 2, 0))) == "ccx(<201-bit integer>, 2, 0)"
+    peres = Gate(GateKind.COMPOSITE, (4, 1, 0), name="PERES", body=peres_circuit())
+    assert repr(peres) == "PERES(4, 1, 0)"
 
 
 def test_validate_ok_for_generated_circuit():
@@ -307,3 +343,61 @@ def test_walk_raises_exactly_when_validate_reports(c):
         assert str(err) == violations[0].message
     else:
         assert violations == []
+
+
+def _well_formed(gate, width):
+    """The gate invariants, written out: an arity that the operand count
+    meets, int operands in range, and no operand twice."""
+    if gate.kind is GateKind.COMPOSITE:
+        arity = None if gate.body is None else gate.body.width
+    else:
+        arity = PRIMITIVE_ARITY.get(gate.kind)
+    qubits = list(gate.qubits)
+    return (
+        arity == len(qubits)
+        and all(type(q) is int and 0 <= q < width for q in qubits)
+        and len(set(qubits)) == len(qubits)
+    )
+
+
+@st.composite
+def early_accept_cases(draw):
+    """(width, gate) over every kind, a body or none, a tuple or a list, and
+    int, bool, float, numpy int, negative, out-of-range and repeated operands."""
+    width = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from([*GateKind, "bogus"]))
+    body = None
+    if kind is GateKind.COMPOSITE:
+        body = draw(st.one_of(st.none(), st.integers(1, 4).map(Circuit)))
+    index = st.integers(-2, width + 1)
+    operand = st.one_of(
+        index,
+        index.map(np.int64),
+        st.booleans(),
+        st.integers(0, width).map(float),
+    )
+    qubits = draw(st.lists(operand, max_size=4))
+    if qubits and draw(st.booleans()):
+        qubits.insert(draw(st.integers(0, len(qubits))), draw(st.sampled_from(qubits)))
+    container = draw(st.sampled_from([tuple, list]))
+    return width, Gate(kind, container(qubits), name="BLOCK", body=body)
+
+
+@settings(max_examples=500, deadline=None)
+@given(early_accept_cases())
+def test_the_gate_check_accepts_exactly_the_well_formed_gates(case):
+    width, gate = case
+    assert (not _gate_errors(gate, width)) == _well_formed(gate, width)
+    normalised = gate._replace(qubits=tuple(
+        int(q) if isinstance(q, np.integer) else q for q in gate.qubits
+    ))
+    errors = _gate_errors(normalised, width)
+    c = Circuit(width)
+    try:
+        c.append(gate)
+    except CircuitError as err:
+        assert errors and str(err) == str(errors[0])
+    else:
+        assert not errors
+        assert c.gates == [normalised]
+        assert type(c.gates[0].qubits) is tuple

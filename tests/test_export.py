@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from qsqrt import (
     Circuit,
+    Gate,
     GateKind,
     build_adder,
     build_ctrl_adder,
@@ -18,7 +19,7 @@ from qsqrt import (
     to_qasm,
 )
 from qsqrt.errors import QasmParseError
-from strategies import permutation_circuits
+from strategies import primitive_circuits
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -69,23 +70,64 @@ def test_round_trip_preserves_simulation():
         assert perm_run(parsed, state) == perm_run(flat, state)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8).flatmap(permutation_circuits))
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(primitive_circuits))
 def test_round_trip_gives_the_flat_gates_with_zcx_expanded(c):
     expected = []
     for g in flatten(c).gates:
         if g.kind is GateKind.ZCX:
-            control, target = g.qubits
-            expected += [
-                (GateKind.X, (control,)),
-                (GateKind.CX, (control, target)),
-                (GateKind.X, (control,)),
-            ]
+            x = Gate(GateKind.X, g.qubits[:1])
+            expected += [x, Gate(GateKind.CX, g.qubits), x]
         else:
-            expected.append((g.kind, g.qubits))
-    parsed = from_qasm(to_qasm(c))
-    assert parsed.width == c.width
-    assert [(g.kind, g.qubits) for g in parsed.gates] == expected
+            expected.append(g)
+    text = to_qasm(c)
+    parsed = from_qasm(text)
+    assert (parsed.width, parsed.gates) == (c.width, expected)
+    assert to_qasm(parsed) == text
+
+
+def _hand_spaced(line):
+    """A canonical gate line as a person might type it: `cx  q[0] , q[1] ; // c`."""
+    name, operands = line[:-1].split(" ")
+    return f"  {name}  {operands.replace(',', ' , ')} ; // c"
+
+
+def test_a_hand_spaced_commented_document_parses_as_its_canonical_form():
+    canonical = to_qasm(build_isqrt_pipeline(4))
+    header, body = canonical.split("qreg q[9];\n")
+    spaced = header + "// register\nqreg q[9];\n\n" + "\n".join(
+        _hand_spaced(line) for line in body.splitlines()
+    )
+    assert "  cx  q[2] , q[3] ; // c" in spaced.splitlines()
+    assert from_qasm(spaced) == from_qasm(canonical)
+
+
+# each message as the parser worded it before canonical lines had a route
+# of their own
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("cx q[0],q[3];", "operands [3] out of range for width 3"),
+        ("ccx q[0],q[1],q[3];", "operands [3] out of range for width 3"),
+        ("cx q[1],q[1];", "duplicate operands in cx(1, 1)"),
+        ("ccx q[2],q[0],q[2];", "duplicate operands in ccx(2, 0, 2)"),
+        ("cx q[0];", "cx(0) expects 2 operands, got 1"),
+        ("x q[0],q[1];", "x(0, 1) expects 1 operands, got 2"),
+        ("cx q[0],q[1],q[2];", "cx(0, 1, 2) expects 2 operands, got 3"),
+        ("cx q[0],q[1],q[2],q[0];", "cx(0, 1, 2, 0) expects 2 operands, got 4"),
+        ("cx q[0],q[1234567890];", "operands [1234567890] out of range for width 3"),
+        ("cx q[0],r[1];", "malformed operand 'r[1]'"),
+        ("x r[0];", "malformed operand 'r[0]'"),
+        ("qreg q[3];", "multiple qreg declarations"),
+        ("zcx q[0],q[1];", "unsupported gate 'zcx'"),
+    ],
+)
+def test_a_perturbed_canonical_line_raises_the_general_parse_error(line, message):
+    text = HEADER + f"qreg q[3];\nx q[0];\n{line}\nh q[2];\n"
+    with pytest.raises(QasmParseError) as err:
+        from_qasm(text)
+    assert str(err.value) == f"line 5: {message}"
+    assert err.value.line == 5
 
 
 def test_unsupported_gate_error_carries_line_number():
