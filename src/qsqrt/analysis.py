@@ -4,21 +4,31 @@ analyze() is the one way to get T-count, T-depth and total depth. The T
 metrics are defined on the Clifford+T lowering, and analyze reads all three
 off one ASAP layering of it. It streams each source gate through lowering's
 one expansion table (the kind's fully lowered template) and never builds
-the lowered circuit. The T-depth is the number of layers holding a T or TDG
-gate: an upper bound on the minimum achievable T-depth, not the optimum.
+the lowered circuit: X and CX step the layering inline, and any other gate
+is one call of its template's fold, straight-line Python generated once
+from one statement per lowered kind (_FOLD_STATEMENTS) and cached by the
+template's content. The T-depth is the number of layers holding a T or
+TDG gate: an upper bound on the minimum achievable T-depth, not the
+optimum.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable
 
 from .arithmetic import _check_n
 from .circuit import Circuit, GateKind, iter_primitive_ops
 from .errors import MustLowerError
-from .lowering import _ExpansionTable
+from .lowering import (
+    _TEMPLATE_CACHE_SIZE,
+    Template,
+    _Compiled,
+    _ExpansionTable,
+    _template_function,
+)
 from .sqrt import _check_width
-
-_T_KINDS = (GateKind.T, GateKind.TDG)
 
 
 @dataclass(frozen=True)
@@ -57,6 +67,35 @@ def schedule_layers(c: Circuit) -> list[int]:
     return layers
 
 
+#: Each lowered kind's ASAP step as one statement on the ready levels
+#: r<position> of a fold's operands ({0}, {1}): a gate lands one layer
+#: above the levels of its operands, and a T or TDG adds its layer to the
+#: T layers.
+_FOLD_STATEMENTS = {
+    GateKind.X: "r{0} += 1",
+    GateKind.H: "r{0} += 1",
+    GateKind.T: "r{0} += 1; add(r{0})",
+    GateKind.TDG: "r{0} += 1; add(r{0})",
+    GateKind.CX: "r{1} = r{0} = (r{1} if r{1} > r{0} else r{0}) + 1",
+}
+
+
+@lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
+def _fold_of(template: Template, arity: int) -> Callable:
+    """fold(ready, qubits, add): the template's ASAP steps on a source
+    gate's operands, their ready levels read into locals and written back."""
+    operands = range(arity)
+    body = (
+        "".join(f"    r{i} = ready[q{i}]\n" for i in operands)
+        + "".join(
+            f"    {_FOLD_STATEMENTS[kind].format(*positions)}\n"
+            for kind, positions in template
+        )
+        + "".join(f"    ready[q{i}] = r{i}\n" for i in operands)
+    )
+    return _template_function("fold", "ready, qubits, add", arity, body)
+
+
 def analyze(c: Circuit) -> ResourceReport:
     """Measure all supported cost metrics of the circuit's lowered form.
 
@@ -66,26 +105,26 @@ def analyze(c: Circuit) -> ResourceReport:
     figures equal schedule_layers and count_ops on lower_to_clifford_t(c),
     without building that circuit.
     """
-    # the table itself, not the iter_lowered_ops stream, which made
-    # analyze(build_isqrt_circuit(n)) 1.7x slower at n = 16, 40 and 64
-    # (2-CPU VM, Python 3.11): `qsqrt resources` spends its time here
+    # each templated gate is one call of its template's compiled fold, not
+    # one step per (kind, positions) pair of the table or the
+    # iter_lowered_ops stream: `qsqrt resources` spends its time here
     table = _ExpansionTable()
+    folds = _Compiled(table, _fold_of)
     ready = [0] * c.width
     t_layers: set[int] = set()
+    add = t_layers.add
     counts: dict[GateKind, int] = {}
+    cx, x = GateKind.CX, GateKind.X
     for kind, qubits in iter_primitive_ops(c):
         counts[kind] = counts.get(kind, 0) + 1
-        for lowered, positions in table[kind]:
-            if lowered is GateKind.CX:  # the one two-qubit lowered kind
-                a, b = qubits[positions[0]], qubits[positions[1]]
-                layer = (ready[a] if ready[a] > ready[b] else ready[b]) + 1
-                ready[a] = ready[b] = layer
-            else:
-                q = qubits[positions[0]]
-                layer = ready[q] + 1
-                ready[q] = layer
-                if lowered in _T_KINDS:
-                    t_layers.add(layer)
+        if kind is cx:
+            a, b = qubits
+            layer = (ready[a] if ready[a] > ready[b] else ready[b]) + 1
+            ready[a] = ready[b] = layer
+        elif kind is x:
+            ready[qubits[0]] += 1
+        else:
+            folds[kind](ready, qubits, add)
     # filled in order of first appearance in the lowered stream, as
     # count_ops of the lowered circuit orders it
     hist: dict[GateKind, int] = {}

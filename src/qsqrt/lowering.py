@@ -7,11 +7,16 @@ without touching the circuit generators.
 
 Every consumer of the rules goes through one expansion table, built per
 call from the rules mapping: for each gate kind, its fully lowered
-template over operand positions, with nested rules resolved.
-iter_lowered_ops instantiates it onto each source gate as one stream of
+template over operand positions, with nested rules resolved. A consumer
+compiles each template it meets once into a straight-line Python
+function, written from its own statement per lowered kind with the
+template's gates unrolled on locals; the functions are kept in a bounded
+module-level cache keyed by the template's content, not by its kind or
+rule, and generated on first use. iter_lowered_ops expands each
+templated source gate with one call of its expander, as one stream of
 lowered gates, which lower_to_clifford_t collects and sim's path-sum
-compiler reads without building the lowered circuit; analyze reads the
-table directly.
+compiler reads without building the lowered circuit; analyze folds each
+one into its ASAP levels with one call of its fold.
 
 None checks a gate itself: all read their source gates, as flatten
 does, through circuit.iter_primitive_ops, which raises Circuit.append's
@@ -23,7 +28,8 @@ itself raise UnsupportedGateError when the table resolves them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import lru_cache
+from typing import Callable, Iterator, Mapping
 
 from .circuit import (
     CLIFFORD_T_KINDS,
@@ -155,24 +161,86 @@ class _ExpansionTable(dict):
         return template
 
 
+#: Compiled templates each consumer's cache (_expander_of,
+#: analysis._fold_of) keeps: the default rules need at most six (their
+#: three templated kinds, and H, T and TDG, which analyze also folds), so
+#: a few rule sets in turn never evict one.
+_TEMPLATE_CACHE_SIZE = 32
+
+
+def _template_function(
+    name: str, params: str, arity: int, body: str, namespace: dict | None = None
+) -> Callable:
+    """Compile `def name(params)`, one template's straight-line function:
+    its argument `qubits` unpacked into locals q0 ... q<arity-1>, then the
+    consumer's `body` (lines indented by four spaces), with `namespace`
+    for globals."""
+    source = (
+        f"def {name}({params}):\n"
+        f"    {''.join(f'q{i}, ' for i in range(arity))}= qubits\n"
+        f"{body}"
+    )
+    scope = dict(namespace or {})
+    exec(compile(source, f"<template {name}>", "exec"), scope)
+    return scope[name]
+
+
+class _Compiled(dict):
+    """kind -> one consumer's function of the kind's template in `table`,
+    taken from the consumer's cache (`of(template, arity)`) on first
+    lookup, so only the kinds a call meets are resolved and generated."""
+
+    def __init__(self, table: _ExpansionTable, of: Callable[[Template, int], Callable]):
+        super().__init__()
+        self.table, self.of = table, of
+
+    def __missing__(self, kind: GateKind) -> Callable:
+        fn = self[kind] = self.of(self.table[kind], PRIMITIVE_ARITY[kind])
+        return fn
+
+
+#: Each lowered kind as one (kind, qubits) pair of an expander's result,
+#: formatted with its operand positions ({0}, {1}).
+_PAIRS = {
+    GateKind.X: "(X, (q{0},))",
+    GateKind.H: "(H, (q{0},))",
+    GateKind.T: "(T, (q{0},))",
+    GateKind.TDG: "(TDG, (q{0},))",
+    GateKind.CX: "(CX, (q{0}, q{1}))",
+}
+_KINDS = {kind.name: kind for kind in _PAIRS}
+
+
+@lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
+def _expander_of(template: Template, arity: int) -> Callable:
+    """expand(qubits): the template's (kind, qubits) pairs on a source
+    gate's operands, as one tuple built by straight-line code."""
+    pairs = "".join(
+        f"{_PAIRS[kind].format(*positions)}, " for kind, positions in template
+    )
+    return _template_function(
+        "expand", "qubits", arity, f"    return ({pairs})\n", _KINDS
+    )
+
+
 def iter_lowered_ops(
     c: Circuit, rules: Mapping[GateKind, DecompositionRule] | None = None
 ) -> Iterator[tuple[GateKind, tuple[int, ...]]]:
     """Yield (kind, qubits) for each gate of c's Clifford+T lowering, in order.
 
     The expansion table laid onto the walk: a gate already in
-    CLIFFORD_T_KINDS passes through, any other becomes its kind's template
-    on its operands, and a kind with no rule raises UnsupportedGateError.
-    The walk checks each source gate and a template's positions are
-    distinct operands, so each gate yielded would pass Circuit.append.
+    CLIFFORD_T_KINDS passes through, any other yields the pairs of its
+    kind's compiled expander on its operands, and a kind with no rule
+    raises UnsupportedGateError. The walk checks each source gate and a
+    template's positions are distinct operands, so each gate yielded would
+    pass Circuit.append.
     """
-    table = _ExpansionTable(rules)
+    expanders = _Compiled(_ExpansionTable(rules), _expander_of)
     for kind, qubits in iter_primitive_ops(c):
         if kind in CLIFFORD_T_KINDS:
             yield kind, qubits
             continue
-        for lowered, positions in table[kind]:
-            yield lowered, tuple(map(qubits.__getitem__, positions))
+        yield from expanders[kind](qubits)
 
 
 def lower_to_clifford_t(

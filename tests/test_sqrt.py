@@ -312,6 +312,29 @@ def test_fresh_import_compiles_nothing():
     assert out.stdout.strip() == "0"
 
 
+def test_fresh_import_generates_no_template_function():
+    # X and CX are folded inline, so the adder's one templated kind is CCX
+    code = (
+        "import qsqrt, qsqrt.cli\n"
+        "from qsqrt import GateKind, analysis, lowering\n"
+        "def sizes():\n"
+        "    caches = (analysis._fold_of, lowering._expander_of)\n"
+        "    print(*(cache.cache_info().currsize for cache in caches))\n"
+        "sizes()\n"
+        "qsqrt.analyze(qsqrt.build_adder(2))\n"
+        "sizes()\n"
+        "analysis._fold_of(lowering._ExpansionTable()[GateKind.CCX], 3)\n"
+        "print(analysis._fold_of.cache_info().misses)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines() == ["0 0", "1 0", "1"]
+
+
 def test_a_widths_calls_after_the_first_run_without_the_loop(monkeypatch):
     sim._cached_program.cache_clear()
     loop, runs = sim._run_columns, []
