@@ -6,7 +6,8 @@ off one ASAP layering of it. It streams each source gate through lowering's
 one expansion table (the kind's fully lowered template) and never builds
 the lowered circuit: X and CX step the layering inline, and any other gate
 is one call of its template's fold, straight-line Python generated once
-from one statement per lowered kind (_FOLD_STATEMENTS) and cached by the
+from one statement per lowered kind (_FOLD_STATEMENTS) by lowering's one
+code generator, _function (with no location table), and cached by the
 template's content. The T-depth is the number of layers holding a T or
 TDG gate: an upper bound on the minimum achievable T-depth, not the
 optimum.
@@ -26,7 +27,8 @@ from .lowering import (
     Template,
     _Compiled,
     _ExpansionTable,
-    _template_function,
+    _function,
+    _unpacked,
 )
 from .sqrt import _check_width
 
@@ -85,15 +87,16 @@ def _fold_of(template: Template, arity: int) -> Callable:
     """fold(ready, qubits, add): the template's ASAP steps on a source
     gate's operands, their ready levels read into locals and written back."""
     operands = range(arity)
-    body = (
-        "".join(f"    r{i} = ready[q{i}]\n" for i in operands)
+    source = (
+        f"def fold(ready, qubits, add):\n{_unpacked(arity)}"
+        + "".join(f"    r{i} = ready[q{i}]\n" for i in operands)
         + "".join(
             f"    {_FOLD_STATEMENTS[kind].format(*positions)}\n"
             for kind, positions in template
         )
         + "".join(f"    ready[q{i}] = r{i}\n" for i in operands)
     )
-    return _template_function("fold", "ready, qubits, add", arity, body)
+    return _function(source, "<template fold>")
 
 
 def analyze(c: Circuit) -> ResourceReport:

@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsqrt
 from qsqrt import (
     CLIFFORD_T_KINDS,
     DEFAULT_RULES,
@@ -229,3 +232,24 @@ def test_alternate_rule_can_be_plugged():
 def test_t_count_invariant_under_flatten():
     qc = build_isqrt_circuit(6)
     assert analyze(flatten(qc)).t_count == analyze(qc).t_count
+
+
+def test_only_the_one_helper_compiles_code():
+    # the builtins, not attribute calls such as re.compile: every generated
+    # function goes through lowering._function
+    calls = []
+    for path in sorted(pathlib.Path(qsqrt.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = {}
+        for scope in ast.walk(tree):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(scope):
+                    scopes.setdefault(node, scope.name)  # outermost def
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("compile", "exec", "eval")
+            ):
+                calls.append((path.name, scopes.get(node), node.func.id))
+    assert calls == [("lowering.py", "_function", "compile")]

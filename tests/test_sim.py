@@ -43,7 +43,7 @@ from qsqrt.errors import (
     MustLowerError,
     NonPermutationGateError,
 )
-from qsqrt import sim
+from qsqrt import analysis, lowering, sim
 from qsqrt.circuit import PRIMITIVE_ARITY, iter_primitive_ops
 from qsqrt.cli import FAMILIES
 from qsqrt.sim import _compile, _run
@@ -275,14 +275,27 @@ def test_generated_kernel_matches_the_loop(case):
 
 
 def test_generated_tracebacks_render_without_source_positions():
+    # every kind of generated function, each with a call it refuses
     program = _compile(build_isqrt_pipeline(8))
     (chunk,) = sim._generate(program.width, program.code)
-    if sys.version_info >= (3, 11):  # 3.10's table has another format, kept
-        positions = set(chunk.__code__.co_positions())
-        assert positions == {(None, None, None, None)}
-    with pytest.raises(TypeError) as raised:  # a traceback still renders
-        chunk(["not a column"] * program.width, 1)
-    assert "<generated kernel>" in "".join(traceback.format_tb(raised.tb))
+    ccx = lowering._ExpansionTable()[GateKind.CCX]
+    cases = [
+        (chunk, (["not a column"] * program.width, 1)),
+        (sim._run_columns, (array("H", [0, 0, 1, 0]), ["not", "columns"], 1)),
+        (lowering._expander_of(ccx, 3), (None,)),
+        (analysis._fold_of(ccx, 3), (None, (0, 1, 2), None)),
+    ]
+    for function, bad_args in cases:
+        if sys.version_info >= (3, 11):  # 3.10's table has another format, kept
+            positions = set(function.__code__.co_positions())
+            assert positions == {(None, None, None, None)}, function
+        with pytest.raises(TypeError) as raised:  # a traceback still renders
+            function(*bad_args)
+        rendered = "".join(traceback.format_tb(raised.tb))
+        assert function.__code__.co_filename in rendered
+    assert [f.__code__.co_filename for f, _ in cases] == [
+        "<generated kernel>", "<kernel loop>", "<template expand>", "<template fold>"
+    ]
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 129])
