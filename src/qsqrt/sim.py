@@ -11,7 +11,8 @@ by default a circuit's lowering (iter_lowered_ops), when at most one H
 is open at a time, as in every Toffoli template: a path sum with one path
 variable live at a time (Amy, arXiv:1805.06908). Its phase opcodes keep
 each case's two branches as one basis state, the qubits on which they
-differ (known when compiling), two 3-bit phase counters and two flags, all
+differ (known when compiling), branch A's phase and the difference
+d = A - B of the two branches' phases (3-bit counters) and two flags, all
 as more columns of the same program, and use only ^, & and the lane mask.
 The kernel has two forms, both built from one table, _STATEMENTS, that
 writes each opcode once as a statement: the loop _run_columns, built at
@@ -114,49 +115,48 @@ _OPCODES = {
 _PAD = {1: (0, 0), 2: (0,), 3: ()}
 
 # The phase opcodes follow, which only _compile_path_sum emits. A T or TDG
-# acts on branch A alone when no H is open; while one is, it acts on both
-# branches, and on branch B's bit of its qubit flipped (X) when its qubit is
-# in the mask. An H opens or closes the one superposition.
-_T_A, _TDG_A, _T_AB, _TDG_AB, _T_AX, _TDG_AX, _H_OPEN, _H_CLOSE = range(5, 13)
-_PHASE_OPCODES = {
-    GateKind.T: (_T_A, _T_AB, _T_AX),
-    GateKind.TDG: (_TDG_A, _TDG_AB, _TDG_AX),
+# on a qubit outside the mask moves both branches' phases alike, so A and
+# not d, whether or not an H is open; in the mask it moves d too. An H
+# opens or closes the one superposition. Opcodes 7 and 8 are unused.
+_T_A, _TDG_A, _T_AX, _TDG_AX, _H_OPEN, _H_CLOSE = 5, 6, 9, 10, 11, 12
+_PHASE_OPCODES = {  # (outside, inside the mask)
+    GateKind.T: (_T_A, _T_AX),
+    GateKind.TDG: (_TDG_A, _TDG_AX),
 }
 #: The columns a path-sum program keeps after its qubits' ones, in order:
-#: branch A's and branch B's phase in eighth turns (3-bit counters, low bit
-#: first), and two flags, set in a case whose closing H left a superposition
-#: once (f1) and twice (f2).
-_PHASE_NAMES = ("a0", "a1", "a2", "b0", "b1", "b2", "f1", "f2")
+#: branch A's phase and d = A - B, A's less branch B's, in eighth turns mod
+#: 8 (3-bit counters, low bit first), and two flags, set in a case whose
+#: closing H left a superposition once (f1) and twice (f2).
+_PHASE_NAMES = ("a0", "a1", "a2", "d0", "d1", "d2", "f1", "f2")
 _PHASE_COLUMNS = len(_PHASE_NAMES)
+
+# A += x, carrying through t; A -= x, borrowing; d += (1, y, y), low bit first
+_A_ADD = "t = {a0} & {0}; {a0} ^= {0}; {a2} ^= {a1} & t; {a1} ^= t"
+_A_SUB = "{a0} ^= {0}; t = {a0} & {0}; {a1} ^= t; {a2} ^= {a1} & t"
+_D_ADD = "t = {d0} ^ {y}; {d0} ^= ones; u = {d1} ^ {y}; {d1} ^= t; {d2} ^= t & u"
 
 #: Each opcode as one statement, the one place its semantics is written:
 #: formatted with its operands' columns ({0}, {1}, {2} for q0, q1, q2) and
 #: the phase columns ({a0} ... {f2}), as cols[...] in the loop _run_columns
-#: and as locals c<q> in _generate. A T adds its qubit's column to a phase
-#: counter, carrying through t; a TDG subtracts it, borrowing. An opening
-#: H gives B A's phase plus 4 x, and A's bit x becomes 0. A closing H's
-#: phase difference d = A - B is 0 or 4 where the branches recombine into
-#: the basis state whose qubit is bit 2 of d; elsewhere it sets a flag.
+#: and as locals c<q> in _generate. A T adds its qubit's column x to A and,
+#: in the mask, where B's bit is 1 - x, 2 x - 1 = (1, y, y) for y = x ^ ones
+#: to d; a TDG subtracts both, adding (1, x, x) to d. An opening H sets
+#: d = 4 x (B is A's state with x = 1 and phase A + 4 x), and A's x becomes
+#: 0. A closing H recombines where d is 0 or 4 into the basis state whose
+#: qubit is d's bit 2; elsewhere it sets a flag.
 _STATEMENTS = {
     _CX: "{1} ^= {0}",
     _CCX: "{2} ^= {0} & {1}",
     _ZCX: "{1} ^= {0} ^ ones",
     _X: "{0} ^= ones",
     _SWAP: "{0}, {1} = {1}, {0}",
-    _T_A: "t = {a0} & {0}; {a0} ^= {0}; {a2} ^= {a1} & t; {a1} ^= t",
-    _TDG_A: "{a0} ^= {0}; t = {a0} & {0}; {a1} ^= t; {a2} ^= {a1} & t",
-    _T_AB: "t = {a0} & {0}; {a0} ^= {0}; {a2} ^= {a1} & t; {a1} ^= t; "
-    "t = {b0} & {0}; {b0} ^= {0}; {b2} ^= {b1} & t; {b1} ^= t",
-    _TDG_AB: "{a0} ^= {0}; t = {a0} & {0}; {a1} ^= t; {a2} ^= {a1} & t; "
-    "{b0} ^= {0}; t = {b0} & {0}; {b1} ^= t; {b2} ^= {b1} & t",
-    _T_AX: "t = {a0} & {0}; {a0} ^= {0}; {a2} ^= {a1} & t; {a1} ^= t; "
-    "u = {0} ^ ones; t = {b0} & u; {b0} ^= u; {b2} ^= {b1} & t; {b1} ^= t",
-    _TDG_AX: "{a0} ^= {0}; t = {a0} & {0}; {a1} ^= t; {a2} ^= {a1} & t; "
-    "u = {0} ^ ones; {b0} ^= u; t = {b0} & u; {b1} ^= t; {b2} ^= {b1} & t",
-    _H_OPEN: "{b0} = {a0}; {b1} = {a1}; {b2} = {a2} ^ {0}; {0} ^= {0}",
-    _H_CLOSE: "t = {a0} ^ {b0}; u = {a1} ^ {b1}; t ^= u ^ t & u; "
-    "u = {f1} & t; {f2} ^= u ^ {f2} & u; {f1} ^= t ^ {f1} & t; "
-    "t = {a2} ^ {b2}; {a2} ^= {0} & t; {0} = t",
+    _T_A: _A_ADD,
+    _TDG_A: _A_SUB,
+    _T_AX: _A_ADD + "; u = {0} ^ ones; " + _D_ADD.replace("{y}", "u"),
+    _TDG_AX: _A_SUB + "; " + _D_ADD.replace("{y}", "{0}"),
+    _H_OPEN: "{d0} ^= {d0}; {d1} ^= {d1}; {d2} = {0}; {0} ^= {0}",
+    _H_CLOSE: "t = {d0} ^ {d1} ^ {d0} & {d1}; u = {f1} & t; "
+    "{f2} ^= u ^ {f2} & u; {f1} ^= t ^ {f1} & t; {a2} ^= {0} & {d2}; {0} = {d2}",
 }
 
 #: Ops per generated function. compile() of one function for a whole
@@ -268,7 +268,7 @@ def _compile_path_sum(c: Circuit, walk: Callable = iter_lowered_ops) -> _Program
             ops = _PHASE_OPCODES.get(kind)  # T or TDG
             if ops is None:
                 raise _PathSumError(f"{kind.value} is not lowered")
-            op = ops[0 if not mask else 2 if mask >> s & 1 else 1]
+            op = ops[mask >> s & 1]
         elif not mask:
             op, mask = _H_OPEN, 1 << s
         elif mask == 1 << s:

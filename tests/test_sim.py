@@ -1,3 +1,4 @@
+import ast
 import gc
 import random
 import sys
@@ -229,8 +230,10 @@ _ARITY.update(dict.fromkeys(_PHASE_OPS, 1))
 
 
 def test_every_opcode_has_one_statement():
-    assert sorted(sim._STATEMENTS) == list(range(len(sim._STATEMENTS)))
-    assert _PHASE_OPS == list(range(sim._T_A, sim._H_CLOSE + 1))
+    # the compilers emit every opcode that has a statement, and no other
+    phase = [op for pair in sim._PHASE_OPCODES.values() for op in pair]
+    emitted = [*sim._OPCODES.values(), *phase, sim._H_OPEN, sim._H_CLOSE]
+    assert sorted(emitted) == sorted(sim._STATEMENTS)
     assert all("\n" not in statement for statement in sim._STATEMENTS.values())
 
 
@@ -983,14 +986,13 @@ def phase_columns(lanes, rng):
 
 
 def lane_values(cols, k):
-    """Lane k of one-qubit path-sum columns: (x, A, B, f1, f2)."""
-    x, a0, a1, a2, b0, b1, b2, f1, f2 = (col >> k & 1 for col in cols)
-    return x, a0 | a1 << 1 | a2 << 2, b0 | b1 << 1 | b2 << 2, f1, f2
+    """Lane k of one-qubit path-sum columns: (x, A, d, f1, f2)."""
+    x, a0, a1, a2, d0, d1, d2, f1, f2 = (col >> k & 1 for col in cols)
+    return x, a0 | a1 << 1 | a2 << 2, d0 | d1 << 1 | d2 << 2, f1, f2
 
 
-_TURNS = {  # eighth turns each T or TDG opcode adds to branch A, and to B
-    sim._T_A: (1, None), sim._TDG_A: (-1, None),
-    sim._T_AB: (1, 0), sim._TDG_AB: (-1, 0),
+_TURNS = {  # eighth turns each T or TDG opcode adds, and 1 where x is in the mask
+    sim._T_A: (1, 0), sim._TDG_A: (-1, 0),
     sim._T_AX: (1, 1), sim._TDG_AX: (-1, 1),
 }
 
@@ -1004,20 +1006,38 @@ def test_phase_opcodes_do_their_arithmetic_lane_by_lane(op):
     (chunk,) = sim._generate(len(cols), code)
     assert chunk(list(cols), (1 << lanes) - 1) == looped
     for k in range(lanes):
-        x, a, b, f1, f2 = lane_values(cols, k)
+        x, a, d, f1, f2 = lane_values(cols, k)
         got = lane_values(looped, k)
+        b, b_out = (a - d) % 8, (got[1] - got[2]) % 8  # branch B's phase
         if op in _TURNS:  # the branch bit of B is x, flipped where x is in the mask
             sign, flip = _TURNS[op]
-            b_out = b if flip is None else (b + sign * (x ^ flip)) % 8
-            assert got == (x, (a + sign * x) % 8, b_out, f1, f2)
+            assert got[:2] + got[3:] == (x, (a + sign * x) % 8, f1, f2)
+            assert b_out == (b + sign * (x ^ flip)) % 8
         elif op == sim._H_OPEN:  # branch A takes x = 0, B x = 1 with phase 4 x
-            assert got == (0, a, (a + 4 * x) % 8, f1, f2)
+            assert got[:2] + got[3:] == (0, a, f1, f2)
+            assert b_out == (a + 4 * x) % 8
         else:  # recombined where d = A - B is 0 or 4, else flagged
-            d = (a - b) % 8
             if d % 4:
                 assert got[3:] == (1, f1 | f2)
             else:
-                assert got == (d >> 2, (a + 4 * (x & d >> 2)) % 8, b, f1, f2)
+                assert got == (d >> 2, (a + 4 * (x & d >> 2)) % 8, d, f1, f2)
+
+
+# what a statement may hold: a symbolic run of the kernel over Boolean
+# functions (a BDD per column) follows XOR and AND on names and nothing else
+_STATEMENT_NODES = (
+    ast.Module, ast.Assign, ast.AugAssign, ast.Tuple, ast.Name, ast.Load,
+    ast.Store, ast.BinOp, ast.BitXor, ast.BitAnd,
+)
+
+
+def test_statements_are_xor_and_and_on_names():
+    phase = {name: name for name in sim._PHASE_NAMES}
+    names = {"p", "q", "r", *sim._PHASE_NAMES, "t", "u", "ones"}
+    for op, statement in sim._STATEMENTS.items():
+        for node in ast.walk(ast.parse(statement.format("p", "q", "r", **phase))):
+            assert isinstance(node, _STATEMENT_NODES), (op, ast.dump(node))
+            assert not isinstance(node, ast.Name) or node.id in names, (op, node.id)
 
 
 _REJECTED = {  # each equal to the identity, which a permutation circuit is
@@ -1136,6 +1156,25 @@ def path_sum_route(c):
     return "flagged" if cols[c.width + 6] | cols[c.width + 7] else "clean"
 
 
+def test_a_t_outside_the_mask_turns_both_branches_alike(monkeypatch):
+    # qubit 1 is outside the mask {0}: a T or TDG on it turns A and B alike,
+    # so it compiles as it would with no H open, and d stays as it was
+    c = Circuit(2).h(0).t(1).cx(1, 0).tdg(1).h(0)
+    code = sim._compile_path_sum(c).code
+    assert code[::4].tolist() == [sim._H_OPEN, sim._T_A, sim._CX, sim._TDG_A, sim._H_CLOSE]
+    assert path_sum_route(c) == "clean"
+    planted = Circuit(2).h(0).tdg(1).cx(1, 0).tdg(1).h(0)
+    expected = first_difference_input_by_input(c, planted, range(4))
+    assert expected is not None
+
+    def refuse(*args):
+        raise AssertionError("the sparse kernel ran")
+
+    assert_unitary_is_the_sparse_kernels(c)
+    monkeypatch.setattr(sim, "_sv_entries", refuse)
+    assert assert_equiv(c, planted) == expected
+
+
 @pytest.mark.parametrize(
     "name, n",
     [(name, n) for name, f in FAMILIES.items() for n in family_widths(f, 6)
@@ -1219,7 +1258,7 @@ def test_permutation_circuits_match_their_lowering_on_both_kernels(c):
     program = sim._compile_path_sum(lowered)
     cols = program.run(sim._columns(states, program.width), len(states))
     assert sim._transpose(cols[: c.width], len(states)).tolist() == want.tolist()
-    a0, a1, a2, _, _, _, f1, f2 = cols[c.width :]  # B's phase is left as it was
+    a0, a1, a2, _, _, _, f1, f2 = cols[c.width :]  # d is left as it was
     assert a0 == a1 == a2 == f1 == f2 == 0
     keys, amps = sim._run_basis(lowered, states)
     assert np.max(np.abs(amps - 1.0)) < 1e-9
