@@ -2,16 +2,19 @@
 
 A Gate is an immutable named tuple, so it compares equal to the plain
 tuple of its four fields and Gate._replace makes a changed copy;
-Circuit.append stores its operands as a tuple. The gate invariants
-(operand count, int operands in range, distinct operands) live in one
-place, _gate_errors. Circuit.append raises its first error, validate
-reports them all, and iter_primitive_ops, the one walk
-that every reader of a circuit's gates shares (lowering and its rule
-templates, analyze, counting, export, both simulators, Circuit.inverse),
-raises its holder's append error on a malformed hand-built gate at any
-depth, and a CircuitError on a composite that contains itself. A
-well-formed gate passes _gate_errors on an early test and gets a shared
-empty tuple; only a malformed one reaches the code that words the errors.
+Circuit.append stores its operands as a tuple. Being immutable, one Gate
+can stand at many places of a circuit: _shared_gates makes one per
+distinct op of a walk, for flatten, lower_to_clifford_t and
+Circuit.inverse. The gate invariants (operand count, int operands in
+range, distinct operands) live in one place, _gate_errors.
+Circuit.append raises its first error, validate reports them all, and
+iter_primitive_ops, the one walk that every reader of a circuit's gates
+shares (lowering and its rule templates, analyze, counting, export, both
+simulators, Circuit.inverse), raises its holder's append error on a
+malformed hand-built gate at any depth, and a CircuitError on a
+composite that contains itself. A well-formed gate passes _gate_errors
+on an early test and gets a shared empty tuple; only a malformed one
+reaches the code that words the errors.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ArityError,
@@ -184,6 +187,21 @@ def iter_primitive_ops(c: Circuit) -> Iterator[tuple[GateKind, tuple[int, ...]]]
             stack.pop()
 
 
+def _shared_gates(ops: Iterable[tuple[GateKind, tuple[int, ...]]]) -> list[Gate]:
+    """A Gate for each (kind, qubits) op of `ops`, in order, made once per
+    distinct op: a repeated op gives the Gate made for its first
+    occurrence. The dict of made gates lives for this call only."""
+    made: dict[tuple[GateKind, tuple[int, ...]], Gate] = {}
+    get = made.get
+    gates = []
+    for op in ops:
+        gate = get(op)
+        if gate is None:
+            gate = made[op] = Gate(*op)
+        gates.append(gate)
+    return gates
+
+
 def _integer_width(value: object, what: str) -> int:
     """`value` as an int through operator.index, so numpy integers pass and
     floats, strings and the like raise InvalidWidthError."""
@@ -276,10 +294,10 @@ class Circuit:
         It keeps the width and name but no composite, and a malformed gate
         or a composite cycle raises as in every other reader of the walk."""
         inv = Circuit(self.width, self.name)
-        inv.gates.extend(
-            Gate(_INVERSE_KIND.get(kind, kind), qubits)
+        inv.gates.extend(_shared_gates(
+            (_INVERSE_KIND.get(kind, kind), qubits)
             for kind, qubits in reversed(list(iter_primitive_ops(self)))
-        )
+        ))
         return inv
 
     def __len__(self) -> int:

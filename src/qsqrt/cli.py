@@ -25,7 +25,6 @@ import numpy as np
 from . import __version__
 from .analysis import (
     analyze,
-    count_ops,
     expected_t_count_adder,
     expected_t_count_ctrl_adder,
     expected_t_count_isqrt,
@@ -369,7 +368,9 @@ def cmd_export(args: argparse.Namespace) -> int:
     _check_cli_n(args.n)
     circuit = family.build(args.n)
     text = to_qasm(circuit)
-    gate_total = sum(count_ops(circuit).values())
+    # the gate statements written: every line after the two header lines
+    # and the qreg, a ZCX's x/cx/x counted as three
+    gate_total = text.count("\n") - 3
     return _emit(text, args.output, f" ({gate_total} gates)")
 
 

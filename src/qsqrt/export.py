@@ -5,7 +5,11 @@ Emitted documents use one quantum register and only the gates
 out as x/cx/x so any QASM toolchain can consume the file. from_qasm reads
 a gate line in the exact form to_qasm writes with one regex; every other
 line goes through the general parser, the one place a QasmParseError is
-worded.
+worded. Each call keeps a dict so that a repeated line or op costs one
+lookup: from_qasm maps each line that regex accepted to its Gate, which a
+repeat of the line appends again, and to_qasm maps each walked op to its
+text. Digits and spaces are ASCII only, in the patterns and where a line
+or an operand is stripped.
 """
 from __future__ import annotations
 
@@ -15,10 +19,15 @@ from .circuit import PRIMITIVE_ARITY, Circuit, Gate, GateKind, iter_primitive_op
 from .errors import CircuitError, QasmParseError
 
 _HEADER = ("OPENQASM 2.0;", 'include "qelib1.inc";')
-_QREG_RE = re.compile(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*;")
+_QREG_RE = re.compile(
+    r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]\s*;", re.ASCII
+)
 # a parameter list is matched so rz(0.1) reports "unsupported gate", not a
 # syntax error, and x(0.1) reports that x takes none
-_GATE_RE = re.compile(r"([a-z][a-z0-9_]*)\s*(\([^)]*\))?\s+(.+);")
+_GATE_RE = re.compile(r"([a-z][a-z0-9_]*)\s*(\([^)]*\))?\s+(.+);", re.ASCII)
+# what \s matches in those patterns, and all that is stripped around a
+# statement or an operand
+_SPACE = " \t\n\r\f\v"
 
 # a gate's QASM name is its kind's value, as to_qasm writes it
 _GATE_KINDS = {kind.value: kind for kind in PRIMITIVE_ARITY if kind is not GateKind.ZCX}
@@ -29,13 +38,20 @@ def to_qasm(c: Circuit) -> str:
     """Emit the flattened circuit as deterministic OpenQASM 2.0 text."""
     lines = [*_HEADER, f"qreg q[{c.width}];"]
     ref = [f"q[{q}]" for q in range(c.width)]
-    for kind, qubits in iter_primitive_ops(c):
-        if kind is GateKind.ZCX:
-            cq, tq = qubits
-            flip = f"x {ref[cq]};"
-            lines += (flip, f"cx {ref[cq]},{ref[tq]};", flip)
-        else:
-            lines.append(_PREFIX[kind] + ",".join([ref[q] for q in qubits]) + ";")
+    rendered: dict[tuple[GateKind, tuple[int, ...]], str] = {}  # op -> its text
+    get = rendered.get
+    for op in iter_primitive_ops(c):
+        text = get(op)
+        if text is None:
+            kind, qubits = op
+            if kind is GateKind.ZCX:
+                cq, tq = qubits
+                flip = f"x {ref[cq]};"
+                text = f"{flip}\ncx {ref[cq]},{ref[tq]};\n{flip}"
+            else:
+                text = _PREFIX[kind] + ",".join([ref[q] for q in qubits]) + ";"
+            rendered[op] = text
+        lines.append(text)
     return "\n".join(lines) + "\n"
 
 
@@ -49,8 +65,17 @@ def from_qasm(text: str) -> Circuit:
     circuit: Circuit | None = None
     operand_re = None  # compiled once the qreg line names the register
     canonical = None  # to_qasm's gate line, matched once the register is named
+    # raw line -> its Gate, for each line the canonical route accepted; that
+    # route opens only after the one qreg, so such a line is accepted
+    # wherever it repeats
+    accepted: dict[str, Gate] = {}
+    known = accepted.get
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        gate = known(raw)
+        if gate is not None:
+            gates.append(gate)
+            continue
         if canonical is not None and (m := canonical(raw)):
             kind = _GATE_KINDS.get(m[1])
             qubits = tuple(map(int, m.groups()[1:m.lastindex]))
@@ -59,10 +84,11 @@ def from_qasm(text: str) -> Circuit:
                 and len(qubits) == PRIMITIVE_ARITY[kind] == len(set(qubits))
                 and max(qubits) < width
             ):
-                gates.append(Gate(kind, qubits))
+                gate = accepted[raw] = Gate(kind, qubits)
+                gates.append(gate)
                 continue
             # otherwise the general parse below words the error
-        line = raw.split("//", 1)[0].strip()
+        line = raw.split("//", 1)[0].strip(_SPACE)
         if not line:
             continue
         if line.startswith(("OPENQASM", "include")):
@@ -81,10 +107,10 @@ def from_qasm(text: str) -> Circuit:
             except CircuitError as exc:
                 raise QasmParseError(str(exc), lineno) from exc
             reg = re.escape(reg_name)
-            operand_re = re.compile(rf"{reg}\[(\d+)\]")
+            operand_re = re.compile(rf"{reg}\[(\d+)\]", re.ASCII)
             index = rf"{reg}\[(\d{{1,9}})\]"
             canonical = re.compile(
-                rf"([a-z]+) {index}(?:,{index}(?:,{index})?)?;"
+                rf"([a-z]+) {index}(?:,{index}(?:,{index})?)?;", re.ASCII
             ).fullmatch
             gates, width = circuit.gates, circuit.width
             continue
@@ -100,9 +126,10 @@ def from_qasm(text: str) -> Circuit:
             raise QasmParseError(f"gate '{m.group(1)}' takes no parameters", lineno)
         qubits = []
         for token in m.group(3).split(","):
-            om = operand_re.fullmatch(token.strip())
+            operand = token.strip(_SPACE)
+            om = operand_re.fullmatch(operand)
             if not om:
-                raise QasmParseError(f"malformed operand '{token.strip()}'", lineno)
+                raise QasmParseError(f"malformed operand '{operand}'", lineno)
             qubits.append(_decimal(om.group(1), "operand index", lineno))
         try:
             circuit.append(Gate(kind, tuple(qubits)))

@@ -16,9 +16,10 @@ rule, and generated on first use by _function, the package's one code
 generator (sim's kernel loop and chunks use it too), with no location
 table. iter_lowered_ops expands each templated source gate with one call
 of its expander, as one stream of lowered gates, which
-lower_to_clifford_t collects and sim's path-sum compiler reads without
-building the lowered circuit; analyze folds each one into its ASAP levels
-with one call of its fold.
+lower_to_clifford_t collects, one Gate per distinct op
+(circuit._shared_gates, as flatten does), and sim's path-sum compiler
+reads without building the lowered circuit; analyze folds each one into
+its ASAP levels with one call of its fold.
 
 None checks a gate itself: all read their source gates, as flatten
 does, through circuit.iter_primitive_ops, which raises Circuit.append's
@@ -39,8 +40,8 @@ from .circuit import (
     CLIFFORD_T_KINDS,
     PRIMITIVE_ARITY,
     Circuit,
-    Gate,
     GateKind,
+    _shared_gates,
     iter_primitive_ops,
 )
 from .errors import ArityError, UnsupportedGateError
@@ -49,7 +50,7 @@ from .errors import ArityError, UnsupportedGateError
 def flatten(c: Circuit) -> Circuit:
     """Expand all composite gates in place order; primitives pass through."""
     out = Circuit(c.width, c.name)
-    out.gates.extend(Gate(kind, qubits) for kind, qubits in iter_primitive_ops(c))
+    out.gates.extend(_shared_gates(iter_primitive_ops(c)))
     return out
 
 
@@ -265,5 +266,5 @@ def lower_to_clifford_t(
     circuit.
     """
     out = Circuit(c.width, c.name)
-    out.gates.extend(Gate(kind, qubits) for kind, qubits in iter_lowered_ops(c, rules))
+    out.gates.extend(_shared_gates(iter_lowered_ops(c, rules)))
     return out

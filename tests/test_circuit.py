@@ -277,6 +277,11 @@ def test_inverse_is_flat_with_the_same_width_and_name():
     ]
 
 
+def test_inverse_shares_one_gate_record_per_distinct_gate():
+    gates = build_isqrt_circuit(8).inverse().gates
+    assert len({id(g) for g in gates}) == len(set(gates)) < len(gates) // 2
+
+
 @st.composite
 def single_gates(draw):
     """(circuit width, one gate) with arbitrary kind, arity and operands."""

@@ -637,3 +637,26 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["resources"])  # missing required flags
     assert err.value.code == 2
+
+
+def test_export_counts_a_zcx_as_its_three_gate_lines(tmp_path, capsys):
+    target = tmp_path / "isqrt6.qasm"
+    assert main(["export", "--circuit", "isqrt", "--n", "6", "-o", str(target)]) == 0
+    assert capsys.readouterr().out == f"wrote {target} (144 gates)\n"
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name in sorted(cli.FAMILIES) if name != "isqrt" for n in range(2, 7)]
+    + [("isqrt", 4), ("isqrt", 6)],
+)
+def test_export_reports_the_gate_lines_it_writes(tmp_path, capsys, name, n):
+    target = tmp_path / "out.qasm"
+    assert main(["export", "--circuit", name, "--n", str(n), "-o", str(target)]) == 0
+    text = target.read_text()
+    gate_lines = [
+        line for line in text.splitlines()
+        if not line.startswith(("OPENQASM ", "include ", "qreg "))
+    ]
+    assert len(gate_lines) == len(from_qasm(text).gates)
+    assert capsys.readouterr().out == f"wrote {target} ({len(gate_lines)} gates)\n"

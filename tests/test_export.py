@@ -18,6 +18,7 @@ from qsqrt import (
     perm_run,
     to_qasm,
 )
+from qsqrt.circuit import PRIMITIVE_ARITY
 from qsqrt.errors import QasmParseError
 from strategies import primitive_circuits
 
@@ -246,3 +247,143 @@ def test_comments_and_blank_lines_ignored():
     qc = from_qasm(text)
     assert len(qc.gates) == 1
 
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("qreg q[\u0664];\n", "malformed qreg declaration"),
+        ("qreg\u2003q[4];\n", "malformed qreg declaration"),
+        # the canonical form, which falls through to the general parser
+        ("qreg q[4];\ncx q[\u0663],q[1];\n", "malformed operand 'q[\u0663]'"),
+        # the general parser's own route: other spacing and a comment
+        ("qreg q[4];\ncx  q[\u0663] , q[1] ; // c\n", "malformed operand 'q[\u0663]'"),
+        ("qreg q[4];\ncx\u2003q[0],q[1];\n", "malformed statement: cx\u2003q[0],q[1];"),
+        ("qreg q[4];\ncx q[0],\u2003q[1];\n", "malformed operand '\u2003q[1]'"),
+        ("qreg q[4];\n\u3000x q[2];\n", "malformed statement: \u3000x q[2];"),
+        ("qreg q[4];\nx q[2];\u3000\n", "malformed statement: x q[2];\u3000"),
+    ],
+    ids=["qreg digit", "qreg space", "canonical digit", "general digit",
+         "space after name", "space before operand", "leading space", "trailing space"],
+)
+def test_non_ascii_digits_and_spaces_are_parse_errors(body, message):
+    # by default \d and \s in a str pattern match any Unicode digit or space,
+    # and str.strip() strips any Unicode space
+    with pytest.raises(QasmParseError) as err:
+        from_qasm(HEADER + body)
+    line = 2 + body.count("\n")
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
+
+def _outcome(text):
+    """from_qasm's circuit as (width, gates), or its error as (message, line)."""
+    try:
+        c = from_qasm(text)
+    except QasmParseError as exc:
+        return str(exc), exc.line
+    return c.width, c.gates
+
+
+def _line_at_a_time(text):
+    """`text` with each line given a comment of its own, so no line is
+    repeated and none has the canonical form: the general parser reads
+    every line afresh, and line numbers stay as they were."""
+    return "\n".join(f"{line} // {i}" for i, line in enumerate(text.split("\n")))
+
+
+@st.composite
+def _canonical_lines(draw, width):
+    """A gate line as to_qasm writes it, of any kind but ZCX."""
+    kinds = [
+        k for k, arity in PRIMITIVE_ARITY.items()
+        if k is not GateKind.ZCX and arity <= width
+    ]
+    kind = draw(st.sampled_from(kinds))
+    qubits = draw(st.permutations(range(width)))[:PRIMITIVE_ARITY[kind]]
+    return f"{kind.value} " + ",".join(f"q[{q}]" for q in qubits) + ";"
+
+
+@st.composite
+def _documents(draw):
+    """A parsable document of repeated canonical lines, hand-spaced ones,
+    comments and blank lines, perhaps with one fault planted: a perturbed
+    line anywhere, a repeated gate line before the qreg, or a second qreg
+    followed by a repeated gate line."""
+    width = draw(st.integers(1, 4))
+    pool = draw(st.lists(_canonical_lines(width), min_size=1, max_size=4))
+    repeated = st.sampled_from(pool)
+    body = draw(st.lists(
+        st.one_of(repeated, repeated.map(_hand_spaced), st.sampled_from(["", "// c"])),
+        max_size=16,
+    ))
+    lines = [*HEADER.splitlines(), f"qreg q[{width}];", *body]
+    fault = draw(st.sampled_from(["none", "perturbed", "before qreg", "second qreg"]))
+    if fault == "perturbed":
+        line = draw(st.sampled_from([
+            f"x q[{width}];", "cx q[0],q[0];", "cx q[0];", "x q[0],q[1];",
+            "rz(0.1) q[0];", "zcx q[0],q[1];", "x r[0];", "x q[٠];", "x q[0]",
+            "qreg q[٤];", 'include "other.inc";',
+        ]))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    elif fault == "before qreg":
+        lines.insert(draw(st.integers(0, 2)), draw(repeated))
+    elif fault == "second qreg":
+        at = draw(st.integers(3, len(lines)))
+        lines[at:at] = [f"qreg q[{width}];", draw(repeated)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents())
+def test_a_parsed_line_reused_gives_what_the_line_at_a_time_parse_gives(text):
+    outcome = _outcome(text)
+    assert outcome == _outcome(_line_at_a_time(text))
+    if isinstance(outcome[1], list):  # parsed, so no fault was planted
+        body = [line for line in text.splitlines()[3:] if line and line != "// c"]
+        records = {}
+        for line, gate in zip(body, outcome[1], strict=True):
+            records.setdefault(line, set()).add(id(gate))
+        # a canonical line repeated gives one record; a hand-spaced line
+        # (two leading spaces) is parsed afresh each time
+        assert all(len(ids) == 1 for line, ids in records.items() if line[0] != " ")
+
+
+def test_parsed_gates_share_one_record_per_distinct_line():
+    text = to_qasm(build_isqrt_pipeline(8))
+    gate_lines = text.splitlines()[3:]
+    c = from_qasm(text)
+    assert len(c.gates) == len(gate_lines)
+    assert len({id(g) for g in c.gates}) == len(set(c.gates)) == len(set(gate_lines))
+    assert len(set(gate_lines)) < len(gate_lines) // 2
+
+
+def test_a_parsed_line_is_not_kept_past_its_call():
+    wide = from_qasm(HEADER + "qreg q[8];\nx q[5];\n")
+    with pytest.raises(QasmParseError, match="out of range for width 3") as err:
+        from_qasm(HEADER + "qreg q[3];\nx q[5];\n")
+    assert err.value.line == 4
+    assert from_qasm(HEADER + "qreg q[8];\nx q[5];\n").gates[0] is not wide.gates[0]
+
+
+def _rendered(c):
+    """to_qasm written out gate by gate from the flat circuit."""
+    lines = [*HEADER.splitlines(), f"qreg q[{c.width}];"]
+    for g in flatten(c).gates:
+        if g.kind is GateKind.ZCX:
+            ops = [("x", g.qubits[:1]), ("cx", g.qubits), ("x", g.qubits[:1])]
+        else:
+            ops = [(g.kind.value, g.qubits)]
+        lines += [f"{name} {','.join(f'q[{q}]' for q in qubits)};" for name, qubits in ops]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(primitive_circuits))
+def test_to_qasm_writes_each_gate_as_the_reference_renders_it(c):
+    assert to_qasm(c) == _rendered(c)
+
+
+def test_to_qasm_repeats_a_rendered_gate_zcx_included():
+    c = Circuit(3).zcx(2, 0).ccx(0, 1, 2).zcx(2, 0).t(1).ccx(0, 1, 2).zcx(0, 2)
+    assert to_qasm(c) == _rendered(c)
+    assert to_qasm(c).count("x q[2];\ncx q[2],q[0];\nx q[2];\n") == 2

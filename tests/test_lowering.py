@@ -253,3 +253,13 @@ def test_only_the_one_helper_compiles_code():
             ):
                 calls.append((path.name, scopes.get(node), node.func.id))
     assert calls == [("lowering.py", "_function", "compile")]
+
+
+@pytest.mark.parametrize("c", [build_isqrt_pipeline(8), build_ctrl_add_sub(5)],
+                         ids=["isqrt pipeline n=8", "ctrl-add-sub n=5"])
+@pytest.mark.parametrize("fn", [flatten, lower_to_clifford_t])
+def test_a_repeated_op_shares_one_gate_record(fn, c):
+    gates = fn(c).gates
+    assert len({id(g) for g in gates}) == len(set(gates)) < len(gates) // 2
+    # the records are made per call
+    assert not {id(g) for g in gates} & {id(g) for g in fn(c).gates}
