@@ -12,15 +12,11 @@ import csv
 import functools
 import io
 import json
-import math
-import operator
 import random
 import sys
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import __version__
 from .analysis import (
@@ -38,7 +34,7 @@ from .arithmetic import (
 from .circuit import Circuit
 from .errors import CapacityError, CircuitError, int_text
 from .export import to_qasm
-from .sim import _cached_program, _lane_dtype, _run
+from .sim import _cached_program, _columns, _int_of_bits
 from .sqrt import build_isqrt_circuit, build_isqrt_pipeline, isqrt, min_width
 
 EXIT_OK = 0
@@ -47,7 +43,7 @@ EXIT_USAGE = 2
 
 #: Exhaustive verification is limited to 2^MAX_EXHAUSTIVE_BITS cases. The
 #: widest sweeps it admits, isqrt n = 28 (2^27 cases) and adder n = 14,
-#: took 15 s and 12 s on a 2-CPU Intel Xeon VM; isqrt n = 30 took 58 s.
+#: take 5.1-5.9 s and 1.9 s on a 2-CPU Intel Xeon VM.
 MAX_EXHAUSTIVE_BITS = 28
 #: Widest n the command line builds a circuit for. Building and compiling
 #: the isqrt pipeline grows as n^2: 1 s at n = 256 and 3.6 s at n = 512 on
@@ -64,7 +60,10 @@ if TYPE_CHECKING:
     # Annotations only: typing caches subscripted aliases, and a cached one
     # naming a class of this module would pin every re-imported copy of it.
     Fields = tuple[tuple[str, int, int], ...]
-    Oracle = Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    # a bit-sliced column: an int whose bit k is one qubit in case k, or
+    # any value with ^ and & on it and on 0 (the oracles use nothing else)
+    Column = Any
+    Oracle = Callable[[int, list, Column], tuple[list, list]]
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,14 @@ class CircuitFamily:
     registers(n) gives the (name, lowest qubit, width) fields of the swept
     input and of the output; `verify` runs one case per value of the input
     fields and decodes both in a failure report. The output fields cover
-    every qubit, so their extent is the circuit's width. oracle(n, ks) maps
-    an array of case numbers to the input basis states and the output
-    states the circuit must produce. Only the builders check n; even_only
-    is the step of a `resources` width range.
+    every qubit, so their extent is the circuit's width. oracle(n, cases,
+    ones) works on bit-sliced columns, bit k of each column being one bit
+    of case k: from the case_bits(n) columns of the case numbers and the
+    lane mask `ones`, it gives the circuit's input columns (the case
+    columns, then constant columns, each 0 or `ones`) and the output
+    columns the circuit must produce, one per qubit. It uses only ^ and &,
+    on the columns, `ones` and 0. Only the builders check n; even_only is
+    the step of a `resources` width range.
     """
 
     build: Callable[[int], Circuit]
@@ -94,43 +97,74 @@ class CircuitFamily:
         return sum(width for _, _, width in self.registers(n)[0])
 
 
-def _two_operand(op: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Oracle:
-    """Oracle of A <- op(A, B) mod 2^n on qubits A = 0..n-1, B = n..2n-1."""
+def _add(a: Sequence[Column], b: Sequence[Column]) -> list:
+    """Ripple-carry a + b on columns, least significant first, mod 2^len(a)."""
+    total, carry = [], 0
+    for x, y in zip(a, b):
+        s = x ^ y
+        total.append(s ^ carry)
+        carry = x ^ (s & (x ^ carry))  # majority(x, y, carry)
+    return total
 
-    def oracle(n: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mask = (1 << n) - 1
-        a, b = ks & mask, ks >> n
-        return ks, op(a, b) & mask | b << n
+
+def _sub(
+    a: Sequence[Column], b: Sequence[Column], ones: Column
+) -> tuple[list, Column]:
+    """Ripple-borrow a - b on columns, least significant first: the
+    difference mod 2^len(a) and the borrow out, set where a < b."""
+    difference, borrow = [], 0
+    for x, y in zip(a, b):
+        d = x ^ y
+        difference.append(d ^ borrow)
+        borrow = y ^ ((d ^ ones) & (y ^ borrow))  # majority(not x, y, borrow)
+    return difference, borrow
+
+
+def _mux(select: Column, x: Sequence[Column], y: Sequence[Column]) -> list:
+    """x in the lanes where select is set, y elsewhere."""
+    return [v ^ (select & (u ^ v)) for u, v in zip(x, y)]
+
+
+def _two_operand(op: Callable[[list, list, Column], list]) -> Oracle:
+    """Oracle of A <- op(A, B, ones) mod 2^n on qubits A = 0..n-1, B = n..2n-1."""
+
+    def oracle(n: int, cases: list, ones: Column) -> tuple[list, list]:
+        a, b = cases[:n], cases[n:]
+        return list(cases), [*op(a, b, ones), *b]
 
     return oracle
 
 
-def _controlled(
-    op: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-) -> Oracle:
-    """Oracle of A <- op(z, A, B) mod 2^n on z = 0, A = 1..n, B = n+1..2n."""
+def _controlled(op: Callable[[Column, list, list, Column], list]) -> Oracle:
+    """Oracle of A <- op(z, A, B, ones) mod 2^n on z = 0, A = 1..n, B = n+1..2n."""
 
-    def oracle(n: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mask = (1 << n) - 1
-        z, a, b = ks & 1, ks >> 1 & mask, ks >> (n + 1)
-        return ks, z | (op(z, a, b) & mask) << 1 | b << (n + 1)
+    def oracle(n: int, cases: list, ones: Column) -> tuple[list, list]:
+        z, a, b = cases[0], cases[1:n + 1], cases[n + 1:]
+        return list(cases), [z, *op(z, a, b, ones), *b]
 
     return oracle
 
 
-_isqrt_each = np.frompyfunc(math.isqrt, 1, 1)
+def _isqrt_oracle(n: int, cases: list, ones: Column) -> tuple[list, list]:
+    """Pipeline input (R = a, F = 1, z = 0) and output (R = rem, F = root).
 
-
-def _isqrt_oracle(n: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pipeline input (R = a, F = 1, z = 0) and output (R = rem, F = root)."""
-    if a.dtype == object:
-        root = _isqrt_each(a)
-    else:
-        # the float root of a < 2^62 is within one of isqrt(a): fix it up
-        root = np.sqrt(a).astype(a.dtype)
-        root -= root * root > a
-        root += (root + 1) * (root + 1) <= a
-    return a | 1 << n, (a - root * root) | root << n
+    The restoring digit-by-digit square root of a: for each pair of a's
+    bits from the top, rem becomes rem << 2 | pair, root << 2 | 1 is
+    subtracted from it as a trial, and where no borrow occurs the
+    difference is kept and the root's next bit is set.
+    """
+    a = [*cases, 0]  # a's top (sign) bit is clear
+    # rem <= 2 root < 2^(len(root) + 1), so rem keeps len(root) + 1 bits
+    rem: list = [0]
+    root: list = []
+    for i in range(n - 2, -1, -2):
+        rem = [a[i], a[i + 1], *rem]
+        difference, borrow = _sub(rem, [ones, 0, *root, 0], ones)
+        keep = borrow ^ ones
+        root = [keep, *root]
+        rem = _mux(keep, difference, rem)[:-1]
+    zeros = [0] * n
+    return [*a, ones, *zeros], [*rem, *zeros[len(rem):], *root, *zeros[len(root):], 0]
 
 
 def _two_operand_fields(n: int) -> tuple[Fields, Fields]:
@@ -150,19 +184,23 @@ def _isqrt_fields(n: int) -> tuple[Fields, Fields]:
 FAMILIES: dict[str, CircuitFamily] = {
     "adder": CircuitFamily(
         build_adder, False, expected_t_count_adder,
-        _two_operand(operator.add), _two_operand_fields,
+        _two_operand(lambda a, b, ones: _add(a, b)), _two_operand_fields,
     ),
     "subtractor": CircuitFamily(
         build_subtractor, False, expected_t_count_adder,
-        _two_operand(operator.sub), _two_operand_fields,
+        _two_operand(lambda a, b, ones: _sub(a, b, ones)[0]), _two_operand_fields,
     ),
     "ctrl-add-sub": CircuitFamily(
         build_ctrl_add_sub, False, expected_t_count_adder,
-        _controlled(lambda z, a, b: np.where(z, a - b, a + b)), _controlled_fields,
+        _controlled(
+            lambda z, a, b, ones: _mux(z, _sub(a, b, ones)[0], _add(a, b))
+        ),
+        _controlled_fields,
     ),
     "ctrl-add": CircuitFamily(
         build_ctrl_adder, False, expected_t_count_ctrl_adder,
-        _controlled(lambda z, a, b: np.where(z, a + b, a)), _controlled_fields,
+        _controlled(lambda z, a, b, ones: _mux(z, _add(a, b), a)),
+        _controlled_fields,
     ),
     "isqrt": CircuitFamily(
         build_isqrt_circuit, True, expected_t_count_isqrt,
@@ -319,26 +357,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         rng = random.Random(_SAMPLE_SEED)
         indices = [rng.randrange(1 << bits) for _ in range(SAMPLED_CASES)]
-    dtype = _lane_dtype(program.width)
     started = time.perf_counter()
     failed = 0
     first_failure: tuple[int, int, int] | None = None
     for lo in range(0, len(indices), VERIFY_BATCH):
         batch = indices[lo:lo + VERIFY_BATCH]
-        if exhaustive:
-            cases = np.arange(lo, lo + len(batch), dtype=dtype)
-        else:
-            cases = np.array(batch, dtype)
-        states, expected = family.oracle(n, cases)
-        # case k's input is k | input(0): an exhaustive batch's states are a
-        # run, which the kernel reads straight from the counter
-        run = range(int(states[0]), int(states[-1]) + 1) if exhaustive else states
-        outputs = _run(program, run)
-        failures = np.flatnonzero(outputs != expected)
-        if len(failures) and first_failure is None:
-            i = failures[0]
-            first_failure = int(states[i]), int(expected[i]), int(outputs[i])
-        failed += len(failures)
+        count = len(batch)
+        # an exhaustive batch is a range, whose columns come from the counter
+        inputs, expected = family.oracle(n, _columns(batch, bits), (1 << count) - 1)
+        outputs = program.run(list(inputs), count)  # the loop writes in place
+        differ = 0
+        for got, want in zip(outputs, expected):
+            differ |= got ^ want
+        if differ and first_failure is None:
+            lane = (differ & -differ).bit_length() - 1
+            first_failure = tuple(
+                _int_of_bits([col >> lane & 1 for col in cols])
+                for cols in (inputs, expected, outputs)
+            )
+        failed += differ.bit_count()
     elapsed = time.perf_counter() - started
     checked = len(indices)
     print(f"verify {args.circuit} n={n} mode={mode}")

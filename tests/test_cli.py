@@ -1,16 +1,19 @@
 import dataclasses
 import json
 import math
+import operator
+import random
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsqrt.cli as cli
 from qsqrt import Circuit, count_ops, flatten, from_qasm, isqrt, perm_run
 from qsqrt.arithmetic import build_adder
 from qsqrt.cli import main
 from qsqrt.errors import InvalidWidthError
-from qsqrt.sim import _cached_program
+from qsqrt.sim import _cached_program, _columns
 from strategies import family_widths
 
 
@@ -372,17 +375,23 @@ def test_verify_exhaustive_sweeps(capsys, circuit, n, cases):
     assert f"checked {cases} cases, {cases} passed" in capsys.readouterr().out
 
 
+def _every_case(family, n):
+    """The case-number columns of an exhaustive sweep in one batch, and its
+    lane mask."""
+    count = 1 << family.case_bits(n)
+    return _columns(range(count), family.case_bits(n)), (1 << count) - 1
+
+
 @pytest.mark.parametrize("name", sorted(cli.FAMILIES))
 def test_family_input_is_the_case_number_over_a_constant(name):
-    # so an exhaustive batch's inputs are a run the kernel reads from the counter
+    # so a failure's input state decodes to its case number's fields
     family = cli.FAMILIES[name]
     for n in family_widths(family, 9):
         bits = family.case_bits(n)
-        ks = np.arange(1 << bits, dtype=np.uint64)
-        states, _ = family.oracle(n, ks)
-        const = int(family.oracle(n, np.zeros(1, np.uint64))[0][0])
-        assert const >> bits << bits == const
-        assert states.tolist() == [k | const for k in range(1 << bits)]
+        cases, ones = _every_case(family, n)
+        inputs, _ = family.oracle(n, cases, ones)
+        assert inputs[:bits] == cases
+        assert all(col in (0, ones) for col in inputs[bits:])
 
 
 @pytest.mark.parametrize("name", sorted(cli.FAMILIES))
@@ -425,6 +434,96 @@ def reference_case(name, n, k):
     return k, z | result % 2**n << 1 | b << (n + 1)
 
 
+def _oracle_against_reference(name, n, cases):
+    """The family's column oracle on `cases` equals reference_case, column
+    for column, over the circuit's width."""
+    family = cli.FAMILIES[name]
+    bits = family.case_bits(n)
+    ones = (1 << len(cases)) - 1
+    inputs, expected = family.oracle(n, _columns(cases, bits), ones)
+    width = max(lo + w for _, lo, w in family.registers(n)[1])
+    states, wants = zip(*(reference_case(name, n, k) for k in cases))
+    assert inputs == _columns(states, width)
+    assert expected == _columns(wants, width)
+
+
+# (name, n) for every width the command line builds, without building any
+_CLI_WIDTHS = [
+    (name, n)
+    for name, family in sorted(cli.FAMILIES.items())
+    for n in range(min(family_widths(family, 9)), cli.MAX_CLI_N + 1,
+                   2 if family.even_only else 1)
+]
+
+
+@pytest.mark.parametrize("name", sorted(cli.FAMILIES))
+def test_column_oracle_is_the_integer_reference_on_every_case(name):
+    family = cli.FAMILIES[name]
+    for n in family_widths(family, 18):
+        if family.case_bits(n) <= 16:
+            _oracle_against_reference(name, n, range(1 << family.case_bits(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_CLI_WIDTHS), st.data())
+def test_column_oracle_is_the_integer_reference_up_to_the_cli_width(width, data):
+    name, n = width
+    case = st.integers(0, (1 << cli.FAMILIES[name].case_bits(n)) - 1)
+    cases = data.draw(st.lists(case, min_size=1, max_size=70))
+    _oracle_against_reference(name, n, cases)
+
+
+class XorAndColumn:
+    """A column with ^ and &, on another such column or 0, and nothing else."""
+
+    __slots__ = ("value",)
+    __hash__ = None
+
+    def __init__(self, value):
+        self.value = value
+
+    def _combine(self, other, op):
+        if isinstance(other, XorAndColumn):
+            return XorAndColumn(op(self.value, other.value))
+        if type(other) is int and other == 0:
+            return XorAndColumn(op(self.value, 0))
+        raise TypeError(f"an oracle combined a column with {other!r}")
+
+    def __xor__(self, other):
+        return self._combine(other, operator.xor)
+
+    def __and__(self, other):
+        return self._combine(other, operator.and_)
+
+    __rxor__, __rand__ = __xor__, __and__
+
+
+def _refuse(self, *args):
+    raise TypeError("an oracle used an operation other than ^ and &")
+
+
+for _name in ("bool", "eq", "ne", "lt", "le", "gt", "ge", "or", "ror", "invert",
+              "neg", "pos", "abs", "add", "radd", "sub", "rsub", "mul", "rmul",
+              "floordiv", "mod", "lshift", "rlshift", "rshift", "rrshift",
+              "index", "int", "len", "iter", "getitem"):
+    setattr(XorAndColumn, f"__{_name}__", _refuse)
+
+
+@pytest.mark.parametrize("name", sorted(cli.FAMILIES))
+def test_oracles_use_only_xor_and_and(name):
+    # so the same oracles run on any column type with ^ and &, as the kernel does
+    family = cli.FAMILIES[name]
+    for n in family_widths(family, 9):
+        cases, ones = _every_case(family, n)
+        want = family.oracle(n, cases, ones)
+        got = family.oracle(n, [XorAndColumn(c) for c in cases], XorAndColumn(ones))
+        for cols, want_cols in zip(got, want):
+            # a constant the oracle wrote itself may only be 0
+            constants = [c for c in cols if not isinstance(c, XorAndColumn)]
+            assert all(type(c) is int and c == 0 for c in constants)
+            assert [getattr(c, "value", c) for c in cols] == want_cols
+
+
 @pytest.mark.parametrize(
     "name, n",
     [("isqrt", 10), ("adder", 4), ("subtractor", 4), ("ctrl-add-sub", 4),
@@ -459,6 +558,50 @@ def test_sliced_sweep_reports_a_planted_fault_like_a_per_case_run(
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert f"checked {total} cases, {total - len(wrong)} passed" in captured.out
+    lines = captured.err.splitlines()
+    assert lines[0] == f"FAIL: {len(wrong)} of {total} cases failed; first failure:"
+    state, want, got = wrong[0]
+    assert lines[4].split() == [
+        "basis", "states:", f"input={state}", f"expected={want}", f"actual={got}"
+    ]
+
+
+@pytest.mark.parametrize("name, n", [("isqrt", 10), ("adder", 33)])
+def test_sampled_sweep_reports_a_planted_fault_like_a_per_case_run(
+    monkeypatch, capsys, name, n
+):
+    # the middle top-level gate removed; adder n = 33 has 66 qubits, so the
+    # failure's states are decoded past 64 bits
+    family = cli.FAMILIES[name]
+    field = "verify_build" if family.verify_build else "build"
+    build = getattr(family, field)
+
+    def broken(width):
+        circuit = build(width)
+        del circuit.gates[len(circuit.gates) // 2]
+        return circuit
+
+    monkeypatch.setitem(
+        cli.FAMILIES, name, dataclasses.replace(family, **{field: broken})
+    )
+    circuit = broken(n)
+    rng = random.Random(cli._SAMPLE_SEED)
+    drawn = [rng.randrange(1 << family.case_bits(n)) for _ in range(cli.SAMPLED_CASES)]
+    wrong = []
+    for k in drawn:  # in draw order
+        state, want = reference_case(name, n, k)
+        got = perm_run(circuit, state)
+        if got != want:
+            wrong.append((state, want, got))
+    total = len(drawn)
+    assert 0 < len(wrong) < total
+    argv = ["verify", "--circuit", name, "--n", str(n), "--sampled", "--no-timing"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == (
+        f"verify {name} n={n} mode=sampled\n"
+        f"checked {total} cases, {total - len(wrong)} passed\n"
+    )
     lines = captured.err.splitlines()
     assert lines[0] == f"FAIL: {len(wrong)} of {total} cases failed; first failure:"
     state, want, got = wrong[0]

@@ -203,7 +203,7 @@ def test_a_run_of_states_reads_its_columns_from_the_counter(case):
     c, states = case
     program = _compile(c)
     out = _run(program, states)
-    assert out.dtype == sim._lane_dtype(c.width)  # what verify builds its states in
+    assert out.dtype == sim._lane_dtype(c.width)
     got = out.tolist()
     assert got == _run(program, list(states)).tolist()
     # the reference walks one state at a time: every lane of a short run, and
