@@ -43,7 +43,7 @@ EXIT_USAGE = 2
 
 #: Exhaustive verification is limited to 2^MAX_EXHAUSTIVE_BITS cases. The
 #: widest sweeps it admits, isqrt n = 28 (2^27 cases) and adder n = 14,
-#: take 5.1-5.9 s and 1.9 s on a 2-CPU Intel Xeon VM.
+#: take 4.2-4.7 s and 0.82-0.86 s on a 2-CPU Intel Xeon VM.
 MAX_EXHAUSTIVE_BITS = 28
 #: Widest n the command line builds a circuit for. Building and compiling
 #: the isqrt pipeline grows as n^2: 1 s at n = 256 and 3.6 s at n = 512 on

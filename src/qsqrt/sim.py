@@ -25,11 +25,13 @@ its second run generates its straight-line form, which serves that run and
 every later one and lives as long as the program stays cached. _columns
 feeds the kernel: a range of consecutive states, such as an exhaustive
 `qsqrt verify` batch or assert_equiv's inputs, gets its columns straight
-from the counter; a single state is split into bits; any other states are
-transposed in. _run hands back one format, a numpy array of the output
-states: uint64 up to 64 qubits, Python ints (dtype=object) beyond. Neither
-checks the states: perm_run_many (so perm_run) checks outside states, and
-isqrt, verify, permutation_matrix and assert_equiv build their own.
+from the counter, and one that repeats within the range is built once
+for its phase and kept (_COLUMN_CACHE_SIZE); a single state is split
+into bits; any other states are transposed in. _run hands back one
+format, a numpy array of the output states: uint64 up to 64 qubits,
+Python ints (dtype=object) beyond. Neither checks the states:
+perm_run_many (so perm_run) checks outside states, and isqrt, verify,
+permutation_matrix and assert_equiv build their own.
 
 assert_equiv compiles each side to its permutation program, else to its
 path-sum program, and runs any two programs bit-sliced: both from the
@@ -177,6 +179,11 @@ _SV_MAX_ENTRIES = 1 << 20
 #: the 31 widths (4..64) that isqrt calls on inputs of up to 63 bits cycle
 #: through, so such a mix of calls never evicts one.
 _PROGRAM_CACHE_SIZE = 64
+
+#: Periodic counter columns _periodic_column keeps: a full verify batch
+#: reads 15 (q <= 14, 8.6 KB each at 2**16 lanes). None of more than
+#: 2**_BIT_SLICED_CAP lanes (137 KB) is kept, so they hold at most 4.3 MB.
+_COLUMN_CACHE_SIZE = 32
 
 
 class _Program:
@@ -343,8 +350,8 @@ def _int_of_bits(cols: list[int]) -> int:
 
 
 def _lane_dtype(width: int) -> np.dtype:
-    """dtype of the states _run returns for `width` qubits, which verify
-    builds its own in: uint64 up to 64, Python ints (dtype=object) beyond."""
+    """dtype of _run's states of `width` qubits and of _transpose's columns
+    of `width` rows: uint64 up to 64, Python ints (dtype=object) beyond."""
     return np.dtype(np.uint64 if width <= 64 else object)
 
 
@@ -432,11 +439,19 @@ def _generate(width: int, code: array) -> tuple[Callable, ...]:
 
 def _counter_column(lo: int, count: int, q: int) -> int:
     """Bit k is bit q of lo + k, for k < count: runs of 2**q zeros and 2**q
-    ones, entered at phase lo mod 2**(q+1), built from the runs of ones in
-    its first period and then repeated as bytes, with no transpose."""
+    ones, entered at phase lo mod 2**(q+1). A periodic column (count >
+    2**(q+1)) of at most 2**_BIT_SLICED_CAP lanes is kept by its phase
+    (_periodic_column), so every batch of a sweep shares its low columns."""
+    period = 2 << q
+    kept = period < count <= 1 << _BIT_SLICED_CAP
+    return (_periodic_column if kept else _phase_column)(lo % period, count, q)
+
+
+def _phase_column(phase: int, count: int, q: int) -> int:
+    """_counter_column from phase: built from the runs of ones in its first
+    period and then repeated as bytes, with no transpose."""
     run = 1 << q
     period = 2 * run
-    phase = lo % period
     span = min(count, period)
     # lane k sees counter phase + k, whose bit q is set on [run, 2 run) and,
     # since phase + span < 4 run, on [3 run, 4 run)
@@ -453,6 +468,9 @@ def _counter_column(lo: int, count: int, q: int) -> int:
         data = col.to_bytes(period // 8, "little") * reps
         col = int.from_bytes(data, "little") & ((1 << count) - 1)
     return col
+
+
+_periodic_column = lru_cache(maxsize=_COLUMN_CACHE_SIZE)(_phase_column)
 
 
 def _transpose(rows: Sequence[int], width: int) -> np.ndarray:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsqrt.cli as cli
-from qsqrt import Circuit, count_ops, flatten, from_qasm, isqrt, perm_run
+from qsqrt import Circuit, count_ops, flatten, from_qasm, isqrt, perm_run, sim
 from qsqrt.arithmetic import build_adder
 from qsqrt.cli import main
 from qsqrt.errors import InvalidWidthError
@@ -676,6 +676,24 @@ def test_verify_batches_report_like_one_batch(monkeypatch, capsys):
     batched = capsys.readouterr()
     assert batched.err.startswith("FAIL: 32 of 64 cases failed;")
     assert (batched.out, batched.err) == (single.out, single.err)
+
+
+def test_a_multi_batch_sweep_builds_each_low_column_once(monkeypatch, capsys):
+    argv = ["verify", "--circuit", "adder", "--n", "6", "--no-timing"]
+    assert main(argv) == 0
+    single = capsys.readouterr()
+    # 2^12 cases in 16 batches of 256: lanes 256 k + j read bit q of j at
+    # every q <= 7, and only q <= 6 repeat within a batch (256 > 2^(q+1))
+    sim._periodic_column.cache_clear()
+    monkeypatch.setattr(cli, "VERIFY_BATCH", 1 << 8)
+    assert main(argv) == 0
+    assert capsys.readouterr() == single
+    info = sim._periodic_column.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (7, 15 * 7, 7)
+    # the 7 entries are q = 0..6 at phase 0, so none is for q >= 7
+    for q in range(7):
+        sim._periodic_column(0, 1 << 8, q)
+    assert sim._periodic_column.cache_info().misses == 7
 
 
 @pytest.mark.parametrize("spec", ["abc", "6..", "..8", "6..x"])

@@ -214,6 +214,44 @@ def test_a_run_of_states_reads_its_columns_from_the_counter(case):
     assert [got[k] for k in lanes] == [reference_run(c, states[k]) for k in lanes]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 1 << 40).map(lambda h: 2 * h + 1),
+    st.integers(1, 1 << 17),
+    st.integers(0, 20),
+)
+def test_a_cached_counter_column_equals_a_fresh_one(lo, count, q):
+    # lo is odd, so every column enters its period at a non-zero phase; the
+    # columns of the next phase and of one more lane are cached first, so a
+    # key that dropped the phase or the count would hand back a wrong column
+    sim._periodic_column.cache_clear()
+    sim._counter_column(lo + 1, count, q)
+    sim._counter_column(lo, count + 1, q)
+    before = sim._periodic_column.cache_info()
+    first = sim._counter_column(lo, count, q)
+    miss = sim._periodic_column.cache_info()
+    second = sim._counter_column(lo, count, q)
+    hit = sim._periodic_column.cache_info()
+    assert second == first
+    periodic = count > 2 << q
+    assert (miss.misses - before.misses, miss.hits - before.hits) == (periodic, 0)
+    assert (hit.misses - miss.misses, hit.hits - miss.hits) == (0, periodic)
+    assert first >> count == 0
+    lanes = np.arange(lo, lo + count, dtype=np.int64) >> q & 1
+    want = np.packbits(lanes.astype(np.uint8), bitorder="little").tobytes()
+    assert first.to_bytes(len(want), "little") == want
+
+
+def test_no_column_past_the_bit_sliced_cap_is_kept():
+    # bit 0 of 1 + k is set at every even k, the bits of the bytes 0x55
+    sim._periodic_column.cache_clear()
+    cap = 1 << sim._BIT_SLICED_CAP
+    for lanes, kept in (cap + 1, 0), (cap, 1):
+        want = int.from_bytes(b"\x55" * (lanes // 8 + 1), "little") & (1 << lanes) - 1
+        assert sim._counter_column(1, lanes, 0) == want
+        assert sim._periodic_column.cache_info().currsize == kept
+
+
 def test_compiled_program_takes_wide_entries_beyond_two_byte_qubits():
     c = Circuit(70_000).x(69_999)
     c.cx(69_999, 65_536).swap(65_536, 3).ccx(3, 69_999, 0).zcx(1, 65_535)
