@@ -1,8 +1,10 @@
+import argparse
 import dataclasses
 import json
 import math
 import operator
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -798,6 +800,131 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["resources"])  # missing required flags
     assert err.value.code == 2
+
+
+_ADDER_3 = ["verify", "--circuit", "adder", "--n", "3"]
+#: usage paths, errors and parses that main must take as argparse's nested
+#: parse does: the top level's options, unknown and wrongly cased commands,
+#: arguments left over after a command, abbreviations and bad values
+_PARSE_ARGVS = [
+    [], ["--version"], ["-h"], ["verify", "-h"], ["-h", "verify"], ["bogus"],
+    ["VERIFY"], ["verify"], ["resources"], [*_ADDER_3, "--bogus"],
+    [*_ADDER_3, "--version"], ["--", *_ADDER_3], [*_ADDER_3, "--no-timing"],
+    ["verify", "--circ", "adder", "--n", "3"], ["verify", "--circuit=adder", "--n=3"],
+    ["verify", "--circuit", "nope", "--n", "3"], ["verify", "--circuit", "adder", "--n", "x"],
+    [*_ADDER_3, "extra"], [*_ADDER_3, "--sampled", "--exhaustive"], [*_ADDER_3, "--sampled"],
+    ["isqrt", "--value", "-5"], ["isqrt", "--value", "100", "--n", "8", "--resources"],
+    ["resources", "--circuit", "isqrt", "--n", "6..8", "--format", "csv", "-o", "x.csv"],
+    ["export", "--circuit", "adder", "--n", "2", "--", "-o"], ["export", "-h"],
+]
+
+
+def _parsed(parse, argv, capsys):
+    """A parse's namespace without `command`, or its exit code, and its output."""
+    try:
+        result = vars(parse(argv))
+        result.pop("command", None)
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", _PARSE_ARGVS, ids=" ".join)
+def test_main_parses_as_the_nested_parse_does(monkeypatch, capsys, argv):
+    want = _parsed(cli.build_parser().parse_args, argv, capsys)
+    handed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def stopped(self, *args, **kwargs):
+        # main runs no command: it hands its namespace to a stand-in
+        namespace, extra = parse_known_args(self, *args, **kwargs)
+        command = getattr(namespace, "func", None)
+        if command is not None and not hasattr(command, "command"):
+            def stand_in(args):
+                handed.append(argparse.Namespace(**{**vars(args), "func": command}))
+                return cli.EXIT_OK
+            stand_in.command = command
+            namespace.func = stand_in
+        return namespace, extra
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", stopped)
+
+    def through_main(argv):
+        assert main(argv) == cli.EXIT_OK
+        return handed.pop()
+
+    assert _parsed(through_main, argv, capsys) == want
+    monkeypatch.setattr(sys, "argv", ["qsqrt", *argv])
+    assert _parsed(lambda _: through_main(None), argv, capsys) == want
+
+
+@pytest.mark.parametrize(
+    "argv", [[*_ADDER_3, "--no-timing"], [], ["bogus"], [*_ADDER_3, "--bogus"]],
+    ids=" ".join,
+)
+def test_main_parses_once(monkeypatch, capsys, argv):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    try:
+        main(argv)
+    except SystemExit as exc:
+        assert exc.code == cli.EXIT_USAGE
+    capsys.readouterr()
+    assert len(calls) == 1, calls
+
+
+@pytest.mark.parametrize("text", ["٣", "١٠", "1_0", " 3", "3 ", "+3", "3.0", "--3", "-", ""])
+@pytest.mark.parametrize(
+    "command, flag",
+    [(["isqrt"], "--value"), (["isqrt", "--value", "9"], "--n"),
+     (["verify", "--circuit", "adder"], "--n"), (["export", "--circuit", "adder"], "--n")],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else x,
+)
+def test_integer_arguments_are_ascii_decimal(capsys, command, flag, text):
+    with pytest.raises(SystemExit) as err:
+        main([*command, f"{flag}={text}"])
+    assert err.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": error: argument {flag}: invalid int value: {text!r}\n")
+
+
+@pytest.mark.parametrize("spec", ["٤", "٤..٨", "6..٨", "1_0", " 6", "6.. 8", "+6", "6..+8"])
+def test_resources_widths_are_ascii_decimal(capsys, spec):
+    assert main(["resources", "--circuit", "isqrt", f"--n={spec}"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: invalid width '{spec}': expected N or N..M\n"
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="int() has no digit limit here")
+def test_integers_past_the_digit_limit_are_usage_errors(capsys):
+    digits = "1" * (_DIGIT_LIMIT + 1)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--circuit", "adder", f"--n={digits}"])
+    assert err.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.endswith(f"--n: invalid int value: '{digits}'\n")
+    assert main(["resources", "--circuit", "adder", f"--n=1..{digits}"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: invalid width '1..{digits}'")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["isqrt", "--value", "-5"], "input must be non-negative, got -5"),
+     (["isqrt", "--value", "-5", "--n", "6"], "input must be non-negative, got -5"),
+     (["resources", "--circuit", "adder", "--n=-5..-3"], "n must be >= 1 for the adder, got -5")],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+)
+def test_negative_integers_reach_the_domain_checks(capsys, argv, message):
+    assert main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_export_counts_a_zcx_as_its_three_gate_lines(tmp_path, capsys):
