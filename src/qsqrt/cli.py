@@ -37,7 +37,7 @@ from .arithmetic import (
 from .circuit import Circuit
 from .errors import CapacityError, CircuitError, int_text
 from .export import to_qasm
-from .sim import _cached_program, _columns, _int_of_bits
+from .sim import _cached_program, _int_of_bits, _sweep
 from .sqrt import build_isqrt_circuit, build_isqrt_pipeline, isqrt, min_width
 
 EXIT_OK = 0
@@ -368,31 +368,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     # the builder checks n, so the sweep below is sized for a valid width
     program = _cached_program(family.verify_build or family.build, n)
-    exhaustive = mode == "exhaustive"
-    if exhaustive:
-        indices: Sequence[int] = range(1 << bits)
-    else:
+    indices: Sequence[int] = range(1 << bits)
+    if args.sampled:
         rng = random.Random(_SAMPLE_SEED)
         indices = [rng.randrange(1 << bits) for _ in range(SAMPLED_CASES)]
     started = time.perf_counter()
     failed = 0
     first_failure: tuple[int, int, int] | None = None
-    for lo in range(0, len(indices), VERIFY_BATCH):
-        batch = indices[lo:lo + VERIFY_BATCH]
-        count = len(batch)
-        # an exhaustive batch is a range, whose columns come from the counter
-        inputs, expected = family.oracle(n, _columns(batch, bits), (1 << count) - 1)
-        outputs = program.run(list(inputs), count)  # the loop writes in place
-        if outputs == expected:
-            continue
-        differ = 0
-        for got, want in zip(outputs, expected):
-            differ |= got ^ want
+    oracle = functools.partial(family.oracle, n)
+    for _, columns, differ, _ in _sweep(program, indices, bits, oracle, VERIFY_BATCH):
         if differ and first_failure is None:
             lane = (differ & -differ).bit_length() - 1
             first_failure = tuple(
-                _int_of_bits([col >> lane & 1 for col in cols])
-                for cols in (inputs, expected, outputs)
+                _int_of_bits([col >> lane & 1 for col in cols]) for cols in columns
             )
         failed += differ.bit_count()
     elapsed = time.perf_counter() - started

@@ -24,9 +24,10 @@ its ASAP levels with one call of its fold.
 None checks a gate itself: all read their source gates, as flatten
 does, through circuit.iter_primitive_ops, which raises Circuit.append's
 error on a malformed hand-built gate at any depth and a CircuitError on a
-composite cycle. A rule whose template width is not its kind's arity
-raises ArityError when it is built, and rules that expand a kind back to
-itself raise UnsupportedGateError when the table resolves them.
+composite cycle. Building a rule raises UnsupportedGateError for a kind
+other than SWAP, ZCX and CCX and ArityError for a template width other than
+its kind's arity; rules that expand a kind back to itself raise
+UnsupportedGateError when the table resolves them.
 """
 from __future__ import annotations
 
@@ -66,7 +67,11 @@ class DecompositionRule:
     template: Circuit
 
     def __post_init__(self) -> None:
-        arity = PRIMITIVE_ARITY.get(self.kind)
+        if self.kind in CLIFFORD_T_KINDS or self.kind not in PRIMITIVE_ARITY:
+            raise UnsupportedGateError(  # a lowered kind, or COMPOSITE
+                f"no rule rewrites {self.kind.value}: rules are for swap, zcx and ccx"
+            )
+        arity = PRIMITIVE_ARITY[self.kind]
         if self.template.width != arity:
             raise ArityError(
                 f"a {self.kind.value} rule needs a template of width {arity}, "

@@ -34,8 +34,8 @@ perm_run_many (so perm_run) checks outside states, and isqrt, verify,
 permutation_matrix and assert_equiv build their own.
 
 assert_equiv compiles each side to its permutation program, else to its
-path-sum program, and runs any two programs bit-sliced: both from the
-same columns, compared lane by lane without transposing out. unitary
+path-sum program, and runs any two programs bit-sliced from the same
+columns, judged by _sweep's one lane rule as `qsqrt verify` is. unitary
 runs the path-sum program of its circuit's own gates on every basis
 column as one batch and reads each unflagged column off its output state
 and A's phase. One statevector kernel, _sv_entries, runs everything else
@@ -63,7 +63,8 @@ import operator
 import random
 from array import array
 from functools import lru_cache
-from typing import Callable, Sequence
+from itertools import compress
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -756,8 +757,8 @@ def assert_equiv(
     index where they differ. Each side compiles to its permutation program
     if it is a permutation circuit, else to the path-sum program of its
     lowering, its rules' templates and all, whatever the other side is. Any
-    two programs run bit-sliced from the same input columns and are
-    compared lane by lane (_first_difference; exhaustive up to width 20).
+    two programs run bit-sliced from the same input columns, judged by
+    _sweep's lane rule as `qsqrt verify` is (exhaustive up to width 20).
     A pair with a side the path sum refuses runs on each side's natural
     backend (exhaustive up to width 12): a permutation-only circuit through
     _run (each output read as one entry of amplitude 1), anything else
@@ -802,12 +803,20 @@ def assert_equiv(
         inputs = [rng.randrange(1 << width) for _ in range(samples)]
     if None in programs:
         return _sparse_difference(circuits, perms, inputs)
-    first, unsure = _first_difference(programs, width, inputs)
-    if unsure:
-        diff = _sparse_difference(circuits, perms, unsure)
-        if diff is not None:
-            return diff
-    return first
+    program, other = programs
+
+    def expect(cols: list[int], ones: int) -> tuple[list, list]:
+        return cols, other.run(cols + [0] * (other.width - width), ones.bit_length())
+
+    undecided: list[int] = []
+    for cases, _, differ, unsure in _sweep(program, inputs, width, expect, len(inputs)):
+        stop = (differ & -differ).bit_length() - 1 if differ else len(cases)
+        unsure &= (1 << stop) - 1  # the unsure lanes before the first that differs
+        undecided += compress(cases, _bits_of(unsure, unsure.bit_length()))
+        if differ:
+            break
+    diff = _sparse_difference(circuits, perms, undecided)
+    return cases[stop] if diff is None and differ else diff
 
 
 def _permutation_program(c: Circuit) -> _Program | None:
@@ -828,42 +837,40 @@ def _path_sum_program(c: Circuit) -> _Program | None:
         return None
 
 
-def _first_difference(
-    programs: Sequence[_Program], width: int, inputs: Sequence[int]
-) -> tuple[int | None, list[int]]:
-    """Run two programs of a `width`-qubit pair on the same columns of
-    `inputs` and compare them lane by lane, with big-int XOR and OR.
+def _sweep(
+    program: _Program, inputs: Sequence[int], bits: int, expect: Callable, batch: int
+) -> Iterator[tuple[Sequence[int], tuple[list, list, list], int, int]]:
+    """Run `program` on `inputs`, states of `bits` bits, `batch` at a time,
+    and yield per batch its inputs, its (input, expected, output) columns
+    and `differ` and `unsure`, whose bit k is set where case k differs or
+    is not decided. expect(cases, ones), from a batch's columns (_columns)
+    and lane mask, gives the program's input columns, one per qubit, and
+    the columns it must put out: an oracle's, or another program's.
 
-    A case differs where the qubits, A's phase or f1 differ, a permutation
-    program's phase and flag columns counting as zero. Flagged once, a
+    The one lane rule: a case differs where the qubits, A's phase or f1
+    differ, a side with no phase columns (a permutation program, an
+    oracle) counting as zero there; d is not compared. Flagged once, a
     closing H left weight on two orthogonal states: the rest of the
     circuit, which the kernel followed exactly from one of them, is unitary
     and keeps them orthogonal, so that side puts out no basis state. A case
     flagged once on one side only therefore differs; one flagged once on
     both, or twice on either (it may have recombined), is not decided.
-    Returns the first input that differs (None if none) and, in order, the
-    undecided inputs before it.
     """
-    count, zeros = len(inputs), [0] * _PHASE_COLUMNS
-    cols = _columns(inputs, width)
-    x, y = (
-        program.run(cols + zeros[: program.width - width], count) + zeros
-        for program in programs
-    )
-    f1, f2 = width + 6, width + 7  # the flags end _PHASE_NAMES
-    differ = 0
-    for q in (*range(width + 3), f1):  # the qubits, A's phase and f1
-        differ |= x[q] ^ y[q]
-    unsure = x[f2] | y[f2] | x[f1] & y[f1]
-    differ &= ~unsure
-    stop = (differ & -differ).bit_length() - 1 if differ else count
-    unsure &= (1 << stop) - 1
-    lanes = np.unpackbits(
-        np.frombuffer(unsure.to_bytes(-(-count // 8), "little"), np.uint8),
-        bitorder="little",
-    )
-    first = inputs[stop] if differ else None
-    return first, [inputs[k] for k in np.flatnonzero(lanes).tolist()]
+    for lo in range(0, len(inputs), batch):
+        cases = inputs[lo : lo + batch]
+        count = len(cases)
+        cols, want = expect(_columns(cases, bits), (1 << count) - 1)
+        width = len(cols)
+        got = program.run(cols + [0] * (program.width - width), count)
+        x, y = got + [0] * _PHASE_COLUMNS, want + [0] * _PHASE_COLUMNS
+        f1, f2 = width + 6, width + 7  # the flags end _PHASE_NAMES
+        unsure = x[f2] | y[f2] | x[f1] & y[f1]
+        differ = 0
+        if got != want:  # a passing batch is cleared with one compare
+            for q in (*range(width + 3), f1):  # the qubits, A's phase and f1
+                differ |= x[q] ^ y[q]
+            differ &= ~unsure
+        yield cases, (cols, want, got), differ, unsure
 
 
 def _sparse_difference(

@@ -373,6 +373,17 @@ def test_rule_template_must_match_the_kinds_arity():
 
 
 @pytest.mark.parametrize(
+    "kind", [k for k in GateKind if k not in (GateKind.SWAP, GateKind.ZCX, GateKind.CCX)]
+)
+def test_a_rule_for_a_kind_no_rule_rewrites_raises_when_built(kind):
+    # a rule for a lowered kind would be accepted and never read: lowering
+    # passes X, CX, H, T and TDG through, and COMPOSITE is expanded, not ruled
+    for width in (1, 2, 3):
+        with pytest.raises(UnsupportedGateError, match=f"^no rule rewrites {kind.value}:"):
+            DecompositionRule(kind, Circuit(width))
+
+
+@pytest.mark.parametrize(
     "templates",
     [
         {GateKind.SWAP: Circuit(2).swap(0, 1)},

@@ -1392,12 +1392,58 @@ def test_path_sum_pairs_check_every_input_up_to_width_20():
         assert_equiv(block, block)
 
 
+def swept(a, b, inputs, batch=None):
+    """_sweep's verdicts on two circuits' programs, compiled as assert_equiv
+    compiles them, with b's output as the expected columns: differ and
+    unsure joined over the batches, bit k for inputs[k]."""
+    program, other = (sim._permutation_program(c) or sim._compile_path_sum(c) for c in (a, b))
+
+    def expect(cols, ones):
+        return cols, other.run(cols + [0] * (other.width - a.width), ones.bit_length())
+
+    differ = unsure = lo = 0
+    for cases, _, d, u in sim._sweep(program, inputs, a.width, expect, batch or len(inputs)):
+        differ, unsure, lo = differ | d << lo, unsure | u << lo, lo + len(cases)
+    assert lo == len(inputs)
+    return differ, unsure
+
+
+def lanes(column):
+    """The lanes set in a column, in order."""
+    return [k for k in range(column.bit_length()) if column >> k & 1]
+
+
+def test_a_real_pair_at_the_bit_sliced_cap_runs_every_input_bit_sliced(monkeypatch):
+    # the adder at n = 10 is 20 qubits: its lowering against the logical
+    # circuit, and with its last T turned into TDG, on all 2^20 inputs
+    adder = build_adder(10)
+    lowered = lower_to_clifford_t(adder)
+    last = max(i for i, g in enumerate(lowered.gates) if g.kind is GateKind.T)
+    planted = Circuit(20)
+    planted.gates.extend(lowered.gates)
+    planted.gates[last] = Gate(GateKind.TDG, lowered.gates[last].qubits)
+
+    def refuse(*args):
+        raise AssertionError("the sparse kernel ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sim, "_sv_entries", refuse)
+        assert assert_equiv(adder, lowered) is None
+        first = assert_equiv(adder, planted)
+        assert first is not None and assert_equiv(planted, adder) == first
+    assert first > 0  # the T acts on a qubit that input 0 leaves clear
+    state = basis_statevector(20, first)
+    assert np.max(np.abs(sv_run(lowered, state) - sv_run(planted, state))) > 1e-9
+    perms = (_compile(adder), None)
+    assert sim._sparse_difference((adder, planted), perms, range(first)) is None
+
+
 def test_a_case_flagged_twice_is_decided_on_the_sparse_kernel(monkeypatch):
     # H T H leaves a superposition, flagged once; H TDG H undoes it, so the
     # second flag marks a case that recombined into the identity's output
     undone = Circuit(1).h(0).t(0).h(0).h(0).tdg(0).h(0)
-    programs = [_compile(Circuit(1)), sim._compile_path_sum(undone)]
-    assert sim._first_difference(programs, 1, range(2)) == (None, [0, 1])
+    differ, unsure = swept(Circuit(1), undone, range(2))
+    assert (differ, lanes(unsure)) == (0, [0, 1])
     sparse = []
     run_basis = sim._run_basis
     monkeypatch.setattr(sim, "_run_basis", lambda c, s: sparse.append(s) or run_basis(c, s))
@@ -1423,8 +1469,8 @@ def test_a_case_flagged_once_on_both_sides_is_decided_on_the_sparse_kernel(
     # sides, neither puts out a basis state, so the programs cannot tell
     # whether the two superpositions are equal
     once = Circuit(2).h(0).t(0).h(0)
-    programs = [sim._compile_path_sum(once)] * 2
-    assert sim._first_difference(programs, 2, range(4)) == (None, [0, 1, 2, 3])
+    differ, unsure = swept(once, once, range(4))
+    assert (differ, lanes(unsure)) == (0, [0, 1, 2, 3])
     sparse = []
     run_basis = sim._run_basis
     monkeypatch.setattr(sim, "_run_basis", lambda c, s: sparse.append(s) or run_basis(c, s))
@@ -1433,3 +1479,137 @@ def test_a_case_flagged_once_on_both_sides_is_decided_on_the_sparse_kernel(
     sparse.clear()
     assert assert_equiv(once, Circuit(2).h(0).tdg(0).h(0)) == 0
     assert sparse == [[0, 1, 2, 3]] * 2
+
+
+class _Fixed:
+    """A stand-in program that puts out the same columns on any input."""
+
+    def __init__(self, cols):
+        self.width, self.cols = len(cols), cols
+
+    def run(self, cols, lanes):
+        assert len(cols) == self.width
+        return list(self.cols)
+
+
+def one_qubit_columns(cases):
+    """The 1 + _PHASE_COLUMNS columns of one-qubit lanes (x, A, d, f1, f2):
+    lane_values inverted."""
+    bits = [(x, a & 1, a >> 1 & 1, a >> 2, d & 1, d >> 1 & 1, d >> 2, f1, f2)
+            for x, a, d, f1, f2 in cases]
+    return [sum(lane[q] << k for k, lane in enumerate(bits)) for q in range(9)]
+
+
+# one lane per case: the program's (x, A, d, f1, f2), the expected side's
+# (None where it is a permutation program or an oracle, whose phase and
+# flag columns count as zero, and x is 0) and the verdict; a flagged-twice
+# lane has f1 set too, as the kernel leaves it
+_LANE_RULE = [
+    ("agree", (0, 0, 0, 0, 0), None, None),
+    ("qubits differ", (1, 0, 0, 0, 0), None, "differ"),
+    ("A differs", (0, 3, 0, 0, 0), None, "differ"),
+    ("only d differs", (0, 0, 5, 0, 0), None, None),
+    ("f1 on one side", (0, 0, 0, 1, 0), None, "differ"),
+    ("f1 on both sides", (0, 0, 0, 1, 0), (0, 0, 0, 1, 0), "unsure"),
+    ("f2, qubits differ", (1, 0, 0, 1, 1), None, "unsure"),
+    ("f2 on the other side, qubits differ", (0, 0, 0, 0, 0), (1, 0, 0, 1, 1), "unsure"),
+    ("A and d agree, both nonzero", (1, 5, 2, 0, 0), (1, 5, 2, 0, 0), None),
+]
+
+
+@pytest.mark.parametrize("other", ["path-sum", "permutation", "oracle"])
+def test_the_lane_rule_case_by_case(other):
+    # against a side with no phase columns, the rows whose other side is None
+    rows = [row for row in _LANE_RULE if other == "path-sum" or row[2] is None]
+    mine = one_qubit_columns([lane for _, lane, _, _ in rows])
+    theirs = one_qubit_columns([lane or (0,) * 5 for _, _, lane, _ in rows])
+    identity = _compile(Circuit(1))
+    inputs = [0] * len(rows)  # so the identity puts out x = 0 in every lane
+    program, expect = {
+        "path-sum": (_Fixed(theirs), lambda cols, ones: (cols, theirs)),
+        "permutation": (
+            identity, lambda cols, ones: (cols, identity.run(list(cols), ones.bit_length()))
+        ),
+        "oracle": (None, lambda cols, ones: (cols, [0])),  # one column per qubit
+    }[other]
+    runs = [(_Fixed(mine), expect)]
+    if program is not None:  # the rule is symmetric: swap the sides
+        runs.append((program, lambda cols, ones: (cols, mine)))
+    for program, expect in runs:
+        ((cases, columns, differ, unsure),) = sim._sweep(program, inputs, 1, expect, len(rows))
+        assert cases == inputs and columns[0] == [0]
+        verdicts = [
+            "unsure" if unsure >> k & 1 else "differ" if differ >> k & 1 else None
+            for k in range(len(rows))
+        ]
+        assert verdicts == [verdict for _, _, _, verdict in rows]
+
+
+# chunks of a circuit the path-sum kernel follows, on qubit s with another
+# qubit t: "flag" leaves a superposition, flagged once, where t is 1, and
+# "twice" undoes it there, flagged twice; a circuit of x and cx chunks only
+# compiles to a permutation program
+_CHUNKS = {
+    "x": lambda c, s, t: c.x(s),
+    "cx": lambda c, s, t: c.cx(t, s),
+    "t": lambda c, s, t: c.t(s),
+    "tdg": lambda c, s, t: c.tdg(s),
+    "hh": lambda c, s, t: c.h(s).h(s),
+    "flag": lambda c, s, t: c.h(s).cx(t, s).t(s).cx(t, s).tdg(s).h(s),
+    "twice": lambda c, s, t: c.h(s).cx(t, s).t(s).cx(t, s).tdg(s).h(s)
+    .h(s).t(s).cx(t, s).tdg(s).cx(t, s).h(s),
+}
+
+
+@st.composite
+def chunked_pairs(draw):
+    """Two circuits of 2 to 4 qubits built from _CHUNKS: the second is the
+    first, or it with one chunk replaced, or a circuit of its own."""
+    width = draw(st.integers(2, 4))
+    qubits = st.permutations(range(width)).map(lambda p: p[:2])
+    chunk = st.tuples(st.sampled_from(sorted(_CHUNKS)), qubits)
+    a = draw(st.lists(chunk, max_size=6))
+    how = draw(st.sampled_from(["same", "replace", "own"]))
+    if how == "own":
+        b = draw(st.lists(chunk, max_size=6))
+    else:
+        b = list(a)
+        if how == "replace" and b:
+            b[draw(st.integers(0, len(b) - 1))] = draw(chunk)
+    circuits = []
+    for chunks in (a, b):
+        c = Circuit(width)
+        for name, (s, t) in chunks:
+            _CHUNKS[name](c, s, t)
+        circuits.append(c)
+    return circuits
+
+
+def test_the_batch_size_never_changes_the_sweeps_verdicts(monkeypatch):
+    sweep, resize = sim._sweep, [None]  # None: the caller's batch
+
+    def resized(program, inputs, bits, expect, batch):
+        return sweep(program, inputs, bits, expect, resize[0] or batch)
+
+    monkeypatch.setattr(sim, "_sweep", resized)
+    seen = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(chunked_pairs(), st.lists(st.integers(0, 15), min_size=1, max_size=24))
+    def check(pair, samples):
+        a, b = pair
+        everything = range(1 << a.width)
+        for inputs in (everything, [s % len(everything) for s in samples]):
+            one = swept(a, b, inputs)
+            seen.update(kind for kind, lanes in zip(("differ", "unsure"), one) if lanes)
+            for batch in range(1, len(inputs) + 1):
+                assert swept(a, b, inputs, batch) == one
+        answers = assert_equiv(a, b), assert_equiv(a, b, "sampled", 24, len(samples))
+        assert answers[0] == first_difference_input_by_input(a, b, everything)
+        for batch in range(1, len(everything)):
+            resize[0] = batch
+            assert (assert_equiv(a, b), assert_equiv(a, b, "sampled", 24, len(samples))) == answers
+        resize[0] = None
+
+    check()
+    assert seen == {"differ", "unsure"}
