@@ -12,9 +12,11 @@ iter_primitive_ops, the one walk that every reader of a circuit's gates
 shares (lowering and its rule templates, analyze, counting, export, both
 simulators, Circuit.inverse), raises its holder's append error on a
 malformed hand-built gate at any depth, and a CircuitError on a
-composite that contains itself. A well-formed gate passes _gate_errors
-on an early test and gets a shared empty tuple; only a malformed one
-reaches the code that words the errors.
+composite that contains itself. A well-formed gate passes _fits, one
+unpack by arity and int, range and distinctness tests on the locals, and
+gets a shared empty tuple from _gate_errors; the walk inlines that test
+per primitive gate. Only a malformed gate reaches the code that words
+the errors.
 """
 from __future__ import annotations
 
@@ -99,14 +101,36 @@ _INVERSE_KIND = {GateKind.T: GateKind.TDG, GateKind.TDG: GateKind.T}
 _CYCLE = "composite cycle detected"
 
 
+def _fits(qubits: Sequence[int], arity: int, width: int) -> bool:
+    """True if `qubits` are `arity` distinct int operands in range(width),
+    by one unpack for arity 1, 2 or 3: the well-formed gate's early test."""
+    try:
+        if arity == 1:
+            (a,) = qubits
+            return type(a) is int and 0 <= a < width
+        if arity == 2:
+            a, b = qubits
+            return (type(a) is type(b) is int and 0 <= a < width
+                    and 0 <= b < width and a != b)
+        if arity == 3:
+            a, b, t = qubits
+            return (type(a) is type(b) is type(t) is int and 0 <= a < width
+                    and 0 <= b < width and 0 <= t < width and a != b != t != a)
+        return len(qubits) == arity == len(set(qubits)) and all(
+            type(q) is int and 0 <= q < width for q in qubits
+        )
+    except (TypeError, ValueError):
+        return False
+
+
 def _gate_errors(gate: Gate, width: int) -> Sequence[CircuitError]:
     """Every invariant `gate` breaks as an operation of a `width`-qubit circuit.
 
     The one home of the gate checks: Circuit.append raises the first error,
     validate reports them all, and iter_primitive_ops raises the first on
     a gate at any depth, checked against the circuit that holds it. A gate
-    without a body or of an unknown kind gets that error alone, since its
-    operand count is then undefined.
+    without a body, of an unknown kind or whose operands have no length
+    gets that error alone, since its operand count is then undefined.
     """
     qubits, kind = gate.qubits, gate.kind
     expected = PRIMITIVE_ARITY.get(kind)
@@ -116,24 +140,21 @@ def _gate_errors(gate: Gate, width: int) -> Sequence[CircuitError]:
         if gate.body is None:
             return [ArityError(_NO_BODY)]
         expected = gate.body.width
-    count = len(qubits)
-    if count == expected == len(set(qubits)):  # the well-formed gate, early
-        for q in qubits:
-            if type(q) is not int or not 0 <= q < width:
-                break
-        else:
-            return ()  # the one empty tuple, shared
+    if _fits(qubits, expected, width):
+        return ()  # the one empty tuple, shared
+    try:
+        count = len(qubits)
+    except TypeError:
+        return [ArityError(f"operands must be a sequence, got {int_text(qubits)}")]
     errors: list[CircuitError] = []
     if count != expected:
         errors.append(ArityError(f"{gate!r} expects {expected} operands, got {count}"))
-    for q in qubits:
-        if type(q) is not int or not 0 <= q < width:
-            bad = [q for q in qubits if type(q) is not int or not 0 <= q < width]
-            errors.append(QubitIndexError(
-                f"operands [{', '.join(map(int_text, bad))}] out of range "
-                f"for width {int_text(width)}"
-            ))
-            break
+    bad = [q for q in qubits if type(q) is not int or not 0 <= q < width]
+    if bad:
+        errors.append(QubitIndexError(
+            f"operands [{', '.join(map(int_text, bad))}] out of range "
+            f"for width {int_text(width)}"
+        ))
     if len(set(qubits)) != count:
         errors.append(OperandCollisionError(f"duplicate operands in {gate!r}"))
     return errors
@@ -150,37 +171,50 @@ def iter_primitive_ops(c: Circuit) -> Iterator[tuple[GateKind, tuple[int, ...]]]
     whose body is already being walked raises CircuitError.
     """
     arity = PRIMITIVE_ARITY.get
-    root = range(c.width).__getitem__
-    stack = [(iter(c.gates), root, c)]
+    stack = [(iter(c.gates), None, c)]  # no operand tuple: c's own numbering
     walking = {id(c)}  # the bodies on the stack
     while stack:
         gates, qmap, holder = stack[-1]
         width = holder.width
         for g in gates:
-            held = g.qubits
-            for q in held:  # a map would take a bool and wrap a negative
-                if type(q) is not int or not 0 <= q < width:
-                    raise _gate_errors(g, width)[0]
-            kind = g.kind
-            distinct = len(set(held))
-            if distinct == len(held) == arity(kind):
-                # a checked root-level tuple is already in c's numbering
-                yield kind, (held if qmap is root and type(held) is tuple
-                             else tuple(map(qmap, held)))
-                continue
+            kind, held, _, body = g
+            n = arity(kind)
+            # _fits inline for a primitive, as a call per gate would cost;
+            # a failed unpack is a malformed gate, and so raises below
+            try:
+                if n == 2:
+                    a, b = held
+                    if (type(a) is type(b) is int and 0 <= a < width
+                            and 0 <= b < width and a != b):
+                        yield kind, ((qmap[a], qmap[b]) if qmap is not None
+                                     else held if type(held) is tuple else (a, b))
+                        continue
+                elif n == 1:
+                    (a,) = held
+                    if type(a) is int and 0 <= a < width:
+                        yield kind, ((qmap[a],) if qmap is not None
+                                     else held if type(held) is tuple else (a,))
+                        continue
+                elif n == 3:
+                    a, b, t = held
+                    if (type(a) is type(b) is type(t) is int and 0 <= a < width
+                            and 0 <= b < width and 0 <= t < width and a != b != t != a):
+                        yield kind, ((qmap[a], qmap[b], qmap[t]) if qmap is not None
+                                     else held if type(held) is tuple else (a, b, t))
+                        continue
+            except (TypeError, ValueError):
+                pass
             # a composite has no primitive arity, so it is checked here;
             # any other gate that got this far is malformed
-            body = g.body
-            if (
-                kind is not GateKind.COMPOSITE
-                or body is None
-                or not distinct == len(held) == body.width
+            if kind is not GateKind.COMPOSITE or body is None or not _fits(
+                held, body.width, width
             ):
                 raise _gate_errors(g, width)[0]
             if id(body) in walking:
                 raise CircuitError(f"{_CYCLE} at {g.name}{held}")
             walking.add(id(body))
-            stack.append((iter(body.gates), tuple(map(qmap, held)).__getitem__, body))
+            mapped = tuple(held) if qmap is None else tuple([qmap[q] for q in held])
+            stack.append((iter(body.gates), mapped, body))
             break
         else:
             walking.discard(id(holder))
@@ -240,11 +274,13 @@ class Circuit:
         (numpy's) as int."""
         errors = _gate_errors(gate, self.width)
         if errors or type(gate.qubits) is not tuple:
-            # a bool is an Integral, but no more a qubit than a float
-            gate = gate._replace(qubits=tuple(
-                int(q) if isinstance(q, Integral) and type(q) is not bool else q
-                for q in gate.qubits
-            ))
+            try:  # a bool is an Integral, but no more a qubit than a float
+                gate = gate._replace(qubits=tuple(
+                    int(q) if isinstance(q, Integral) and type(q) is not bool else q
+                    for q in gate.qubits
+                ))
+            except TypeError:  # operands that are no sequence: errors says so
+                raise errors[0] from None
             errors = _gate_errors(gate, self.width)
             if errors:
                 raise errors[0]

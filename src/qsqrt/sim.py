@@ -171,6 +171,12 @@ _CHUNK_OPS = 512
 #: caps its sampled inputs.
 _BIT_SLICED_CAP = 20
 
+#: Lanes per batch of assert_equiv's sweep: a column stays at 8 KB, where
+#: one of 2**_BIT_SLICED_CAP lanes (131 KB) would pass glibc's default
+#: 128 KiB mmap threshold, so each int the kernel made would be mapped
+#: afresh.
+_SWEEP_BATCH = 1 << 16
+
 #: Entries a batch of basis columns may hold (_run_basis). Every column
 #: holds at least one, so it also caps assert_equiv's batches, which halve
 #: until they fit.
@@ -757,8 +763,9 @@ def assert_equiv(
     index where they differ. Each side compiles to its permutation program
     if it is a permutation circuit, else to the path-sum program of its
     lowering, its rules' templates and all, whatever the other side is. Any
-    two programs run bit-sliced from the same input columns, judged by
-    _sweep's lane rule as `qsqrt verify` is (exhaustive up to width 20).
+    two programs run bit-sliced from the same input columns, _SWEEP_BATCH
+    lanes at a time, judged by _sweep's lane rule as `qsqrt verify` is
+    (exhaustive up to width 20).
     A pair with a side the path sum refuses runs on each side's natural
     backend (exhaustive up to width 12): a permutation-only circuit through
     _run (each output read as one entry of amplitude 1), anything else
@@ -809,7 +816,7 @@ def assert_equiv(
         return cols, other.run(cols + [0] * (other.width - width), ones.bit_length())
 
     undecided: list[int] = []
-    for cases, _, differ, unsure in _sweep(program, inputs, width, expect, len(inputs)):
+    for cases, _, differ, unsure in _sweep(program, inputs, width, expect, _SWEEP_BATCH):
         stop = (differ & -differ).bit_length() - 1 if differ else len(cases)
         unsure &= (1 << stop) - 1  # the unsure lanes before the first that differs
         undecided += compress(cases, _bits_of(unsure, unsure.bit_length()))

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import pickle
 
 import numpy as np
@@ -357,6 +358,8 @@ def _well_formed(gate, width):
         arity = None if gate.body is None else gate.body.width
     else:
         arity = PRIMITIVE_ARITY.get(gate.kind)
+    if isinstance(gate.qubits, int):  # a bare int: no operands at all
+        return False
     qubits = list(gate.qubits)
     return (
         arity == len(qubits)
@@ -367,8 +370,9 @@ def _well_formed(gate, width):
 
 @st.composite
 def early_accept_cases(draw):
-    """(width, gate) over every kind, a body or none, a tuple or a list, and
-    int, bool, float, numpy int, negative, out-of-range and repeated operands."""
+    """(width, gate) over every kind, a body or none, and int, bool, float,
+    numpy int, negative, out-of-range and repeated operands held in a tuple,
+    a list, a numpy array or a str of their digits, or a bare int."""
     width = draw(st.integers(1, 5))
     kind = draw(st.sampled_from([*GateKind, "bogus"]))
     body = None
@@ -384,18 +388,32 @@ def early_accept_cases(draw):
     qubits = draw(st.lists(operand, max_size=4))
     if qubits and draw(st.booleans()):
         qubits.insert(draw(st.integers(0, len(qubits))), draw(st.sampled_from(qubits)))
-    container = draw(st.sampled_from([tuple, list]))
-    return width, Gate(kind, container(qubits), name="BLOCK", body=body)
+    container = draw(st.sampled_from([tuple, list, np.array, _digits, "int"]))
+    held = draw(index) if container == "int" else container(qubits)
+    return width, Gate(kind, held, name="BLOCK", body=body)
+
+
+def _digits(qubits):
+    """The operands as a str, one char per char of their reprs."""
+    return "".join(map(str, qubits))
+
+
+def _as_appended(gate):
+    """`gate` with numpy int operands as int, as append stores it; a bare
+    int has no operands to convert."""
+    if isinstance(gate.qubits, int):
+        return gate
+    return gate._replace(qubits=tuple(
+        int(q) if isinstance(q, np.integer) else q for q in gate.qubits
+    ))
 
 
 @settings(max_examples=500, deadline=None)
 @given(early_accept_cases())
 def test_the_gate_check_accepts_exactly_the_well_formed_gates(case):
     width, gate = case
-    assert (not _gate_errors(gate, width)) == _well_formed(gate, width)
-    normalised = gate._replace(qubits=tuple(
-        int(q) if isinstance(q, np.integer) else q for q in gate.qubits
-    ))
+    assert (_gate_errors(gate, width) == ()) == _well_formed(gate, width)
+    normalised = _as_appended(gate)
     errors = _gate_errors(normalised, width)
     c = Circuit(width)
     try:
@@ -406,3 +424,89 @@ def test_the_gate_check_accepts_exactly_the_well_formed_gates(case):
         assert not errors
         assert c.gates == [normalised]
         assert type(c.gates[0].qubits) is tuple
+
+
+def _walk_agrees_with_the_check(width, gate):
+    """The walk yields `gate`, held alone by a width-qubit circuit, exactly
+    when _gate_errors accepts it, and otherwise raises validate's first
+    message; the check accepts exactly the well-formed gates."""
+    c = Circuit(width)
+    c.gates.append(gate)  # bypasses append
+    accepted = _gate_errors(gate, width) == ()
+    assert accepted == _well_formed(gate, width)
+    try:
+        ops = list(iter_primitive_ops(c))
+    except CircuitError as err:
+        assert not accepted and str(err) == validate(c)[0].message
+    else:
+        assert accepted
+        # a composite's body is empty
+        composite = gate.kind is GateKind.COMPOSITE
+        assert ops == ([] if composite else [(gate.kind, tuple(gate.qubits))])
+        assert all(type(q) is tuple for _, q in ops)
+
+
+@settings(max_examples=500, deadline=None)
+@given(early_accept_cases())
+def test_the_walk_yields_a_gate_exactly_when_the_check_accepts_it(case):
+    _walk_agrees_with_the_check(*case)
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3, 4])
+def test_the_walk_and_the_check_agree_on_every_small_operand_tuple(arity):
+    # the near misses: int operands from -1 to width, one too few to one
+    # too many, each the primitive kinds' and a composite's of that arity
+    kinds = [kind for kind, k in PRIMITIVE_ARITY.items() if k == arity]
+    for width in range(1, 5):
+        for count in (arity - 1, arity, arity + 1):
+            for qubits in itertools.product(range(-1, width + 1), repeat=count):
+                for kind in kinds:
+                    _walk_agrees_with_the_check(width, Gate(kind, qubits))
+                composite = Gate(GateKind.COMPOSITE, qubits, "BLOCK", Circuit(arity))
+                _walk_agrees_with_the_check(width, composite)
+
+
+def test_operands_that_are_no_sequence_are_reported():
+    c = Circuit(2)
+    c.gates.append(Gate(GateKind.X, 1))  # bypasses append
+    message = "operands must be a sequence, got 1"
+    assert validate(c) == [Violation("circuit", 0, message)]
+    with pytest.raises(ArityError, match=message):
+        list(iter_primitive_ops(c))
+    with pytest.raises(ArityError, match=message):
+        Circuit(2).append(Gate(GateKind.X, 1))
+
+
+def _reference_walk(c, qmap=None):
+    """(kind, qubits) of each primitive gate of `c`, by plain recursion
+    through the composed operand maps."""
+    for g in c.gates:
+        qubits = tuple(g.qubits if qmap is None else [qmap[q] for q in g.qubits])
+        if g.kind is GateKind.COMPOSITE:
+            yield from _reference_walk(g.body, qubits)
+        else:
+            yield g.kind, qubits
+
+
+@st.composite
+def listed_circuits(draw):
+    """A nested primitive circuit, composites 0 to 3 deep, in which some
+    gates, at the root and in bodies, hold their operands in a list."""
+    c = draw(st.tuples(st.integers(1, 6), st.integers(0, 3)).flatmap(
+        lambda shape: primitive_circuits(*shape)
+    ))
+    for holder in _circuit_and_bodies(c):
+        for i, g in enumerate(holder.gates):
+            if draw(st.booleans()):
+                holder.gates[i] = g._replace(qubits=list(g.qubits))  # bypasses append
+    return c
+
+
+@settings(max_examples=150, deadline=None)
+@given(listed_circuits())
+def test_the_walk_equals_a_plain_recursive_walk(c):
+    ops = list(iter_primitive_ops(c))
+    assert ops == list(_reference_walk(c))
+    for kind, qubits in ops:
+        assert type(qubits) is tuple and len(qubits) == PRIMITIVE_ARITY[kind]
+        assert all(type(q) is int and 0 <= q < c.width for q in qubits)

@@ -1481,6 +1481,48 @@ def test_a_case_flagged_once_on_both_sides_is_decided_on_the_sparse_kernel(
     assert sparse == [[0, 1, 2, 3]] * 2
 
 
+def _flagged(flag, unflag):
+    """3 qubits: `flag`, CX(1, 0), `unflag`, CX(1, 0) between two H on qubit
+    0, which leaves a superposition, flagged once, where qubit 1 is set."""
+    c = Circuit(3).h(0).append(Gate(flag, (0,))).cx(1, 0)
+    return c.append(Gate(unflag, (0,))).cx(1, 0).h(0)
+
+
+def _recombined():
+    """_flagged undone, flagged twice where qubit 1 is set, then a T on 2."""
+    once = _flagged(GateKind.T, GateKind.TDG)
+    c = Circuit(3)
+    c.gates.extend(once.gates + once.inverse().gates)
+    return c.t(2)
+
+
+# (a, b, the first input where they differ): inputs 2, 3, 6 and 7 (qubit 1
+# set) are unsure lanes and 4 is the first that differs for certain (the T
+# on qubit 2); the unsure lanes before it agree in the first pair and
+# differ in the second
+_LATER_BATCH_PAIRS = [
+    (Circuit(3), _recombined(), 4),
+    (_flagged(GateKind.T, GateKind.TDG).t(2), _flagged(GateKind.TDG, GateKind.T), 2),
+]
+
+
+@pytest.mark.parametrize("a, b, first", _LATER_BATCH_PAIRS,
+                         ids=["agree", "differ"])
+def test_assert_equiv_batches_answer_as_one_batch(monkeypatch, a, b, first):
+    everything = range(8)
+    differ, unsure = swept(a, b, everything)
+    assert (lanes(differ)[0], lanes(unsure)) == (4, [2, 3, 6, 7])
+    assert first_difference_input_by_input(a, b, everything) == first
+    sparse = []
+    run_basis = sim._run_basis
+    monkeypatch.setattr(sim, "_run_basis", lambda c, s: sparse.append(s) or run_basis(c, s))
+    for batch in (8, 4, 3, 2, 1):  # one batch, then the difference in a later one
+        monkeypatch.setattr(sim, "_SWEEP_BATCH", batch)
+        sparse.clear()
+        assert assert_equiv(a, b) == first
+        assert sparse and all(s == [2, 3] for s in sparse)
+
+
 class _Fixed:
     """A stand-in program that puts out the same columns on any input."""
 
