@@ -93,7 +93,11 @@ class Gate(NamedTuple):
 
     def __repr__(self) -> str:
         label = self.name if self.kind is GateKind.COMPOSITE else self.kind.value
-        return f"{label}({', '.join(map(int_text, self.qubits))})"
+        try:
+            operands = ", ".join(map(int_text, self.qubits))
+        except TypeError:  # operands that are no sequence, as a bare int
+            operands = int_text(self.qubits)
+        return f"{label}({operands})"
 
 
 _NO_BODY = "composite gate without a body"
@@ -155,7 +159,11 @@ def _gate_errors(gate: Gate, width: int) -> Sequence[CircuitError]:
             f"operands [{', '.join(map(int_text, bad))}] out of range "
             f"for width {int_text(width)}"
         ))
-    if len(set(qubits)) != count:
+    try:
+        collide = len(set(qubits)) != count
+    except TypeError:  # an unhashable operand, which `bad` already holds
+        collide = False
+    if collide:
         errors.append(OperandCollisionError(f"duplicate operands in {gate!r}"))
     return errors
 

@@ -53,9 +53,6 @@ MAX_EXHAUSTIVE_BITS = 28
 #: the same VM. The library itself (`isqrt`, the builders) has no limit.
 MAX_CLI_N = 256
 SAMPLED_CASES = 100
-#: A sweep runs through the kernel this many cases at a time, so its memory
-#: stays bounded whatever the case count.
-VERIFY_BATCH = 1 << 16
 _SAMPLE_SEED = 0
 
 
@@ -376,7 +373,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = 0
     first_failure: tuple[int, int, int] | None = None
     oracle = functools.partial(family.oracle, n)
-    for _, columns, differ, _ in _sweep(program, indices, bits, oracle, VERIFY_BATCH):
+    for _, columns, differ, _ in _sweep(program, indices, bits, oracle):
         if differ and first_failure is None:
             lane = (differ & -differ).bit_length() - 1
             first_failure = tuple(

@@ -27,11 +27,11 @@ feeds the kernel: a range of consecutive states, such as an exhaustive
 `qsqrt verify` batch or assert_equiv's inputs, gets its columns straight
 from the counter, and one that repeats within the range is built once
 for its phase and kept (_COLUMN_CACHE_SIZE); a single state is split
-into bits; any other states are transposed in. _run hands back one
-format, a numpy array of the output states: uint64 up to 64 qubits,
-Python ints (dtype=object) beyond. Neither checks the states:
-perm_run_many (so perm_run) checks outside states, and isqrt, verify,
-permutation_matrix and assert_equiv build their own.
+into bits; any other states are transposed in, and a program starts the
+columns it is not given at 0. _run hands back one format, Python ints,
+so a single state or an exhaustive sweep calls no numpy. Neither checks
+the states: perm_run_many (so perm_run) checks outside states, and
+isqrt, verify, permutation_matrix and assert_equiv build their own.
 
 assert_equiv compiles each side to its permutation program, else to its
 path-sum program, and runs any two programs bit-sliced from the same
@@ -98,7 +98,7 @@ def perm_run_many(c: Circuit, states: Sequence[int]) -> list[int]:
     NonPermutationGateError on H, T or TDG, and InputRangeError on a state
     that is not an integer (numpy integers pass) below 2**width.
     """
-    return _run(_compile(c), _check_states(states, c.width)).tolist()
+    return _run(_compile(c), _check_states(states, c.width))
 
 
 def perm_run(c: Circuit, state: int) -> int:
@@ -171,10 +171,10 @@ _CHUNK_OPS = 512
 #: caps its sampled inputs.
 _BIT_SLICED_CAP = 20
 
-#: Lanes per batch of assert_equiv's sweep: a column stays at 8 KB, where
-#: one of 2**_BIT_SLICED_CAP lanes (131 KB) would pass glibc's default
-#: 128 KiB mmap threshold, so each int the kernel made would be mapped
-#: afresh.
+#: Lanes per batch of _sweep, for `qsqrt verify` and assert_equiv: a column
+#: stays at 8 KB, where one of 2**_BIT_SLICED_CAP lanes (131 KB) would pass
+#: glibc's default 128 KiB mmap threshold, so each int the kernel made would
+#: be mapped afresh.
 _SWEEP_BATCH = 1 << 16
 
 #: Entries a batch of basis columns may hold (_run_basis). Every column
@@ -213,7 +213,9 @@ class _Program:
         self.chunks: tuple[Callable, ...] | None = None
 
     def run(self, cols: list[int], lanes: int) -> list[int]:
-        """The program's output columns on bit-sliced columns (see _run_columns)."""
+        """The program's output columns (see _run_columns) on a case's
+        leading columns `cols`, which it keeps; the rest start at 0."""
+        cols = cols + [0] * (self.width - len(cols))  # the loop updates in place
         # code is read before chunks, and generating sets chunks before it
         # drops code, so a run in another thread always finds one of them
         code, chunks = self.code, self.chunks
@@ -312,18 +314,16 @@ def _cached_program(builder: Callable[[int], Circuit], n: int) -> _Program:
     return program
 
 
-def _run(program: _Program, states: Sequence[int]) -> np.ndarray:
+def _run(program: _Program, states: Sequence[int]) -> list[int]:
     """The output states of a program on basis states below 2**width.
 
-    The states are not checked. Returns them in one numpy array, of dtype
-    _lane_dtype(width): a single state is reassembled from its bits, and any
-    other batch is transposed out.
+    The states are not checked. Returns them as Python ints: a single
+    state is reassembled from its bits, and any other batch is transposed
+    out.
     """
     width, count = program.width, len(states)
     cols = program.run(_columns(states, width), count)
-    if count == 1:
-        return np.array([_int_of_bits(cols)], _lane_dtype(width))
-    return _transpose(cols, count)
+    return [_int_of_bits(cols)] if count == 1 else _transpose(cols, count)
 
 
 def _columns(states: Sequence[int], width: int) -> list[int]:
@@ -338,7 +338,7 @@ def _columns(states: Sequence[int], width: int) -> list[int]:
         return _bits_of(int(states[0]), width)
     if isinstance(states, range) and states.step == 1:
         return [_counter_column(states.start, count, q) for q in range(width)]
-    return _transpose(states, width).tolist()
+    return _transpose(states, width)
 
 
 # One state's bits as the bytes 0 and 1, and back, by way of its binary digits.
@@ -354,12 +354,6 @@ def _bits_of(state: int, width: int) -> list[int]:
 def _int_of_bits(cols: list[int]) -> int:
     """The state whose bit q is cols[q], each 0 or 1: _bits_of inverted."""
     return int(bytes(cols[::-1]).translate(_TO_DIGITS), 2)
-
-
-def _lane_dtype(width: int) -> np.dtype:
-    """dtype of _run's states of `width` qubits and of _transpose's columns
-    of `width` rows: uint64 up to 64, Python ints (dtype=object) beyond."""
-    return np.dtype(np.uint64 if width <= 64 else object)
 
 
 def _check_states(
@@ -480,18 +474,17 @@ def _phase_column(phase: int, count: int, q: int) -> int:
 _periodic_column = lru_cache(maxsize=_COLUMN_CACHE_SIZE)(_phase_column)
 
 
-def _transpose(rows: Sequence[int], width: int) -> np.ndarray:
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
     """Transpose a bit matrix: bit k of out[q] is bit q of rows[k].
 
-    `rows` holds ints below 2**width and the result has `width` ints of
-    len(rows) bits each, in an array of dtype _lane_dtype(len(rows)) when
-    rows is not empty; it turns basis states into bit-sliced qubit columns
-    and back.
+    `rows` holds ints below 2**width and the result `width` Python ints of
+    len(rows) bits each; it turns basis states into bit-sliced qubit
+    columns and back.
     """
     cols = _bit_transpose(_bytes_of(rows, width), width)
     if cols.shape[1] == 8:
-        return cols.view("<u8").ravel()
-    return np.array([int.from_bytes(col.tobytes(), "little") for col in cols], object)
+        return cols.view("<u8").ravel().tolist()
+    return [int.from_bytes(col.tobytes(), "little") for col in cols]
 
 
 def _bytes_of(ints: Sequence[int], nbits: int) -> np.ndarray:
@@ -726,7 +719,7 @@ def unitary(c: Circuit) -> np.ndarray:
     except _PathSumError:  # every column on the sparse kernel, on c's own gates
         entries = _sv_entries(c, *_basis(range(dim), width), dim, _SV_MAX_ENTRIES)
         return _dense(*entries, width, dim)
-    lanes = _run(program, range(dim))  # each its state, then _PHASE_NAMES
+    lanes = np.array(_run(program, range(dim)))  # each its state, then _PHASE_NAMES
     u = np.zeros((dim, dim), complex)
     u[lanes & (dim - 1), np.arange(dim)] = np.exp(1j * np.pi / 4 * (lanes >> width & 7))
     flagged = np.flatnonzero(lanes >> width + 6)  # f1 or f2
@@ -813,10 +806,10 @@ def assert_equiv(
     program, other = programs
 
     def expect(cols: list[int], ones: int) -> tuple[list, list]:
-        return cols, other.run(cols + [0] * (other.width - width), ones.bit_length())
+        return cols, other.run(cols, ones.bit_length())
 
     undecided: list[int] = []
-    for cases, _, differ, unsure in _sweep(program, inputs, width, expect, _SWEEP_BATCH):
+    for cases, _, differ, unsure in _sweep(program, inputs, width, expect):
         stop = (differ & -differ).bit_length() - 1 if differ else len(cases)
         unsure &= (1 << stop) - 1  # the unsure lanes before the first that differs
         undecided += compress(cases, _bits_of(unsure, unsure.bit_length()))
@@ -845,10 +838,10 @@ def _path_sum_program(c: Circuit) -> _Program | None:
 
 
 def _sweep(
-    program: _Program, inputs: Sequence[int], bits: int, expect: Callable, batch: int
+    program: _Program, inputs: Sequence[int], bits: int, expect: Callable
 ) -> Iterator[tuple[Sequence[int], tuple[list, list, list], int, int]]:
-    """Run `program` on `inputs`, states of `bits` bits, `batch` at a time,
-    and yield per batch its inputs, its (input, expected, output) columns
+    """Run `program` on `inputs`, states of `bits` bits, _SWEEP_BATCH at a
+    time, and yield per batch its inputs, its (input, expected, output) columns
     and `differ` and `unsure`, whose bit k is set where case k differs or
     is not decided. expect(cases, ones), from a batch's columns (_columns)
     and lane mask, gives the program's input columns, one per qubit, and
@@ -863,12 +856,12 @@ def _sweep(
     flagged once on one side only therefore differs; one flagged once on
     both, or twice on either (it may have recombined), is not decided.
     """
-    for lo in range(0, len(inputs), batch):
-        cases = inputs[lo : lo + batch]
+    for lo in range(0, len(inputs), _SWEEP_BATCH):
+        cases = inputs[lo : lo + _SWEEP_BATCH]
         count = len(cases)
         cols, want = expect(_columns(cases, bits), (1 << count) - 1)
         width = len(cols)
-        got = program.run(cols + [0] * (program.width - width), count)
+        got = program.run(cols, count)
         x, y = got + [0] * _PHASE_COLUMNS, want + [0] * _PHASE_COLUMNS
         f1, f2 = width + 6, width + 7  # the flags end _PHASE_NAMES
         unsure = x[f2] | y[f2] | x[f1] & y[f1]

@@ -214,6 +214,6 @@ def isqrt(a: int, n: int | None = None) -> SqrtResult:
             f"input {int_text(a)} does not fit signed width {n} "
             f"(max 2^{n - 1} - 1)"
         )
-    out = int(_run(_cached_program(build_isqrt_pipeline, n), (a | 1 << n,))[0])
+    (out,) = _run(_cached_program(build_isqrt_pipeline, n), (a | 1 << n,))
     mask = (1 << n) - 1
     return SqrtResult(root=(out >> n) & mask, remainder=out & mask)

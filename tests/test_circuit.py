@@ -12,12 +12,14 @@ from qsqrt import (
     Circuit,
     Gate,
     GateKind,
+    analyze,
     build_adder,
     build_isqrt_circuit,
     flatten,
     peres_circuit,
     Violation,
     perm_run,
+    to_qasm,
     validate,
 )
 from qsqrt.circuit import PRIMITIVE_ARITY, _gate_errors, iter_primitive_ops
@@ -475,6 +477,40 @@ def test_operands_that_are_no_sequence_are_reported():
         list(iter_primitive_ops(c))
     with pytest.raises(ArityError, match=message):
         Circuit(2).append(Gate(GateKind.X, 1))
+
+
+def test_a_gate_on_a_bare_int_prints_it():
+    assert repr(Gate(GateKind.X, 1)) == "x(1)"
+    assert repr(Gate(GateKind.X, 1 << 200)) == "x(<201-bit integer>)"
+    body = Circuit(1).x(0)
+    assert repr(Gate(GateKind.COMPOSITE, 3, "B", body)) == "B(3)"
+
+
+@pytest.mark.parametrize("operand", [[0], {0}, {0: 1}], ids=["list", "set", "dict"])
+@pytest.mark.parametrize("nested", [False, True], ids=["root", "body"])
+def test_unhashable_operands_are_reported(operand, nested):
+    bad = Gate(GateKind.CX, (operand, 1))
+    message = f"operands [{operand!r}] out of range for width 3"
+    errors = _gate_errors(bad, 3)
+    assert [(type(e), str(e)) for e in errors] == [(QubitIndexError, message)]
+    c = Circuit(3)
+    if nested:
+        body = Circuit(3)
+        body.gates.append(bad)  # bypasses append
+        c.append_composite("B", body, (0, 1, 2))
+        path = "circuit > B"
+    else:
+        c.gates.append(bad)
+        path = "circuit"
+    assert validate(c) == [Violation(path, 0, message)]
+    for consumer in (lambda c: list(iter_primitive_ops(c)), to_qasm, analyze,
+                     lambda c: perm_run(c, 0)):
+        with pytest.raises(QubitIndexError) as raised:
+            consumer(c)
+        assert str(raised.value) == message
+    with pytest.raises(QubitIndexError) as raised:
+        Circuit(3).append(bad)
+    assert str(raised.value) == message
 
 
 def _reference_walk(c, qmap=None):

@@ -673,7 +673,7 @@ def test_verify_batches_report_like_one_batch(monkeypatch, capsys):
     argv = ["verify", "--circuit", "adder", "--n", "3", "--no-timing"]
     assert main(argv) == 1
     single = capsys.readouterr()
-    monkeypatch.setattr(cli, "VERIFY_BATCH", 5)
+    monkeypatch.setattr(sim, "_SWEEP_BATCH", 5)
     assert main(argv) == 1
     batched = capsys.readouterr()
     assert batched.err.startswith("FAIL: 32 of 64 cases failed;")
@@ -687,7 +687,7 @@ def test_a_multi_batch_sweep_builds_each_low_column_once(monkeypatch, capsys):
     # 2^12 cases in 16 batches of 256: lanes 256 k + j read bit q of j at
     # every q <= 7, and only q <= 6 repeat within a batch (256 > 2^(q+1))
     sim._periodic_column.cache_clear()
-    monkeypatch.setattr(cli, "VERIFY_BATCH", 1 << 8)
+    monkeypatch.setattr(sim, "_SWEEP_BATCH", 1 << 8)
     assert main(argv) == 0
     assert capsys.readouterr() == single
     info = sim._periodic_column.cache_info()

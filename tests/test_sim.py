@@ -1,5 +1,6 @@
 import ast
 import gc
+import math
 import random
 import sys
 import traceback
@@ -46,7 +47,7 @@ from qsqrt.errors import (
 )
 from qsqrt import analysis, lowering, sim
 from qsqrt.circuit import PRIMITIVE_ARITY, iter_primitive_ops
-from qsqrt.cli import FAMILIES
+from qsqrt.cli import FAMILIES, main
 from qsqrt.sim import _compile, _run
 from strategies import (
     _nested_circuits,
@@ -176,14 +177,12 @@ def test_transposes_match_a_bit_by_bit_reference(width, count, data):
     cols = [
         sum((row >> q & 1) << k for k, row in enumerate(rows)) for q in range(width)
     ]
-    assert sim._transpose(rows, width).tolist() == cols
+    columns = sim._transpose(rows, width)
+    assert columns == cols
     states = sim._transpose(cols, count)
-    assert states.tolist() == rows
-    # the output format of _run: uint64 up to 64 qubits, Python ints beyond
-    if width <= 64:
-        assert states.dtype == np.uint64
-    else:
-        assert states.dtype == object and all(type(s) is int for s in states)
+    assert states == rows
+    # the output format of _run: Python ints on both sides of 64 qubits
+    assert all(type(x) is int for x in columns + states)
 
 
 @st.composite
@@ -202,10 +201,9 @@ def circuits_and_runs(draw):
 def test_a_run_of_states_reads_its_columns_from_the_counter(case):
     c, states = case
     program = _compile(c)
-    out = _run(program, states)
-    assert out.dtype == sim._lane_dtype(c.width)
-    got = out.tolist()
-    assert got == _run(program, list(states)).tolist()
+    got = _run(program, states)
+    assert all(type(s) is int for s in got)
+    assert got == _run(program, list(states))
     # the reference walks one state at a time: every lane of a short run, and
     # of a long one its ends and a seeded sample
     lanes = range(len(states))
@@ -258,7 +256,7 @@ def test_compiled_program_takes_wide_entries_beyond_two_byte_qubits():
     program = _compile(c)
     assert program.code.itemsize >= 4
     states = [0, 1 << 69_999, 1 << 65_535 | 1 << 2]
-    assert _run(program, states).tolist() == [reference_run(c, s) for s in states]
+    assert _run(program, states) == [reference_run(c, s) for s in states]
 
 
 _ARITY = {op: PRIMITIVE_ARITY[kind] for kind, op in sim._OPCODES.items()}
@@ -348,13 +346,54 @@ def test_one_state_skips_the_transposes_and_answers_alike(width):
     program = _compile(c)
     for state in (0, (1 << width) - 1, rng.getrandbits(width)):
         cols = sim._bits_of(state, width)
-        assert cols == sim._transpose([state], width).tolist()
+        assert cols == sim._transpose([state], width)
         assert sim._int_of_bits(cols) == state
-        assert sim._transpose(cols, 1).tolist() == [state]
+        assert sim._transpose(cols, 1) == [state]
         out = _run(program, [state])
-        assert out.dtype == sim._lane_dtype(width)
-        assert out.tolist() == _run(program, [state, state]).tolist()[:1]
-        assert out.tolist() == [reference_run(c, state)]
+        assert type(out[0]) is int
+        assert out == _run(program, [state, state])[:1]
+        assert out == [reference_run(c, state)]
+
+
+@pytest.mark.parametrize("form", ["loop", "generated"])
+def test_a_run_leaves_its_columns_and_starts_the_rest_at_zero(form):
+    # 5 qubits given their first two columns, 4 lanes; and a path-sum
+    # program given its qubit's column, whose phase columns start at 0
+    permutation = _compile(Circuit(5).x(0).cx(1, 4).x(3))
+    path_sum = sim._compile_path_sum(Circuit(1).t(0))
+    for program in (permutation, path_sum):
+        if form == "generated":  # a cached program generates on its second run
+            program.reused = True
+            program.run([], 1)
+    given = [0b1010, 0b0110]
+    assert permutation.run(given, 4) == [0b0101, 0b0110, 0, 0b1111, 0b0110]
+    assert given == [0b1010, 0b0110]
+    assert path_sum.run(given[:1], 4) == [0b1010, 0b1010] + [0] * 7
+    assert given == [0b1010, 0b0110]
+    assert [p.chunks is not None for p in (permutation, path_sum)] == [
+        form == "generated"
+    ] * 2
+
+
+class _NoNumpy:
+    """A stand-in for sim.np that fails on any use."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} was used")
+
+
+def test_one_state_and_an_exhaustive_verify_use_no_numpy(monkeypatch, capsys):
+    monkeypatch.setattr(sim, "np", _NoNumpy())
+    sim._cached_program.cache_clear()
+    for n in (4, 64):
+        for a in (0, 5, (1 << (n - 1)) - 1):  # cold, generating, then warm
+            root = math.isqrt(a)
+            assert isqrt(a, n) == (root, a - root * root)
+    for width in (63, 64, 65, 129):
+        c = Circuit(width).x(width - 1).cx(width - 1, 0)
+        assert perm_run(c, 1 << 1) == 1 << (width - 1) | 1 << 1 | 1
+    assert main(["verify", "--circuit", "adder", "--n", "6", "--no-timing"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "checked 4096 cases, 4096 passed"
 
 
 def test_programs_compiled_for_one_call_never_generate(monkeypatch):
@@ -1295,7 +1334,7 @@ def test_permutation_circuits_match_their_lowering_on_both_kernels(c):
     want = _run(_compile(c), states)
     program = sim._compile_path_sum(lowered)
     cols = program.run(sim._columns(states, program.width), len(states))
-    assert sim._transpose(cols[: c.width], len(states)).tolist() == want.tolist()
+    assert sim._transpose(cols[: c.width], len(states)) == want
     a0, a1, a2, _, _, _, f1, f2 = cols[c.width :]  # d is left as it was
     assert a0 == a1 == a2 == f1 == f2 == 0
     keys, amps = sim._run_basis(lowered, states)
@@ -1392,17 +1431,18 @@ def test_path_sum_pairs_check_every_input_up_to_width_20():
         assert_equiv(block, block)
 
 
-def swept(a, b, inputs, batch=None):
+def swept(a, b, inputs):
     """_sweep's verdicts on two circuits' programs, compiled as assert_equiv
     compiles them, with b's output as the expected columns: differ and
-    unsure joined over the batches, bit k for inputs[k]."""
+    unsure joined over the batches of sim._SWEEP_BATCH, bit k for
+    inputs[k]."""
     program, other = (sim._permutation_program(c) or sim._compile_path_sum(c) for c in (a, b))
 
     def expect(cols, ones):
-        return cols, other.run(cols + [0] * (other.width - a.width), ones.bit_length())
+        return cols, other.run(cols, ones.bit_length())
 
     differ = unsure = lo = 0
-    for cases, _, d, u in sim._sweep(program, inputs, a.width, expect, batch or len(inputs)):
+    for cases, _, d, u in sim._sweep(program, inputs, a.width, expect):
         differ, unsure, lo = differ | d << lo, unsure | u << lo, lo + len(cases)
     assert lo == len(inputs)
     return differ, unsure
@@ -1530,7 +1570,7 @@ class _Fixed:
         self.width, self.cols = len(cols), cols
 
     def run(self, cols, lanes):
-        assert len(cols) == self.width
+        assert len(cols) <= self.width  # a case's leading columns
         return list(self.cols)
 
 
@@ -1570,7 +1610,7 @@ def test_the_lane_rule_case_by_case(other):
     program, expect = {
         "path-sum": (_Fixed(theirs), lambda cols, ones: (cols, theirs)),
         "permutation": (
-            identity, lambda cols, ones: (cols, identity.run(list(cols), ones.bit_length()))
+            identity, lambda cols, ones: (cols, identity.run(cols, ones.bit_length()))
         ),
         "oracle": (None, lambda cols, ones: (cols, [0])),  # one column per qubit
     }[other]
@@ -1578,7 +1618,7 @@ def test_the_lane_rule_case_by_case(other):
     if program is not None:  # the rule is symmetric: swap the sides
         runs.append((program, lambda cols, ones: (cols, mine)))
     for program, expect in runs:
-        ((cases, columns, differ, unsure),) = sim._sweep(program, inputs, 1, expect, len(rows))
+        ((cases, columns, differ, unsure),) = sim._sweep(program, inputs, 1, expect)
         assert cases == inputs and columns[0] == [0]
         verdicts = [
             "unsure" if unsure >> k & 1 else "differ" if differ >> k & 1 else None
@@ -1628,12 +1668,6 @@ def chunked_pairs(draw):
 
 
 def test_the_batch_size_never_changes_the_sweeps_verdicts(monkeypatch):
-    sweep, resize = sim._sweep, [None]  # None: the caller's batch
-
-    def resized(program, inputs, bits, expect, batch):
-        return sweep(program, inputs, bits, expect, resize[0] or batch)
-
-    monkeypatch.setattr(sim, "_sweep", resized)
     seen = set()
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -1645,13 +1679,15 @@ def test_the_batch_size_never_changes_the_sweeps_verdicts(monkeypatch):
             one = swept(a, b, inputs)
             seen.update(kind for kind, lanes in zip(("differ", "unsure"), one) if lanes)
             for batch in range(1, len(inputs) + 1):
-                assert swept(a, b, inputs, batch) == one
+                with monkeypatch.context() as patch:
+                    patch.setattr(sim, "_SWEEP_BATCH", batch)
+                    assert swept(a, b, inputs) == one
         answers = assert_equiv(a, b), assert_equiv(a, b, "sampled", 24, len(samples))
         assert answers[0] == first_difference_input_by_input(a, b, everything)
         for batch in range(1, len(everything)):
-            resize[0] = batch
-            assert (assert_equiv(a, b), assert_equiv(a, b, "sampled", 24, len(samples))) == answers
-        resize[0] = None
+            with monkeypatch.context() as patch:
+                patch.setattr(sim, "_SWEEP_BATCH", batch)
+                assert (assert_equiv(a, b), assert_equiv(a, b, "sampled", 24, len(samples))) == answers
 
     check()
     assert seen == {"differ", "unsure"}
