@@ -7,7 +7,7 @@ one expansion table (the kind's fully lowered template) and never builds
 the lowered circuit: X and CX step the layering inline, and any other gate
 is one call of its template's fold, straight-line Python generated once
 from one statement per lowered kind (_FOLD_STATEMENTS) by lowering's one
-code generator, _function (with no location table), and cached by the
+code generator, _function (keeping line numbers only), and cached by the
 template's content. The T-depth is the number of layers holding a T or
 TDG gate: an upper bound on the minimum achievable T-depth, not the
 optimum.

@@ -13,8 +13,8 @@ function, written from its own statement per lowered kind with the
 template's gates unrolled on locals; the functions are kept in a bounded
 module-level cache keyed by the template's content, not by its kind or
 rule, and generated on first use by _function, the package's one code
-generator (sim's kernel loop and chunks use it too), with no location
-table. iter_lowered_ops expands each templated source gate with one call
+generator (sim's kernel loop and chunks use it too), with a line-only
+location table. iter_lowered_ops expands each templated source gate with one call
 of its expander, as one stream of lowered gates, which
 lower_to_clifford_t collects, one Gate per distinct op
 (circuit._shared_gates, as flatten does), and sim's path-sum compiler
@@ -184,16 +184,16 @@ def _function(source: str, filename: str, namespace: dict | None = None) -> Call
 
     Every generated function in the package is made here: sim's kernel
     loop and straight-line chunks, and the consumers' template functions.
-    It keeps no location table, since no source is kept for one to point
-    into, and compile()'s table costs about 14 bytes an op, more than the
-    bytecode's 12: from Python 3.11 on, each entry byte 0xF8 + k covers
-    k + 1 code units with no position. Python 3.10's table has another
-    format, so there the code keeps its own.
+    Its location table holds lines only, every code unit on line 1: no
+    source is kept for columns, and a traceback entry with no line breaks
+    pytest's report. From Python 3.11 on, each entry 0xE8 + k, 0 covers
+    k + 1 code units at line delta 0, 2 bytes per 8 units where compile()'s
+    table costs about 14 an op. On 3.10, with another format, it keeps its own.
     """
     code = compile(source, filename, "exec").co_consts[0]
     if sys.version_info >= (3, 11):
         full, rest = divmod(len(code.co_code) // 2, 8)
-        table = b"\xff" * full + (bytes((0xF8 + rest - 1,)) if rest else b"")
+        table = b"\xef\x00" * full + (bytes((0xE8 + rest - 1, 0)) if rest else b"")
         code = code.replace(co_linetable=table)
     return FunctionType(code, {} if namespace is None else namespace)
 

@@ -19,7 +19,7 @@ writes each opcode once as a statement: the loop _run_columns, built at
 import with one `if` branch per opcode on cols[...], interprets the array,
 and _generate turns it into straight-line Python, one statement per op on
 locals (`c5 ^= c3 & c4`). lowering._function, the package's one code
-generator, compiles both, and keeps no location table. A program compiled
+generator, compiles both, with line-only location tables. A program compiled
 for one call runs on the loop. A cached program runs on the loop once, and
 its second run generates its straight-line form, which serves that run and
 every later one and lives as long as the program stays cached. _columns

@@ -38,7 +38,7 @@ from qsqrt import (
     validate,
 )
 from qsqrt import sim
-from qsqrt.cli import FAMILIES
+from qsqrt.families import FAMILIES
 from qsqrt.errors import (
     ArityError,
     CircuitError,

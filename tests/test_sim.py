@@ -1,7 +1,9 @@
 import ast
 import gc
 import math
+import os
 import random
+import subprocess
 import sys
 import traceback
 import tracemalloc
@@ -47,7 +49,8 @@ from qsqrt.errors import (
 )
 from qsqrt import analysis, lowering, sim
 from qsqrt.circuit import PRIMITIVE_ARITY, iter_primitive_ops
-from qsqrt.cli import FAMILIES, main
+from qsqrt.cli import main
+from qsqrt.families import FAMILIES
 from qsqrt.sim import _compile, _run
 from strategies import (
     _nested_circuits,
@@ -314,7 +317,8 @@ def test_generated_kernel_matches_the_loop(case):
 
 
 def test_generated_tracebacks_render_without_source_positions():
-    # every kind of generated function, each with a call it refuses
+    # every kind of generated function, each with a call it refuses; its
+    # every code unit sits on line 1 of its pseudo-file, with no columns
     program = _compile(build_isqrt_pipeline(8))
     (chunk,) = sim._generate(program.width, program.code)
     ccx = lowering._ExpansionTable()[GateKind.CCX]
@@ -327,7 +331,7 @@ def test_generated_tracebacks_render_without_source_positions():
     for function, bad_args in cases:
         if sys.version_info >= (3, 11):  # 3.10's table has another format, kept
             positions = set(function.__code__.co_positions())
-            assert positions == {(None, None, None, None)}, function
+            assert positions == {(1, 1, None, None)}, function
         with pytest.raises(TypeError) as raised:  # a traceback still renders
             function(*bad_args)
         rendered = "".join(traceback.format_tb(raised.tb))
@@ -335,6 +339,41 @@ def test_generated_tracebacks_render_without_source_positions():
     assert [f.__code__.co_filename for f, _ in cases] == [
         "<generated kernel>", "<kernel loop>", "<template expand>", "<template fold>"
     ]
+
+
+_FAILS_INSIDE_GENERATED_CODE = """
+from array import array
+
+from qsqrt import build_isqrt_pipeline, sim
+
+
+def test_fails_inside_generated_code():
+    program = sim._compile(build_isqrt_pipeline(8))
+    (chunk,) = sim._generate(program.width, program.code)
+    try:
+        chunk(["not a column"] * program.width, 1)
+    except TypeError:  # the report shows both, chained
+        sim._run_columns(array("H", [0, 0, 1, 0]), ["not", "columns"], 1)
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_pytest_reports_a_failure_inside_generated_code(tmp_path):
+    # a traceback entry with no line number ends a session with INTERNALERROR
+    (tmp_path / "test_generated.py").write_text(_FAILS_INSIDE_GENERATED_CODE)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "test_generated.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout.splitlines()[-1], out.stdout
+    assert "<generated kernel>" in out.stdout and "<kernel loop>" in out.stdout
 
 
 @pytest.mark.parametrize("width", [1, 63, 64, 65, 129])
