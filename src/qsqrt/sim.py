@@ -18,20 +18,23 @@ The kernel has two forms, both built from one table, _STATEMENTS, that
 writes each opcode once as a statement: the loop _run_columns, built at
 import with one `if` branch per opcode on cols[...], interprets the array,
 and _generate turns it into straight-line Python, one statement per op on
-locals (`c5 ^= c3 & c4`). lowering._function, the package's one code
-generator, compiles both, with line-only location tables. A program compiled
-for one call runs on the loop. A cached program runs on the loop once, and
-its second run generates its straight-line form, which serves that run and
-every later one and lives as long as the program stays cached. _columns
-feeds the kernel: a range of consecutive states, such as an exhaustive
-`qsqrt verify` batch or assert_equiv's inputs, gets its columns straight
-from the counter, and one that repeats within the range is built once
-for its phase and kept (_COLUMN_CACHE_SIZE); a single state is split
-into bits; any other states are transposed in, and a program starts the
-columns it is not given at 0. _run hands back one format, Python ints,
-so a single state or an exhaustive sweep calls no numpy. Neither checks
-the states: perm_run_many (so perm_run) checks outside states, and
-isqrt, verify, permutation_matrix and assert_equiv build their own.
+locals (`c5 ^= c3 & c4`), where a SWAP only relabels two locals, in chunks
+of _CHUNK_OPS statements (4.2 MB peak at isqrt n = 64, tracemalloc).
+lowering._function, the package's one code generator, compiles both, with
+line-only location tables. A program compiled for one call runs on the
+loop. A cached program runs on the loop once, and its second run
+generates its straight-line form, which serves that run and every later
+one and lives as long as the program stays cached. _columns feeds the
+kernel: a range of consecutive states, such as an exhaustive `qsqrt
+verify` batch or assert_equiv's inputs, gets its columns straight from
+the counter, and one that repeats within the range is built once for its
+phase and kept (_COLUMN_CACHE_SIZE); a single state is split into bits;
+any other states are transposed in, and a program starts the columns it
+is not given at 0. _run hands back Python ints, so a single state or an
+exhaustive sweep calls no numpy; unitary and permutation_matrix take
+the uint64 array the transpose out builds (_lanes). Neither checks the
+states: perm_run_many (so perm_run) checks outside states, and isqrt,
+verify, permutation_matrix and assert_equiv build their own.
 
 assert_equiv compiles each side to its permutation program, else to its
 path-sum program, and runs any two programs bit-sliced from the same
@@ -141,12 +144,13 @@ _D_ADD = "t = {d0} ^ {y}; {d0} ^= ones; u = {d1} ^ {y}; {d1} ^= t; {d2} ^= t & u
 #: Each opcode as one statement, the one place its semantics is written:
 #: formatted with its operands' columns ({0}, {1}, {2} for q0, q1, q2) and
 #: the phase columns ({a0} ... {f2}), as cols[...] in the loop _run_columns
-#: and as locals c<q> in _generate. A T adds its qubit's column x to A and,
-#: in the mask, where B's bit is 1 - x, 2 x - 1 = (1, y, y) for y = x ^ ones
-#: to d; a TDG subtracts both, adding (1, x, x) to d. An opening H sets
-#: d = 4 x (B is A's state with x = 1 and phase A + 4 x), and A's x becomes
-#: 0. A closing H recombines where d is 0 or 4 into the basis state whose
-#: qubit is d's bit 2; elsewhere it sets a flag.
+#: and as the locals c0, c1, ... that _generate maps columns to. A T adds
+#: its qubit's column x to A and, in the mask, where B's bit is 1 - x,
+#: 2 x - 1 = (1, y, y) for y = x ^ ones to d; a TDG subtracts both, adding
+#: (1, x, x) to d. An opening H sets d = 4 x (B is A's state with x = 1 and
+#: phase A + 4 x), and A's x becomes 0. A closing H recombines where d is 0
+#: or 4 into the basis state whose qubit is d's bit 2; elsewhere it sets a
+#: flag.
 _STATEMENTS = {
     _CX: "{1} ^= {0}",
     _CCX: "{2} ^= {0} & {1}",
@@ -162,10 +166,11 @@ _STATEMENTS = {
     "{f2} ^= u ^ {f2} & u; {f1} ^= t ^ {f1} & t; {a2} ^= {0} & {d2}; {0} = {d2}",
 }
 
-#: Ops per generated function. compile() of one function for a whole
-#: program peaks at about 2 KB an op (19.5 MB at isqrt n = 64); in chunks
-#: of this many, generating that program peaks at 1.4 MB.
-_CHUNK_OPS = 512
+#: Statements per generated function; a SWAP relabels two locals and
+#: emits none. compile() of one function for a whole program peaks at
+#: about 2 KB an op (19.5 MB at isqrt n = 64); in chunks of this many,
+#: generating that program peaks at 4.2 MB.
+_CHUNK_OPS = 2048
 
 #: Widest pair assert_equiv checks exhaustively bit-sliced; 2**this also
 #: caps its sampled inputs.
@@ -326,6 +331,14 @@ def _run(program: _Program, states: Sequence[int]) -> list[int]:
     return [_int_of_bits(cols)] if count == 1 else _transpose(cols, count)
 
 
+def _lanes(program: _Program, states: Sequence[int]) -> np.ndarray:
+    """_run's output states of a program of at most 64 columns, as the
+    uint64 array the transpose out builds, before any becomes an int."""
+    count = len(states)
+    cols = program.run(_columns(states, program.width), count)
+    return _bit_transpose(_bytes_of(cols, count), count).view("<u8").ravel()
+
+
 def _columns(states: Sequence[int], width: int) -> list[int]:
     """The bit-sliced columns of basis states below 2**width, one per qubit.
 
@@ -410,31 +423,48 @@ _run_columns = _build_loop()
 
 
 def _generate(width: int, code: array) -> tuple[Callable, ...]:
-    """The straight-line form of a program's code: functions that each run
-    _CHUNK_OPS of its ops in order, as _run_columns does, but with one
-    statement per op (_STATEMENTS) on the columns as locals c0, c1, ...
+    """The straight-line form of a program's code: functions that run its
+    ops in order, as _run_columns does, but with one statement per op
+    (_STATEMENTS) on the columns as locals c0, c1, ...
 
-    Each function takes the columns and the lane mask `ones` and returns
-    the new columns. The source holds only the program's integers. Each
-    chunk is built and compiled on its own, by lowering._function.
+    A SWAP emits no statement: it exchanges the locals of its two columns
+    in `local`, the map from column to local that later statements read
+    their operands through. Each function holds _CHUNK_OPS statements, the
+    last at most as many; it takes the columns and the lane mask `ones`
+    and returns the new columns, both in column order. A program of SWAPs
+    only is one function if they permute its columns, and none if not.
+    The source holds only the program's integers. Each chunk is built and
+    compiled on its own, by lowering._function.
     """
     local = [f"c{q}" for q in range(width)]
-    names = "".join(f"{name}, " for name in local)
-    # the last columns' names, which only a path-sum program's statements use
+    # the last columns' names, which only a path-sum program's statements
+    # use; it has no SWAP, so they keep their locals
     phase = {
         name: f"c{q}"
         for name, q in zip(_PHASE_NAMES, range(width - _PHASE_COLUMNS, width))
     }
-    step = 4 * _CHUNK_OPS
-    chunks = []
-    for start in range(0, len(code), step):
-        it = iter(code[start : start + step])
-        body = "".join(
-            f"    {_STATEMENTS[op].format(local[p], local[q], local[r], **phase)}\n"
-            for op, p, q, r in zip(it, it, it, it)
+    entry, body, chunks = list(local), [], []
+
+    def close() -> None:
+        source = (
+            f"def chunk(c, ones):\n    {''.join(f'{n}, ' for n in entry)}= c\n"
+            f"{''.join(body)}    return [{', '.join(local)}]\n"
         )
-        source = f"def chunk(c, ones):\n    {names}= c\n{body}    return [{names}]\n"
         chunks.append(_function(source, "<generated kernel>"))
+
+    it = iter(code)
+    for op, p, q, r in zip(it, it, it, it):
+        if op == _SWAP:
+            local[p], local[q] = local[q], local[p]
+            continue
+        if len(body) == _CHUNK_OPS:  # cut only before a statement, so the
+            close()  # SWAPs after the last one end the last chunk
+            entry, body = list(local), []
+        body.append(
+            f"    {_STATEMENTS[op].format(local[p], local[q], local[r], **phase)}\n"
+        )
+    if body or local != entry:
+        close()
     return tuple(chunks)
 
 
@@ -719,7 +749,7 @@ def unitary(c: Circuit) -> np.ndarray:
     except _PathSumError:  # every column on the sparse kernel, on c's own gates
         entries = _sv_entries(c, *_basis(range(dim), width), dim, _SV_MAX_ENTRIES)
         return _dense(*entries, width, dim)
-    lanes = np.array(_run(program, range(dim)))  # each its state, then _PHASE_NAMES
+    lanes = _lanes(program, range(dim))  # each its state, then _PHASE_NAMES
     u = np.zeros((dim, dim), complex)
     u[lanes & (dim - 1), np.arange(dim)] = np.exp(1j * np.pi / 4 * (lanes >> width & 7))
     flagged = np.flatnonzero(lanes >> width + 6)  # f1 or f2
@@ -734,7 +764,7 @@ def permutation_matrix(c: Circuit) -> np.ndarray:
         raise CapacityError(f"permutation matrix capped at {_MATRIX_CAP} qubits")
     dim = 1 << c.width
     mat = np.zeros((dim, dim))
-    mat[_run(_compile(c), range(dim)), np.arange(dim)] = 1.0
+    mat[_lanes(_compile(c), range(dim)), np.arange(dim)] = 1.0
     return mat
 
 

@@ -298,22 +298,87 @@ def programs_and_columns(draw):
                      max_size=_ARITY[op], unique=True)
         )
         code += [op, *qubits, *sim._PAD[len(qubits)]]
-    if code and draw(st.booleans()):
-        code *= sim._CHUNK_OPS // (len(code) // 4) + 1
+    statements = len(code) // 4 - code[::4].count(sim._SWAP)
+    if statements and draw(st.booleans()):
+        code *= sim._CHUNK_OPS // statements + 1
     rng = draw(st.randoms(use_true_random=False))
     return columns, array("H", code), lanes, [rng.getrandbits(lanes) for _ in range(columns)]
+
+
+def expected_chunks(width, code):
+    """The chunks _generate makes of a program: one per _CHUNK_OPS of its
+    statements (every op but a SWAP), or, of SWAPs only, one if they
+    permute the columns and none if not."""
+    it = iter(code)
+    ops = list(zip(it, it, it, it))
+    statements = sum(op != sim._SWAP for op, *_ in ops)
+    if statements:
+        return -(-statements // sim._CHUNK_OPS)
+    order = list(range(width))
+    for _, p, q, _ in ops:
+        order[p], order[q] = order[q], order[p]
+    return int(order != sorted(order))
+
+
+def assert_generated_matches_the_loop(width, code, lanes, cols):
+    chunks = sim._generate(width, code)
+    assert len(chunks) == expected_chunks(width, code)
+    out = list(cols)
+    for chunk in chunks:
+        out = chunk(out, (1 << lanes) - 1)
+    assert out == sim._run_columns(code, list(cols), lanes)
 
 
 @settings(max_examples=60, deadline=None)
 @given(programs_and_columns())
 def test_generated_kernel_matches_the_loop(case):
-    width, code, lanes, cols = case
-    chunks = sim._generate(width, code)
-    assert len(chunks) == -(-len(code) // (4 * sim._CHUNK_OPS))
-    out = list(cols)
-    for chunk in chunks:
-        out = chunk(out, (1 << lanes) - 1)
-    assert out == sim._run_columns(code, list(cols), lanes)
+    assert_generated_matches_the_loop(*case)
+
+
+def random_ops(rng, width, count, opcodes):
+    """`count` ops drawn from `opcodes` on distinct qubits below `width`."""
+    code = []
+    for _ in range(count):
+        op = rng.choice(opcodes)
+        qubits = rng.sample(range(width), _ARITY[op])
+        code += [op, *qubits, *sim._PAD[len(qubits)]]
+    return code
+
+
+@pytest.mark.parametrize(
+    "swaps, chunks",
+    [([], 0), ([(0, 1)], 1), ([(0, 1), (1, 0)], 0), ([(0, 1), (1, 2), (0, 2)], 1),
+     ([(2, 3)] * 4, 0)],
+)
+def test_a_program_of_swaps_only_is_one_chunk_if_it_permutes(swaps, chunks):
+    rng, width, lanes = random.Random(len(swaps)), 4, 200
+    code = array("H", [v for p, q in swaps for v in (sim._SWAP, p, q, 0)])
+    cols = [rng.getrandbits(lanes) for _ in range(width)]
+    assert expected_chunks(width, code) == chunks
+    assert_generated_matches_the_loop(width, code, lanes, cols)
+
+
+@pytest.mark.parametrize("layout", ["runs", "interleaved"])
+def test_swaps_on_both_sides_of_a_chunk_seam_relabel_alike(layout):
+    # runs: SWAPs, a chunk's statements, SWAPs at the seam, 5 statements
+    # and SWAPs; interleaved: a SWAP after each of a chunk's statements
+    # and 5 more, so SWAPs fall just before and after the seam
+    rng, width, lanes = random.Random(layout), 7, 200
+    gates = [sim._CX, sim._CCX, sim._ZCX, sim._X]
+    swap = [sim._SWAP]
+    if layout == "runs":
+        code = random_ops(rng, width, 3, swap)
+        code += random_ops(rng, width, sim._CHUNK_OPS, gates)
+        code += random_ops(rng, width, 4, swap)
+        code += random_ops(rng, width, 5, gates) + random_ops(rng, width, 2, swap)
+    else:
+        code = []
+        for _ in range(sim._CHUNK_OPS + 5):
+            code += random_ops(rng, width, 1, gates) + random_ops(rng, width, 1, swap)
+    code = array("H", code)
+    assert expected_chunks(width, code) == 2
+    cols = [rng.getrandbits(lanes) for _ in range(width)]
+    assert_generated_matches_the_loop(width, code, lanes, cols)
 
 
 def test_generated_tracebacks_render_without_source_positions():

@@ -359,6 +359,26 @@ def test_generated_kernels_answer_every_input_up_to_n14():
         assert sim._cached_program(build_isqrt_pipeline, n).chunks is not None
 
 
+@pytest.mark.parametrize("n, chunks", [(32, 2), (48, 3)])
+def test_generated_kernels_answer_across_chunk_seams(n, chunks):
+    # the pipeline's SWAP cascades, which relabel locals, run on both sides
+    # of its chunks' seams; a batch of 2^12 random inputs takes every lane
+    # through them at once, and single calls one lane
+    rng, mask = random.Random(n), (1 << n) - 1
+    inputs = [rng.randrange(1 << (n - 1)) for _ in range(1 << 12)]
+    expected = [(math.isqrt(a), a - math.isqrt(a) ** 2) for a in inputs]
+    for a, want in zip(inputs[:3], expected):  # the second call generates
+        assert isqrt(a, n) == want
+    program = sim._cached_program(build_isqrt_pipeline, n)
+    assert len(program.chunks) == chunks
+    states = [a | 1 << n for a in inputs]
+    outs = sim._run(program, states)
+    assert [(out >> n & mask, out & mask) for out in outs] == expected
+    cols = sim._columns(states, program.width)
+    loop = sim._compile(build_isqrt_pipeline(n)).code
+    assert program.run(cols, len(states)) == sim._run_columns(loop, cols, len(states))
+
+
 def test_threads_sharing_a_width_answer_while_it_is_generated():
     inputs = list(range(0, 1 << 11, 255))
     expected = [(math.isqrt(a), a - math.isqrt(a) ** 2) for a in inputs]
