@@ -5,9 +5,6 @@ from .analysis import (
     ResourceReport,
     analyze,
     count_ops,
-    expected_t_count_adder,
-    expected_t_count_ctrl_adder,
-    expected_t_count_isqrt,
     schedule_layers,
 )
 from .arithmetic import (
@@ -27,6 +24,11 @@ from .circuit import (
     validate,
 )
 from .export import from_qasm, to_qasm
+from .families import (
+    expected_t_count_adder,
+    expected_t_count_ctrl_adder,
+    expected_t_count_isqrt,
+)
 from .lowering import (
     DEFAULT_RULES,
     DecompositionRule,

@@ -10,7 +10,8 @@ from one statement per lowered kind (_FOLD_STATEMENTS) by lowering's one
 code generator, _function (keeping line numbers only), and cached by the
 template's content. The T-depth is the number of layers holding a T or
 TDG gate: an upper bound on the minimum achievable T-depth, not the
-optimum.
+optimum. This module measures any circuit; the T-count closed forms the
+circuit families should meet live in families.py, beside their entries.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .arithmetic import _check_n
 from .circuit import Circuit, GateKind, iter_primitive_ops
 from .errors import MustLowerError
 from .lowering import (
@@ -30,7 +30,6 @@ from .lowering import (
     _function,
     _unpacked,
 )
-from .sqrt import _check_width
 
 
 @dataclass(frozen=True)
@@ -142,23 +141,3 @@ def analyze(c: Circuit) -> ResourceReport:
         histogram=hist,
     )
 
-
-def expected_t_count_isqrt(n: int) -> int:
-    """Closed-form T-count of the full square root circuit: 7n²/2 + 21n - 28.
-
-    Exact integer arithmetic; defined for even n >= 4.
-    """
-    n = _check_width(n)
-    return (7 * n * n + 42 * n - 56) // 2
-
-
-def expected_t_count_adder(n: int) -> int:
-    """Closed-form T-count of the adder and subtractor: 14n - 14."""
-    n = _check_n(n, 1, "adder")
-    return 14 * n - 14
-
-
-def expected_t_count_ctrl_adder(n: int) -> int:
-    """Closed-form T-count of the controlled adder: 21n - 14."""
-    n = _check_n(n, 2, "controlled adder")
-    return 21 * n - 14

@@ -15,8 +15,9 @@ malformed hand-built gate at any depth, and a CircuitError on a
 composite that contains itself. A well-formed gate passes _fits, one
 unpack by arity and int, range and distinctness tests on the locals, and
 gets a shared empty tuple from _gate_errors; the walk inlines that test
-per primitive gate. Only a malformed gate reaches the code that words
-the errors.
+per primitive gate, and export's from_qasm keeps a gate line in to_qasm's
+form through it. Only a malformed gate reaches the code that words the
+errors.
 """
 from __future__ import annotations
 

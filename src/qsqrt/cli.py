@@ -25,7 +25,7 @@ from .analysis import analyze
 from .errors import CapacityError, CircuitError, int_text
 from .export import to_qasm
 from .families import FAMILIES
-from .sqrt import build_isqrt_circuit, isqrt, min_width
+from .sqrt import isqrt, min_width
 
 if TYPE_CHECKING:
     from .families import CircuitFamily, Fields
@@ -105,7 +105,7 @@ def cmd_isqrt(args: argparse.Namespace) -> int:
     result = isqrt(value, n)
     print(f"a = {value}, root = {result.root}, remainder = {result.remainder}")
     if args.resources:
-        report = analyze(build_isqrt_circuit(n))
+        report = analyze(FAMILIES["isqrt"].build(n))
         print(f"qubits = {report.width}")
         print(f"t_count = {report.t_count}")
         print(f"t_depth = {report.t_depth} (scheduled upper bound)")

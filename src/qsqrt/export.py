@@ -3,19 +3,20 @@
 Emitted documents use one quantum register and only the gates
 {x, cx, ccx, swap, h, t, tdg}; ZCX has no qelib1 equivalent and is written
 out as x/cx/x so any QASM toolchain can consume the file. from_qasm reads
-a gate line in the exact form to_qasm writes with one regex; every other
-line goes through the general parser, the one place a QasmParseError is
-worded. Each call keeps a dict so that a repeated line or op costs one
-lookup: from_qasm maps each line that regex accepted to its Gate, which a
-repeat of the line appends again, and to_qasm maps each walked op to its
-text. Digits and spaces are ASCII only, in the patterns and where a line
-or an operand is stripped.
+a gate line in the exact form to_qasm writes with one regex and keeps it
+if its operands pass Circuit.append's early test, circuit._fits; every
+other line goes through the general parser, the one place a
+QasmParseError is worded. Each call keeps a dict so that a repeated line
+or op costs one lookup: from_qasm maps each line that regex accepted to
+its Gate, which a repeat of the line appends again, and to_qasm maps each
+walked op to its text. Digits and spaces are ASCII only, in the patterns
+and where a line or an operand is stripped.
 """
 from __future__ import annotations
 
 import re
 
-from .circuit import PRIMITIVE_ARITY, Circuit, Gate, GateKind, iter_primitive_ops
+from .circuit import PRIMITIVE_ARITY, Circuit, Gate, GateKind, _fits, iter_primitive_ops
 from .errors import CircuitError, QasmParseError
 
 _HEADER = ("OPENQASM 2.0;", 'include "qelib1.inc";')
@@ -79,11 +80,7 @@ def from_qasm(text: str) -> Circuit:
         if canonical is not None and (m := canonical(raw)):
             kind = _GATE_KINDS.get(m[1])
             qubits = tuple(map(int, m.groups()[1:m.lastindex]))
-            if (
-                kind is not None
-                and len(qubits) == PRIMITIVE_ARITY[kind] == len(set(qubits))
-                and max(qubits) < width
-            ):
+            if kind is not None and _fits(qubits, PRIMITIVE_ARITY[kind], width):
                 gate = accepted[raw] = Gate(kind, qubits)
                 gates.append(gate)
                 continue

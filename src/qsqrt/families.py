@@ -4,7 +4,8 @@ A family is a circuit generator whose claims the package checks: its
 builder at width n, the T-count closed form it should meet, the qubits
 of its input and output registers, and the integer oracle, written from
 the arithmetic and not from the circuit, that `sweep` checks its cases
-against. Adding a family is one `FAMILIES` entry.
+against. The closed forms, expected_t_count_*, live here beside the
+entries that carry them. Adding a family is one `FAMILIES` entry.
 """
 from __future__ import annotations
 
@@ -12,12 +13,8 @@ import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .analysis import (
-    expected_t_count_adder,
-    expected_t_count_ctrl_adder,
-    expected_t_count_isqrt,
-)
 from .arithmetic import (
+    _check_n,
     build_adder,
     build_ctrl_add_sub,
     build_ctrl_adder,
@@ -25,7 +22,7 @@ from .arithmetic import (
 )
 from .circuit import Circuit
 from .sim import _cached_program, _int_of_bits, _Program, _sweep
-from .sqrt import build_isqrt_circuit, build_isqrt_pipeline
+from .sqrt import _check_width, build_isqrt_circuit, build_isqrt_pipeline
 
 if TYPE_CHECKING:
     # Annotations only: typing caches subscripted aliases, and a cached one
@@ -169,6 +166,27 @@ def _controlled_fields(n: int) -> tuple[Fields, Fields]:
 def _isqrt_fields(n: int) -> tuple[Fields, Fields]:
     # a's top (sign) bit stays clear, so n - 1 bits sweep the whole domain
     return (("a", 0, n - 1),), (("root", n, n), ("remainder", 0, n), ("z", 2 * n, 1))
+
+
+def expected_t_count_isqrt(n: int) -> int:
+    """Closed-form T-count of the full square root circuit: 7n²/2 + 21n - 28.
+
+    Exact integer arithmetic; defined for even n >= 4.
+    """
+    n = _check_width(n)
+    return (7 * n * n + 42 * n - 56) // 2
+
+
+def expected_t_count_adder(n: int) -> int:
+    """Closed-form T-count of the adder and subtractor: 14n - 14."""
+    n = _check_n(n, 1, "adder")
+    return 14 * n - 14
+
+
+def expected_t_count_ctrl_adder(n: int) -> int:
+    """Closed-form T-count of the controlled adder: 21n - 14."""
+    n = _check_n(n, 2, "controlled adder")
+    return 21 * n - 14
 
 
 FAMILIES: dict[str, CircuitFamily] = {

@@ -332,7 +332,6 @@ def test_width_limit_fails_before_building(monkeypatch, capsys, argv, n):
         family = dataclasses.replace(family, build=no_build, verify_build=no_build)
         monkeypatch.setitem(cli.FAMILIES, name, family)
     monkeypatch.setattr(cli, "isqrt", no_build)
-    monkeypatch.setattr(cli, "build_isqrt_circuit", no_build)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

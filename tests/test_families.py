@@ -1,9 +1,10 @@
 import ast
 import dataclasses
+import importlib.util
 
 import pytest
 
-from qsqrt import GateKind, cli, families, perm_run
+from qsqrt import GateKind, analysis, analyze, cli, families, perm_run
 from qsqrt.cli import main
 from qsqrt.families import FAMILIES
 from strategies import family_widths
@@ -29,6 +30,29 @@ def test_families_needs_no_command_line_and_no_numpy():
     )
 
 
+def _package_imports(module):
+    """The names of the qsqrt modules that `module`'s source imports from."""
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    dotted = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            dotted.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            base = importlib.util.resolve_name(base, "qsqrt")
+            dotted.add(base)  # from . import x names the module qsqrt.x
+            dotted.update(f"{base}.{alias.name}" for alias in node.names)
+    return {name.split(".")[1] for name in dotted if name.startswith("qsqrt.")}
+
+
+def test_metrics_and_families_import_one_way():
+    # analysis measures any circuit; each family carries its own closed form
+    imported = _package_imports(analysis)
+    assert imported.isdisjoint({"arithmetic", "sqrt", "sim", "families"})
+    assert "analysis" not in _package_imports(families)
+
+
 def test_the_command_line_serves_the_one_registry():
     assert cli.FAMILIES is families.FAMILIES
 
@@ -41,6 +65,18 @@ def test_the_command_line_serves_the_one_registry():
 def test_each_family_sweeps_clean(name, n):
     family = FAMILIES[name]
     assert family.sweep(n, range(1 << family.case_bits(n))) == (0, None)
+
+
+@pytest.mark.parametrize(
+    "name, n",
+    [(name, n) for name, family in FAMILIES.items()
+     for n in family_widths(family, 25 if name == "isqrt" else 17)],
+)
+def test_each_family_meets_the_closed_form_it_carries(name, n):
+    family = FAMILIES[name]
+    circuit = family.build(n)
+    assert analyze(circuit).t_count == family.expected_t_count(n)
+    assert max(lo + width for _, lo, width in family.registers(n)[1]) == circuit.width
 
 
 def _without_first_cx(build):
