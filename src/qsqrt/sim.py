@@ -17,24 +17,26 @@ as more columns of the same program, and use only ^, & and the lane mask.
 The kernel has two forms, both built from one table, _STATEMENTS, that
 writes each opcode once as a statement: the loop _run_columns, built at
 import with one `if` branch per opcode on cols[...], interprets the array,
-and _generate turns it into straight-line Python, one statement per op on
-locals (`c5 ^= c3 & c4`), where a SWAP only relabels two locals, in chunks
-of _CHUNK_OPS statements (4.2 MB peak at isqrt n = 64, tracemalloc).
-lowering._function, the package's one code generator, compiles both, with
-line-only location tables. A program compiled for one call runs on the
-loop. A cached program runs on the loop once, and its second run
-generates its straight-line form, which serves that run and every later
-one and lives as long as the program stays cached. _columns feeds the
-kernel: a range of consecutive states, such as an exhaustive `qsqrt
-verify` batch or assert_equiv's inputs, gets its columns straight from
-the counter, and one that repeats within the range is built once for its
-phase and kept (_COLUMN_CACHE_SIZE); a single state is split into bits;
-any other states are transposed in, and a program starts the columns it
-is not given at 0. _run hands back Python ints, so a single state or an
-exhaustive sweep calls no numpy; unitary and permutation_matrix take
-the uint64 array the transpose out builds (_lanes). Neither checks the
-states: perm_run_many (so perm_run) checks outside states, and isqrt,
-verify, permutation_matrix and assert_equiv build their own.
+and _generate turns it into straight-line Python on locals. It runs the
+loop itself on tracing columns (_Trace), whose values are XOR forms over
+hash-consed AND nodes (an XAG, Meuli et al., arXiv:1908.01609), so each
+distinct AND of a chunk of _CHUNK_OPS ops is computed once, an uncompute
+Toffoli cancels, and a SWAP, an X or a ZCX's polarity costs nothing until
+a value is read. lowering._function, the package's one code generator,
+compiles both, with line-only location tables. A program compiled for one
+call runs on the loop. A cached program runs on the loop once, and its
+second run generates its straight-line form, which serves that run and
+every later one and lives as long as the program stays cached. _columns
+feeds the kernel: a range of consecutive states, such as an exhaustive
+`qsqrt verify` batch or assert_equiv's inputs, gets its columns straight
+from the counter, and one that repeats within the range is built once for
+its phase and kept (_COLUMN_CACHE_SIZE); a single state is split into
+bits; any other states are transposed in, and a program starts the columns
+it is not given at 0. _run hands back Python ints, so a single state or an
+exhaustive sweep calls no numpy; unitary and permutation_matrix take the
+uint64 array the transpose out builds (_lanes). Neither checks the states:
+perm_run_many (so perm_run) checks outside states, and isqrt, verify,
+permutation_matrix and assert_equiv build their own.
 
 assert_equiv compiles each side to its permutation program, else to its
 path-sum program, and runs any two programs bit-sliced from the same
@@ -166,10 +168,10 @@ _STATEMENTS = {
     "{f2} ^= u ^ {f2} & u; {f1} ^= t ^ {f1} & t; {a2} ^= {0} & {d2}; {0} = {d2}",
 }
 
-#: Statements per generated function; a SWAP relabels two locals and
-#: emits none. compile() of one function for a whole program peaks at
-#: about 2 KB an op (19.5 MB at isqrt n = 64); in chunks of this many,
-#: generating that program peaks at 4.2 MB.
+#: Ops other than SWAP per generated function. Each chunk is traced and
+#: compiled on its own: generating the isqrt pipeline peaks at 2.8 MB at
+#: n = 64 and 7.2 MB at n = 256 (tracemalloc), where one function for
+#: the n = 64 pipeline peaks at 11.5 MB.
 _CHUNK_OPS = 2048
 
 #: Widest pair assert_equiv checks exhaustively bit-sliced; 2**this also
@@ -422,49 +424,186 @@ def _build_loop() -> Callable[[array, list[int], int], list[int]]:
 _run_columns = _build_loop()
 
 
-def _generate(width: int, code: array) -> tuple[Callable, ...]:
-    """The straight-line form of a program's code: functions that run its
-    ops in order, as _run_columns does, but with one statement per op
-    (_STATEMENTS) on the columns as locals c0, c1, ...
+class _Value:
+    """A column's value while _generate traces a chunk: an affine XOR form
+    over the chunk's atoms, an int whose bit 0 is the constant 1, bit q + 1
+    input column q and each higher bit one AND node. `args` holds the
+    (operand, op, operand) that made it until it is emitted. `id` is None
+    until _Trace.read meets it, -1 while read emits its operands, and
+    then the id of the emitted value of its form."""
 
-    A SWAP emits no statement: it exchanges the locals of its two columns
-    in `local`, the map from column to local that later statements read
-    their operands through. Each function holds _CHUNK_OPS statements, the
-    last at most as many; it takes the columns and the lane mask `ones`
-    and returns the new columns, both in column order. A program of SWAPs
-    only is one function if they permute its columns, and none if not.
-    The source holds only the program's integers. Each chunk is built and
-    compiled on its own, by lowering._function.
+    __slots__ = ("trace", "form", "args", "id")
+
+    def __init__(self, trace: _Trace, form: int, args: tuple | None = None) -> None:
+        self.trace, self.form, self.args, self.id = trace, form, args, None
+
+    def __xor__(self, other: _Value | int) -> _Value:
+        if type(other) is int:  # the ints a trace meets are the constants 0 and ones
+            other = _Value(self.trace, other)
+        if not other.form:
+            return self
+        if not self.form:
+            return other
+        return _Value(self.trace, self.form ^ other.form, (self, "^", other))
+
+    def __and__(self, other: _Value | int) -> _Value:
+        trace = self.trace
+        if type(other) is int:
+            other = _Value(trace, other)
+        x, y = sorted((self.form, other.form))
+        if not x or x ^ y == 1:  # x & 0, x & ~x
+            return _Value(trace, 0)
+        if x == 1 or x == y:  # every column lies within the lanes
+            return other if self.form == 1 else self
+        node = trace.ands.get((x, y))
+        if node is None:
+            node = trace.ands[x, y] = _Value(trace, trace.next_atom, (self, "&", other))
+            trace.next_atom <<= 1
+        return node
+
+    __rxor__, __rand__ = __xor__, __and__
+
+
+class _Trace:
+    """One chunk's tracing columns of `width` columns, and the code that
+    reading their values emits.
+
+    ^ only combines forms, and & is hash-consed on its two operands'
+    forms, so a Toffoli that uncomputes another reuses its AND node and
+    cancels its XOR. Nothing is emitted until a value is read (`read`):
+    then each operation it was made by whose form no emitted value has
+    yet is emitted once, as an instruction (operand, op, operand) on ids:
+    0 and 1 are the constants 0 and ones, q + 2 input column q, and
+    width + 2 + k instruction k's value. Each such operation is one ^ or
+    & that the loop executes, so the chunk executes no more of them.
     """
-    local = [f"c{q}" for q in range(width)]
-    # the last columns' names, which only a path-sum program's statements
-    # use; it has no SWAP, so they keep their locals
-    phase = {
-        name: f"c{q}"
-        for name, q in zip(_PHASE_NAMES, range(width - _PHASE_COLUMNS, width))
-    }
-    entry, body, chunks = list(local), [], []
 
-    def close() -> None:
-        source = (
-            f"def chunk(c, ones):\n    {''.join(f'{n}, ' for n in entry)}= c\n"
-            f"{''.join(body)}    return [{', '.join(local)}]\n"
-        )
-        chunks.append(_function(source, "<generated kernel>"))
+    def __init__(self, width: int) -> None:
+        self.width, self.next_atom = width, 2 << width
+        self.ands: dict[tuple[int, int], _Value] = {}
+        self.emitted = {0: 0, **{1 << k: k + 1 for k in range(width + 1)}}  # form: id
+        self.code: list[tuple[int, str, int]] = []
 
-    it = iter(code)
-    for op, p, q, r in zip(it, it, it, it):
-        if op == _SWAP:
-            local[p], local[q] = local[q], local[p]
-            continue
-        if len(body) == _CHUNK_OPS:  # cut only before a statement, so the
-            close()  # SWAPs after the last one end the last chunk
-            entry, body = list(local), []
-        body.append(
-            f"    {_STATEMENTS[op].format(local[p], local[q], local[r], **phase)}\n"
+    def columns(self) -> list[_Value]:
+        """The chunk's input columns."""
+        return [_Value(self, 2 << q) for q in range(self.width)]
+
+    def read(self, value: _Value | int) -> int:
+        """The id of an emitted value with `value`'s form, emitting what it
+        needs, operands first; the constants 0 and ones are their own ids."""
+        if type(value) is int:
+            return value
+        emitted, code, first = self.emitted, self.code, self.width + 2
+        stack = [value]
+        while stack:
+            v = stack[-1]
+            if v.id is None:  # first met: emitted under its form, or -1
+                v.id = emitted.get(v.form, -1)
+                if v.id < 0:
+                    a, _, b = v.args
+                    if b.id is None:
+                        stack.append(b)
+                    if a.id is None:
+                        stack.append(a)
+                    continue
+            stack.pop()
+            if v.id < 0:  # its operands are emitted now
+                a, op, b = v.args
+                v.id = emitted.setdefault(v.form, first + len(code))
+                if v.id == first + len(code):
+                    code.append((a.id, op, b.id))
+                v.args = None
+        return value.id
+
+    def source(self, values: list[_Value | int]) -> str:
+        """The source of the chunk function that returns `values`, one per
+        column in column order, from the code that reading them emits.
+
+        A value used once, by the next instruction, is inlined into it;
+        every other gets a local, which it frees after its last use for
+        the next value to take, so no more values stay alive than the
+        code needs. Locals are c0, c1, ...: the inputs' first.
+        """
+        outputs = [self.read(v) for v in values]
+        self.ands.clear()  # the one reference from the trace to its values
+        code, first = self.code, self.width + 2
+        end = len(code)
+        uses, last = [0] * (first + end), [0] * (first + end)
+        for i, (a, _, b) in enumerate(code):
+            uses[a] += 1
+            uses[b] += 1
+            last[a] = last[b] = i
+        for x in outputs:
+            uses[x] += 1
+            last[x] = end
+        names = ["0", "ones", *(f"c{q}" for q in range(self.width))]
+        free = [names[x] for x in range(first - 1, 1, -1) if not uses[x]]
+        last[0] = last[1] = -1  # the constants hold no local
+        lines, held = [], 0  # held: the value inlined into this instruction
+        for i, (a, op, b) in enumerate(code):
+            x, y = names[a], names[b]
+            if last[a] == i:
+                free.append(x)
+            if last[b] == i:
+                free.append(y)
+            if held and op == "&" and " ^ " in names[held]:
+                x, y = (f"({x})", y) if a == held else (x, f"({y})")
+            held = first + i
+            if uses[held] == 1 and last[held] == i + 1 < end:
+                names.append(f"{x} {op} {y}")
+                last[held] = -1  # it holds no local either
+                continue
+            held = 0
+            name = free.pop() if free else f"c{len(names) - 2}"
+            names.append(name)
+            if name in (x, y):  # a dead operand's local takes the value in place
+                lines.append(f"    {name} {op}= {y if name == x else x}\n")
+            else:
+                lines.append(f"    {name} = {x} {op} {y}\n")
+        unpack = "".join(f"{name}, " for name in names[2:first])
+        result = ", ".join(names[x] for x in outputs)
+        return (
+            f"def chunk(c, ones):\n    {unpack}= c\n"
+            f"{''.join(lines)}    return [{result}]\n"
         )
-    if body or local != entry:
-        close()
+
+
+def _generate(
+    width: int, code: array, loop: Callable = _run_columns
+) -> tuple[Callable, ...]:
+    """The straight-line form of a program's code: functions that run its
+    ops in order and give what _run_columns gives, each taking the
+    columns and the lane mask `ones` and returning the new columns, both
+    in column order.
+
+    The code is cut into chunks before every _CHUNK_OPS-th op that is not
+    a SWAP, so SWAPs after the last such op end the last chunk. Each chunk
+    runs on the loop _run_columns itself, on tracing columns (_Trace) with
+    one lane, so that the ints 0 and 1 are the constant columns. Its
+    function emits each distinct AND of the chunk once and each XOR only
+    where a value is read, by an AND or as an output; SWAP, X and the
+    polarity of ZCX only change forms. A program of SWAPs only is one
+    function if they permute its columns, and none if not. The source
+    holds only the program's integers. Each chunk is built and compiled
+    on its own, by lowering._function. `loop` is _run_columns as built at
+    import, so a patch of the module's name that counts the loop's runs
+    counts no traces.
+    """
+    cuts, statements = [0], 0
+    for i, op in enumerate(code[::4]):
+        if op != _SWAP:
+            if statements and not statements % _CHUNK_OPS:
+                cuts.append(4 * i)
+            statements += 1
+    cuts.append(len(code))
+    chunks = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        trace = _Trace(width)
+        inputs = trace.columns()
+        outputs = loop(code[lo:hi], list(inputs), 1)
+        if not statements and outputs == inputs:
+            break
+        chunks.append(_function(trace.source(outputs), "<generated kernel>"))
     return tuple(chunks)
 
 

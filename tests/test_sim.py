@@ -1,4 +1,6 @@
 import ast
+import collections
+import dis
 import gc
 import math
 import os
@@ -50,7 +52,7 @@ from qsqrt.errors import (
 from qsqrt import analysis, lowering, sim
 from qsqrt.circuit import PRIMITIVE_ARITY, iter_primitive_ops
 from qsqrt.cli import main
-from qsqrt.families import FAMILIES
+from qsqrt.families import FAMILIES, _isqrt_oracle
 from qsqrt.sim import _compile, _run
 from strategies import (
     _nested_circuits,
@@ -379,6 +381,115 @@ def test_swaps_on_both_sides_of_a_chunk_seam_relabel_alike(layout):
     assert expected_chunks(width, code) == 2
     cols = [rng.getrandbits(lanes) for _ in range(width)]
     assert_generated_matches_the_loop(width, code, lanes, cols)
+
+
+# the binary ops of straight-line bytecode: BINARY_OP with the operator as
+# its argrepr on 3.11+, an opcode per operator and form on 3.10
+_OPNAMES = {
+    "BINARY_AND": "&", "INPLACE_AND": "&", "BINARY_XOR": "^", "INPLACE_XOR": "^"
+}
+
+
+def binary_ops(functions):
+    """How many & and ^ the generated `functions` execute, by operator:
+    each of their instructions runs once, as they have no branches."""
+    ops = collections.Counter(
+        ins.argrepr.rstrip("=")
+        if ins.opname == "BINARY_OP"
+        else _OPNAMES.get(ins.opname)
+        for f in functions
+        for ins in dis.get_instructions(f)
+    )
+    return ops["&"], ops["^"]
+
+
+# the ^ and & the loop executes per opcode of a permutation program
+_LOOP_OPS = {sim._CX: 1, sim._X: 1, sim._CCX: 2, sim._ZCX: 2, sim._SWAP: 0}
+
+
+def generated_counts(circuit):
+    """The ANDs of circuit's generated kernel, its Toffolis, and the ^ and
+    & the kernel and the loop execute."""
+    program = _compile(circuit)
+    ands, xors = binary_ops(sim._generate(program.width, program.code))
+    ops = program.code[::4]
+    return ands, ops.count(sim._CCX), ands + xors, sum(_LOOP_OPS[op] for op in ops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(programs_and_columns())
+def test_generated_kernel_executes_no_more_ops_than_the_loop(case):
+    width, code, lanes, cols = case
+    assert_generated_matches_the_loop(*case)
+    if set(code[::4]) <= set(_LOOP_OPS):  # path-sum programs: equality only
+        executed = sum(binary_ops(sim._generate(width, code)))
+        assert executed <= sum(_LOOP_OPS[op] for op in code[::4])
+
+
+@pytest.mark.parametrize("name", ["adder", "subtractor", "ctrl-add-sub", "ctrl-add"])
+def test_generated_kernels_compute_each_carry_once(name):
+    # each Toffoli that uncomputes a carry reuses the AND its compute made
+    for n in range(2 if name == "ctrl-add" else 1, 17):
+        ands, toffolis, executed, looped = generated_counts(FAMILIES[name].build(n))
+        if name == "ctrl-add":
+            assert (ands, toffolis) == (2 * n - 1, 3 * n - 2), n
+        else:
+            assert (ands, toffolis) == (n - 1, 2 * n - 2), n
+        assert executed <= looped
+
+
+def test_generated_pipeline_computes_each_distinct_and_once():
+    # at the widths whose pipeline fits in one chunk
+    for n in range(4, 29, 2):
+        program = _compile(build_isqrt_pipeline(n))
+        assert len(sim._generate(program.width, program.code)) == 1, n
+        ands, toffolis, executed, looped = generated_counts(build_isqrt_pipeline(n))
+        assert (ands, toffolis) == (n * n // 4 + 2 * n - 2, n * n // 2 + 3 * n - 4), n
+        assert executed < looped
+
+
+def traced_isqrt_oracle(n):
+    """The AND nodes the restoring oracle makes on tracing columns, and the
+    ANDs of the function that computes its outputs from them."""
+    trace = sim._Trace(n - 1)
+    _, want = _isqrt_oracle(n, trace.columns(), 1)
+    made = len(trace.ands)
+    function = lowering._function(trace.source(want), "<traced oracle>")
+    return made, binary_ops([function])[0]
+
+
+@pytest.mark.parametrize("n", range(4, 25, 2))
+def test_restoring_oracle_traces_to_its_and_count(n):
+    # as written, the oracle makes n^2/4 + 3n/2 - 6 distinct ANDs; n/2 - 2
+    # of them multiplex the top bit of a remainder it drops, so its outputs
+    # use n^2/4 + n - 4
+    assert traced_isqrt_oracle(n) == (n * n // 4 + 3 * n // 2 - 6, n * n // 4 + n - 4)
+
+
+def test_a_generated_kernel_frees_its_intermediates():
+    # one run of 2^16 lanes through the isqrt n = 24 pipeline (one chunk,
+    # 487 statements on 49 qubits): a kernel that kept every value it made
+    # would hold about 11 columns a qubit, where the loop holds one
+    program = _compile(build_isqrt_pipeline(24))
+    (chunk,) = sim._generate(program.width, program.code)
+    lanes, rng = 1 << 16, random.Random(24)
+    cols = [rng.getrandbits(lanes) for _ in range(program.width)]
+    ones = (1 << lanes) - 1
+    peaks = []
+    for run in (
+        lambda: sim._run_columns(program.code, list(cols), lanes),
+        lambda: chunk(list(cols), ones),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    looped, generated = peaks
+    columns = program.width * sys.getsizeof(cols[0])
+    assert looped < 1.5 * columns  # each column replaced in place
+    assert generated < 3 * columns
 
 
 def test_generated_tracebacks_render_without_source_positions():
